@@ -9,7 +9,6 @@ command line:
 
     etaforge eta --out demo_out
     etaforge verify-all --config run.ini --format csv
-    ETAFORGE_THREADS=4 etaforge verify-all --out full_run
 """
 
 import json

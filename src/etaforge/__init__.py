@@ -23,19 +23,17 @@ from .subspaces import (ParityError, PdoSubspace, RealizationGapError,
                         rotation_unitary, spectral_subspace, trivial_subspace,
                         two_face_subspace, zero_subspace)
 from .indexing import (SubspaceOperator, analytic_index, antipodal_subspace,
-                       build_parity_double, index_formula_report,
-                       index_formula_residual)
+                       build_parity_double, index_formula_report)
 from .eta import (EtaConvergenceError, EtaResult, SpectrumModel,
                   UnsupportedSpectrumError, dimension_functional,
                   dump_spectrum_csv, eta_closed_form, eta_numeric,
                   eta_result_json, fractional_part, mode_zero_crossing_family)
-from .kzn import (EllZnElement, KClassZn, MooreSpaceData, antipodal_element,
-                  beta_symbol, bockstein, difference_construction_zn,
-                  direct_image_s1, fractional_eta_topological,
-                  gamma_trivialization, inverse_row_decomposition,
-                  mod_n_analytic_index, moore_k, n_fold, normal_form,
-                  reduction_mod_n, shift_element, subspace_class,
-                  winding_datum)
+from .kzn import (EllZnElement, KClassZn, antipodal_element, beta_symbol,
+                  bockstein, difference_construction_zn, direct_image_s1,
+                  fractional_eta_topological, gamma_trivialization,
+                  inverse_row_decomposition, mod_n_analytic_index, n_fold,
+                  normal_form, reduction_mod_n, shift_element,
+                  subspace_class, winding_datum)
 from .torus import (FormSpectrum, GilkeyEta, TwistCharacter, gilkey_eta,
                     gilkey_symbol, orientability_halfinteger_check,
                     symbol_projection, t3_spectrum)

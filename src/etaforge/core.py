@@ -1,5 +1,5 @@
-"""Shared numeric kernels: Hermitian eigendecomposition, tolerant rank,
-matrix trigonometric polynomials and winding numbers.
+"""Shared numeric kernels: tolerant rank, matrix trigonometric polynomials
+and winding numbers.
 
 Everything here is pure and deterministic; all downstream modules funnel
 their linear algebra through these entry points.
@@ -14,7 +14,6 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_TOL",
     "TrigPolyMatrix",
-    "hermitian_eig",
     "stable_rank",
     "winding_number",
     "EllipticityViolation",
@@ -55,23 +54,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOL = ToleranceConfig()
-
-
-def hermitian_eig(H):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (w, U) with w ascending and H = U diag(w) U*.  The
-    reconstruction residual is bounded by eig_tol * ||H|| for any
-    well-scaled input; see the companion tests.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("hermitian_eig needs a square matrix")
-    hnorm = np.linalg.norm(H)
-    if hnorm > 0 and np.linalg.norm(H - H.conj().T) > 1e-10 * hnorm:
-        raise ValueError("input is not Hermitian within tolerance")
-    w, U = np.linalg.eigh((H + H.conj().T) / 2)
-    return w, U
 
 
 def stable_rank(M, tol=None):
@@ -173,11 +155,10 @@ class TrigPolyMatrix:
             raise ValueError("shape mismatch in trig-poly product")
         d = self.degree + other.degree
         out = np.zeros((2 * d + 1, rows, cols), dtype=complex)
+        m = other._c.shape[0]
         for i in range(self._c.shape[0]):
-            k1 = i - self.degree
-            for j in range(other._c.shape[0]):
-                k2 = j - other.degree
-                out[k1 + k2 + d] += self._c[i] @ other._c[j]
+            # modes i - deg1 and j - deg2 land on i + j
+            out[i:i + m] += self._c[i] @ other._c
         return TrigPolyMatrix(out)
 
     def conj_transpose(self):
@@ -259,6 +240,19 @@ def trig_blockdiag(blocks):
     return TrigPolyMatrix(out)
 
 
+def _fft_fit(vals, trim):
+    """Trig polynomial through G equispaced samples vals[0..G-1] (G even),
+    trimmed at trim, and the largest coefficient of the dropped Nyquist
+    bin."""
+    G = vals.shape[0]
+    spec = np.fft.fft(vals, axis=0) / G
+    half = G // 2
+    # index 0 of table is mode -(half-1)
+    table = np.concatenate([spec[half + 1:], spec[:half]], axis=0)
+    nyq = float(np.abs(spec[half]).max()) if vals.size else 0.0
+    return TrigPolyMatrix(table).trimmed(trim), nyq
+
+
 def fit_trig_poly(fn, grid=64, tol=1e-8, cap=4096, trim=1e-12):
     """Fit x -> fn(x) (vectorized, shape (len(xs), rows, cols)) by FFT.
 
@@ -271,13 +265,8 @@ def fit_trig_poly(fn, grid=64, tol=1e-8, cap=4096, trim=1e-12):
         xs = 2 * np.pi * np.arange(G) / G
         vals = np.asarray(fn(xs), dtype=complex)
         scale = max(float(np.abs(vals).max()) if vals.size else 0.0, 1.0)
-        spec = np.fft.fft(vals, axis=0) / G
-        half = G // 2
-        table = np.concatenate([spec[half + 1:], spec[:half]], axis=0)
-        # index 0 of table is mode -(half-1); Nyquist bin is dropped, so it
-        # must carry nothing
-        nyq = float(np.abs(spec[half]).max()) if vals.size else 0.0
-        fit = TrigPolyMatrix(table).trimmed(trim * scale)
+        # the Nyquist bin is dropped, so it must carry nothing
+        fit, nyq = _fft_fit(vals, trim * scale)
         mid = xs + np.pi / G
         err = float(np.abs(fit(mid) - np.asarray(fn(mid))).max()) if vals.size else 0.0
         if max(err, nyq) <= tol * scale:

@@ -14,8 +14,7 @@ import numpy as np
 from .core import DEFAULT_TOL, EllipticityViolation, fit_trig_poly
 from .dyadic import DyadicRational
 from .subspaces import PdoSubspace, UnstableIndexError, full_subspace
-from .symbols import (CircleSymbol, FullSymbol, TruncatedOperator,
-                      antipodal_pullback, ellipticity_check, mode_labels,
+from .symbols import (CircleSymbol, FullSymbol, ellipticity_check, mode_labels,
                       quantize)
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "antipodal_subspace",
     "analytic_index",
     "build_parity_double",
-    "index_formula_residual",
     "index_formula_report",
 ]
 
@@ -51,20 +49,6 @@ class SubspaceOperator:
 
     def full_matrix(self, N):
         return quantize(self.symbol, N).matrix
-
-    def compressed(self, N):
-        """B2* D_N B1: the finite section in the realized bases."""
-        return self.target.basis(N).conj().T @ self.full_matrix(N) \
-            @ self.source.basis(N)
-
-    def truncated(self, N):
-        """Ambient-size compression P2 D_N P1."""
-        P1 = self.source.projection(N)
-        P2 = self.target.projection(N)
-        return TruncatedOperator(
-            N=N, matrix=P2 @ self.full_matrix(N) @ P1, order=self.order,
-            fiber_in=self.source.fiber, fiber_out=self.target.fiber,
-            provenance="compressed", symbol=self.symbol)
 
     def is_elliptic(self, tol=None):
         tol = DEFAULT_TOL if tol is None else tol
@@ -166,46 +150,31 @@ def _pointwise_basis(P):
     return U[:, w > 0.5]
 
 
-def _even_double_face(op, sign, fit_tol):
-    sig_s = op.principal.face(sign)
-    sig_ms = op.principal.face(-sign)
-    p1 = op.source.symbol.face(sign)
-    r1 = op.source.fiber
-    eye = np.eye(r1)
+def _even_double_sample(sv, sw, pp, pm):
+    # (alpha* sigma)^{-1} sigma on Im p1, identity on the complement
+    return np.linalg.pinv(sw @ pp, rcond=1e-12) @ (sv @ pp) \
+        + (np.eye(len(pp)) - pp)
+
+
+def _odd_double_sample(sv, sw, pp, pm):
+    # sigma (+) alpha* sigma through the splitting Im p1_s (+) Im p1_-s
+    bp = _pointwise_basis(pp)
+    bm = _pointwise_basis(pm)
+    inv = np.linalg.inv(np.concatenate([bp, bm], axis=1))
+    pi1 = bp @ inv[:bp.shape[1]]
+    pi2 = bm @ inv[bp.shape[1]:]
+    return np.concatenate([sv @ pi1, sw @ pi2], axis=0)
+
+
+def _double_face(op, sign, sample, fit_tol):
+    """Fit the face of the parity double whose value at x is
+    sample(sigma_s, sigma_-s, p1_s, p1_-s), all evaluated at x."""
+    faces = (op.principal.face(sign), op.principal.face(-sign),
+             op.source.symbol.face(sign), op.source.symbol.face(-sign))
 
     def fn(xs):
-        sv, sw, pv = sig_s(xs), sig_ms(xs), p1(xs)
-        out = np.empty((len(xs), r1, r1), dtype=complex)
-        for j in range(len(xs)):
-            a = sw[j] @ pv[j]
-            out[j] = np.linalg.pinv(a, rcond=1e-12) @ (sv[j] @ pv[j]) \
-                + (eye - pv[j])
-        return out
-
-    grid = max(64, 8 * (2 * op.principal.degree +
-                        2 * op.source.symbol.degree + 1))
-    return fit_trig_poly(fn, grid=grid, tol=fit_tol)
-
-
-def _odd_double_face(op, sign, fit_tol):
-    sig_s = op.principal.face(sign)
-    sig_ms = op.principal.face(-sign)
-    p1s = op.source.symbol.face(sign)
-    p1m = op.source.symbol.face(-sign)
-    r2 = op.target.fiber
-
-    def fn(xs):
-        sv, sw = sig_s(xs), sig_ms(xs)
-        pp, pm = p1s(xs), p1m(xs)
-        out = np.empty((len(xs), 2 * r2, op.source.fiber), dtype=complex)
-        for j in range(len(xs)):
-            bp = _pointwise_basis(pp[j])
-            bm = _pointwise_basis(pm[j])
-            inv = np.linalg.inv(np.concatenate([bp, bm], axis=1))
-            pi1 = bp @ inv[:bp.shape[1]]
-            pi2 = bm @ inv[bp.shape[1]:]
-            out[j] = np.concatenate([sv[j] @ pi1, sw[j] @ pi2], axis=0)
-        return out
+        vals = [f(xs) for f in faces]
+        return np.stack([sample(*v) for v in zip(*vals)])
 
     grid = max(64, 8 * (2 * op.principal.degree +
                         2 * op.source.symbol.degree + 1))
@@ -225,8 +194,8 @@ def build_parity_double(op, fit_tol=1e-8):
     if parity == "Even":
         if op.target.symbol.parity != "Even":
             raise ValueError("parity double needs matching parities")
-        plus = _even_double_face(op, +1, fit_tol)
-        minus = _even_double_face(op, -1, fit_tol)
+        plus = _double_face(op, +1, _even_double_sample, fit_tol)
+        minus = _double_face(op, -1, _even_double_sample, fit_tol)
         r1 = op.source.fiber
         sym = CircleSymbol(0, plus, minus, name=f"double({op.name})")
         return SubspaceOperator(sym, full_subspace(r1), full_subspace(r1),
@@ -234,8 +203,8 @@ def build_parity_double(op, fit_tol=1e-8):
     if parity == "Odd":
         if op.target.symbol.parity != "Odd":
             raise ValueError("parity double needs matching parities")
-        plus = _odd_double_face(op, +1, fit_tol)
-        minus = _odd_double_face(op, -1, fit_tol)
+        plus = _double_face(op, +1, _odd_double_sample, fit_tol)
+        minus = _double_face(op, -1, _odd_double_sample, fit_tol)
         sym = CircleSymbol(op.order, plus, minus, name=f"double({op.name})")
         target = op.target.direct_sum(antipodal_subspace(op.target))
         return SubspaceOperator(sym, full_subspace(op.source.fiber), target,
@@ -243,22 +212,10 @@ def build_parity_double(op, fit_tol=1e-8):
     raise ValueError("source subspace has no parity; no double exists")
 
 
-def index_formula_residual(op, N=16, tol=None, lift_tol=1e-8):
-    """ind D - (1/2) ind double(D) - d(L1) + d(L2) as an exact dyadic
-    rational; the defect formula asserts this is zero."""
-    from .eta import dimension_functional
-    ind_d = analytic_index(op, N=N, tol=tol)
-    ind_dbl = analytic_index(build_parity_double(op), N=N, tol=tol)
-    d1 = dimension_functional(op.source, N=N, tol=tol)
-    d2 = dimension_functional(op.target, N=N, tol=tol)
-    half = DyadicRational(1, 1)
-    return (DyadicRational.from_integer(ind_d)
-            - half * DyadicRational.from_integer(ind_dbl)
-            - d1 + d2)
-
-
 def index_formula_report(op, example_id, N=16, tol=None):
-    """One defect-formula evaluation as a flat JSON-ready row."""
+    """One defect-formula evaluation as a flat JSON-ready row; its
+    "residual" ind D - (1/2) ind double(D) - d(L1) + d(L2) is an exact
+    dyadic rational that the defect formula asserts is zero."""
     from .eta import dimension_functional
     ind_d = analytic_index(op, N=N, tol=tol)
     dbl = build_parity_double(op)

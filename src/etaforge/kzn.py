@@ -25,10 +25,8 @@ from .subspaces import (PdoSubspace, face_frames, full_subspace, lift_symbol,
 from .symbols import CircleSymbol, antipodal_pullback, identity_symbol
 
 __all__ = [
-    "MooreSpaceData",
     "KClassZn",
     "EllZnElement",
-    "moore_k",
     "gamma_trivialization",
     "beta_symbol",
     "shift_element",
@@ -46,23 +44,7 @@ __all__ = [
     "subspace_class",
     "reduction_mod_n",
     "bockstein",
-    "modn_ledger_row",
 ]
-
-
-@dataclass(frozen=True)
-class MooreSpaceData:
-    """Combinatorial model of the degree-n mapping cone over the circle."""
-
-    n: int
-    gamma_clutch: int
-    torsion_order: int
-
-
-def moore_k(n):
-    if n < 2:
-        raise ValueError("the mod-n space needs n >= 2")
-    return MooreSpaceData(n=n, gamma_clutch=1, torsion_order=n)
 
 
 @dataclass(frozen=True)
@@ -474,8 +456,3 @@ def subspace_class(L, samples=7):
             raise ArithmeticError("fiberwise winding is not constant in x")
         out[sign] = (L.symbol.face_rank(sign), winds[0])
     return out
-
-
-def modn_ledger_row(theorem, n, example_id, lhs, rhs):
-    return {"theorem": theorem, "n": n, "example_id": example_id,
-            "lhs": lhs, "rhs": rhs, "pass": lhs == rhs}

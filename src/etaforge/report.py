@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -251,14 +250,7 @@ _FAMILIES = {
 def run(cfg):
     """Execute the configured checks and assemble the sorted report."""
     tol = cfg.tolerances()
-    builders = _FAMILIES[cfg.command]
-    workers = max(1, int(os.environ.get("ETAFORGE_THREADS", "1")))
-    if workers > 1 and len(builders) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            chunks = list(ex.map(lambda b: b(cfg, tol), builders))
-    else:
-        chunks = [b(cfg, tol) for b in builders]
-    rows = [r for chunk in chunks for r in chunk]
+    rows = [r for b in _FAMILIES[cfg.command] for r in b(cfg, tol)]
     rows.sort(key=lambda r: (r["module"], r["check"]))
     meta = {"version": __version__, "seed": cfg.seed,
             "config": cfg.as_dict()}

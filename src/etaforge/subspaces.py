@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, TrigPolyMatrix, constant_trig, fit_trig_poly,
-                   polar_unitary, stable_rank)
-from .symbols import (CircleSymbol, TruncatedOperator, classify_parity,
+from .core import (DEFAULT_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
+                   fit_trig_poly, polar_unitary, stable_rank)
+from .symbols import (CircleSymbol, TruncatedOperator,
+                      _check_projection_faces, classify_parity,
                       ellipticity_check, quantize)
 
 __all__ = [
@@ -72,17 +73,10 @@ class SubspaceSymbol:
         self.projection = CircleSymbol(0, plus, minus, name=name)
         self.name = name
         self._parity = None
+        self._frames = {}  # tol -> face_frames result
         if validate:
-            self._check_projection_valued()
-
-    def _check_projection_valued(self, tol=1e-7):
-        xs = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        for s in (+1, -1):
-            v = self.face(s)(xs)
-            herm = np.abs(v - np.conj(np.transpose(v, (0, 2, 1)))).max()
-            idem = np.abs(np.matmul(v, v) - v).max()
-            if max(herm, idem) > tol:
-                raise ValueError("faces are not projection-valued")
+            _check_projection_faces(
+                self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False), 1e-7)
 
     def face(self, sign):
         return self.projection.face(sign)
@@ -456,10 +450,7 @@ def _face_frame(p, tol=1e-8, grid=128, oversample=8, cap=2048):
         end = Fend @ (EV * np.exp(-1j * phases)) @ EV.conj().T
         closure = float(np.abs(end - F0).max())
         # fit on even samples, validate on odd ones
-        spec = np.fft.fft(frames[0::2], axis=0) / G
-        half = G // 2
-        table = np.concatenate([spec[half + 1:], spec[:half]], axis=0)
-        fit = TrigPolyMatrix(table).trimmed(1e-12)
+        fit, _ = _fft_fit(frames[0::2], 1e-12)
         resid = float(np.abs(fit(xs[1::2]) - frames[1::2]).max())
         if max(resid, closure) <= tol or 2 * G > cap:
             break
@@ -472,18 +463,14 @@ def _face_frame(p, tol=1e-8, grid=128, oversample=8, cap=2048):
 
 
 def face_frames(symbol, tol=1e-8):
-    """Per-face periodic frames for a projection-valued symbol (memoized
-    on the symbol instance; transports are not cheap)."""
-    cached = getattr(symbol, "_frame_cache", None)
-    if cached is not None and cached[0] == tol:
-        return cached[1]
-    if (symbol.plus - symbol.minus).max_abs() <= 1e-12:
-        ff = _face_frame(symbol.plus, tol)
-        out = {+1: ff, -1: ff}
-    else:
-        out = {+1: _face_frame(symbol.plus, tol),
-               -1: _face_frame(symbol.minus, tol)}
-    symbol._frame_cache = (tol, out)
+    """Per-face periodic frames for a SubspaceSymbol (memoized per tol on
+    the symbol; transports are not cheap)."""
+    out = symbol._frames.get(tol)
+    if out is None:
+        even = (symbol.plus - symbol.minus).max_abs() <= 1e-12
+        ff = [_face_frame(symbol.face(s), tol)
+              for s in ((+1,) if even else (+1, -1))]
+        out = symbol._frames[tol] = {+1: ff[0], -1: ff[-1]}
     return out
 
 
@@ -497,7 +484,7 @@ def lift_symbol(L, tol=1e-8):
     sym = L.symbol if isinstance(L, PdoSubspace) else L
     if sym.parity != "Even":
         raise ParityError("lift over the circle needs an even subspace")
-    ff = _face_frame(sym.plus, tol)
+    ff = face_frames(sym, tol)[+1]
     sigma = CircleSymbol(0, ff.sigma, ff.sigma, name="lift")
     q = sigma.rows
     if q:
@@ -641,13 +628,10 @@ def conjugate_subspace(L, W, name="", fit_tol=1e-8):
     minus = plus if even_shortcut else proj_face(-1)
     sym = SubspaceSymbol(plus, minus, name=name or f"W({L.name})",
                          validate=False)
-    Wq = {}
 
     def realizer(N):
         base = L.realize(N)
-        if N not in Wq:
-            Wq[N] = quantize(W, N).matrix
-        M = Wq[N] @ base.basis
+        M = quantize(W, N).matrix @ base.basis
         q = base.rank
         if q == 0:
             return SubspaceRealization(N, M, base.warnings)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, EllipticityViolation, TrigPolyMatrix,
-                   constant_trig, winding_grid, winding_number)
+from .core import (DEFAULT_TOL, TrigPolyMatrix, constant_trig, trig_blockdiag,
+                   winding_grid)
 
 __all__ = [
     "CircleSymbol",
@@ -21,7 +21,6 @@ __all__ = [
     "quantize",
     "antipodal_pullback",
     "classify_parity",
-    "check_transmission_parity",
     "ellipticity_check",
     "identity_symbol",
     "dump_symbol",
@@ -78,35 +77,15 @@ class CircleSymbol:
                             self.plus @ other.plus,
                             self.minus @ other.minus)
 
-    def adjoint(self):
-        return CircleSymbol(self.order,
-                            self.plus.conj_transpose(),
-                            self.minus.conj_transpose())
-
     def direct_sum(self, other):
-        def dsum(a, b):
-            d = max(a.degree, b.degree)
-            rows, cols = a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]
-            out = np.zeros((2 * d + 1, rows, cols), dtype=complex)
-            for k in range(-d, d + 1):
-                out[k + d, :a.shape[0], :a.shape[1]] = a.coeff(k)
-                out[k + d, a.shape[0]:, a.shape[1]:] = b.coeff(k)
-            return TrigPolyMatrix(out)
         if self.order != other.order:
             raise ValueError("direct sum needs matching orders")
-        return CircleSymbol(self.order, dsum(self.plus, other.plus),
-                            dsum(self.minus, other.minus))
-
-    def scaled(self, factor):
-        return CircleSymbol(self.order, factor * self.plus, factor * self.minus)
+        return CircleSymbol(self.order, trig_blockdiag([self.plus, other.plus]),
+                            trig_blockdiag([self.minus, other.minus]))
 
     def is_even(self, tol=None):
         tol = DEFAULT_TOL.rank_tol if tol is None else tol
         return (self.plus - self.minus).max_abs() <= tol
-
-    def face_windings(self, tol=None):
-        """(w+, w-) of the face determinant loops; square elliptic symbols only."""
-        return (winding_number(self.plus, tol), winding_number(self.minus, tol))
 
 
 def identity_symbol(rank):
@@ -154,7 +133,6 @@ class TruncatedOperator:
     order: int = 0
     fiber_in: int = 1
     fiber_out: int = 1
-    provenance: str = "explicit"
     symbol: object = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -164,14 +142,6 @@ class TruncatedOperator:
             raise ValueError("matrix size does not match N and fibers")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim_in(self):
-        return self.fiber_in * (2 * self.N + 1)
-
-    @property
-    def dim_out(self):
-        return self.fiber_out * (2 * self.N + 1)
 
     def is_hermitian(self, tol=None):
         tol = DEFAULT_TOL.eig_tol if tol is None else tol
@@ -225,7 +195,7 @@ def quantize(symbol, N):
                         c0 = (n_src + N) * cols
                         A[r0:r0 + rows, c0:c0 + cols] += w * block
     return TruncatedOperator(N=N, matrix=A, order=full.order, fiber_in=cols,
-                             fiber_out=rows, provenance="symbol", symbol=full)
+                             fiber_out=rows, symbol=full)
 
 
 def antipodal_pullback(s):
@@ -279,17 +249,6 @@ def classify_parity(p, tol=None):
             odd = False
             break
     return "Odd" if odd else "Neither"
-
-
-def check_transmission_parity(f, tol=None):
-    """True iff each order-k term has a_{k,-} = (-1)^k a_{k,+}."""
-    tol = DEFAULT_TOL.rank_tol if tol is None else tol
-    full = f if isinstance(f, FullSymbol) else FullSymbol.of(f)
-    for term in full.terms:
-        target = ((-1) ** (term.order % 2)) * term.plus
-        if (term.minus - target).max_abs() > tol:
-            return False
-    return True
 
 
 def ellipticity_check(sigma, L1, L2, tol=None):

@@ -13,9 +13,8 @@ from etaforge.kzn import (EllZnElement, KClassZn, antipodal_action_check,
                           difference_construction_zn, direct_image_s1,
                           fractional_eta_topological, gamma_trivialization,
                           inverse_row_decomposition, mod_n_analytic_index,
-                          modn_ledger_row, moore_k, n_fold, normal_form,
-                          reduction_mod_n, shift_element, subspace_class,
-                          winding_datum)
+                          n_fold, normal_form, reduction_mod_n, shift_element,
+                          subspace_class, winding_datum)
 from etaforge.subspaces import (full_subspace, hardy_subspace,
                                 mobius_subspace, puncture, trivial_subspace)
 from etaforge.suites import modn_element_suite
@@ -24,13 +23,6 @@ MODULI = (2, 3, 4, 8)
 
 
 # -------------------------------------------------------------- K-classes
-
-
-def test_moore_data():
-    m = moore_k(5)
-    assert (m.n, m.gamma_clutch, m.torsion_order) == (5, 1, 5)
-    with pytest.raises(ValueError):
-        moore_k(1)
 
 
 def test_torsion_is_normalized():
@@ -205,9 +197,3 @@ def test_inverse_row_decomposition_recovers_projection(make):
 def test_subspace_class_values():
     assert subspace_class(hardy_subspace()) == {+1: (1, 1), -1: (0, 0)}
     assert subspace_class(trivial_subspace(3, 2)) == {+1: (2, 2), -1: (2, 2)}
-
-
-def test_ledger_row():
-    row = modn_ledger_row("direct-image", 3, "shift", 1, 1)
-    assert row["pass"] is True
-    assert modn_ledger_row("x", 2, "y", 0, 1)["pass"] is False

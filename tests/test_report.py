@@ -91,12 +91,6 @@ def test_verify_all_passes_and_sorts(full_report):
         {"eta", "index", "modn", "fractional"}
 
 
-def test_threaded_run_is_byte_identical(full_report, monkeypatch):
-    monkeypatch.setenv("ETAFORGE_THREADS", "4")
-    threaded = run(RunConfig(command="verify-all"))
-    assert threaded.to_json() == full_report.to_json()
-
-
 def test_meta_block(full_report):
     meta = full_report.meta
     assert set(meta) == {"version", "seed", "config"}

@@ -178,6 +178,11 @@ def test_face_frames_shared_for_even():
     assert frames[+1] is frames[-1]
 
 
+def test_lift_reuses_the_memoized_face_frame():
+    L = mobius_subspace()
+    assert lift_symbol(L).frames[+1] is face_frames(L.symbol)[+1]
+
+
 def test_lift_symbol_trivial_line():
     lift = lift_symbol(full_subspace(1))
     assert lift.order == 0
