@@ -23,11 +23,12 @@ from .subspaces import (ParityError, PdoSubspace, RealizationGapError,
                         rotation_unitary, spectral_subspace, trivial_subspace,
                         two_face_subspace, zero_subspace)
 from .indexing import (SubspaceOperator, analytic_index, antipodal_subspace,
-                       build_parity_double, index_formula_report)
+                       build_parity_double, dimension_functional,
+                       index_formula_report)
 from .eta import (EtaConvergenceError, EtaResult, SpectrumModel,
-                  UnsupportedSpectrumError, dimension_functional,
-                  dump_spectrum_csv, eta_closed_form, eta_numeric,
-                  eta_result_json, fractional_part, mode_zero_crossing_family)
+                  UnsupportedSpectrumError, dump_spectrum_csv, eta_closed_form,
+                  eta_numeric, eta_result_json, fractional_part,
+                  mode_zero_crossing_family)
 from .kzn import (EllZnElement, KClassZn, antipodal_element, beta_symbol,
                   bockstein, difference_construction_zn, direct_image_s1,
                   fractional_eta_topological, gamma_trivialization,

@@ -1,7 +1,8 @@
 """Batch front door: `etaforge <command> --config <path> ...`.
 
 Exit codes: 0 all checks pass, 1 some check failed (failing rows are
-listed), 2 usage or I/O error.
+listed), 2 usage or I/O error, 3 the run crashed (the exception type and
+message are printed).
 """
 from __future__ import annotations
 
@@ -40,9 +41,9 @@ def main(argv=None):
 
     try:
         report = run(cfg)
-    except Exception as exc:  # a contract-level check aborted the run
+    except Exception as exc:  # a crash, not a failed check
         print(f"etaforge: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3
 
     try:
         path = emit_report(report, cfg.out, cfg.format)

@@ -253,11 +253,11 @@ def _fft_fit(vals, trim):
     return TrigPolyMatrix(table).trimmed(trim), nyq
 
 
-def fit_trig_poly(fn, grid=64, tol=1e-8, cap=4096, trim=1e-12):
+def fit_trig_poly(fn, grid=64, cap=4096):
     """Fit x -> fn(x) (vectorized, shape (len(xs), rows, cols)) by FFT.
 
     Validates on the midpoint grid and doubles the sample count until the
-    off-grid error drops below tol * scale; analytic families converge
+    off-grid error drops below 1e-8 * scale; analytic families converge
     geometrically, genuinely non-polynomial ones raise TrigFitError.
     """
     G = int(grid)
@@ -266,14 +266,14 @@ def fit_trig_poly(fn, grid=64, tol=1e-8, cap=4096, trim=1e-12):
         vals = np.asarray(fn(xs), dtype=complex)
         scale = max(float(np.abs(vals).max()) if vals.size else 0.0, 1.0)
         # the Nyquist bin is dropped, so it must carry nothing
-        fit, nyq = _fft_fit(vals, trim * scale)
+        fit, nyq = _fft_fit(vals, 1e-12 * scale)
         mid = xs + np.pi / G
         err = float(np.abs(fit(mid) - np.asarray(fn(mid))).max()) if vals.size else 0.0
-        if max(err, nyq) <= tol * scale:
+        if max(err, nyq) <= 1e-8 * scale:
             return fit
         if 2 * G > cap:
             raise TrigFitError(
-                f"residual {err:.2e} at {G} samples exceeds {tol:.1e}")
+                f"residual {err:.2e} at {G} samples exceeds 1.0e-08")
         G *= 2
 
 

@@ -1,4 +1,4 @@
-"""Spectral asymmetry: eta invariants and the dimension functional.
+"""Spectral asymmetry: eta invariants of discrete spectral models.
 
 Conventions: for an invertible self-adjoint A the eta function is
 sum sign(lambda) |lambda|^{-s}; we report eta(A) = eta_A(0) + dim ker A.
@@ -14,11 +14,9 @@ import json
 
 import numpy as np
 
-from .core import DEFAULT_TOL
 from .dyadic import DyadicRational
-from .indexing import SubspaceOperator, analytic_index, build_parity_double
-from .subspaces import ParityError, full_subspace, lift_symbol
-from .symbols import CircleSymbol
+# d(L) lives in indexing; eta.dimension_functional stays importable
+from .indexing import dimension_functional  # noqa: F401
 
 __all__ = [
     "UnsupportedSpectrumError",
@@ -27,7 +25,6 @@ __all__ = [
     "SpectrumModel",
     "eta_closed_form",
     "eta_numeric",
-    "dimension_functional",
     "fractional_part",
     "mode_zero_crossing_family",
     "eta_result_json",
@@ -126,11 +123,11 @@ class SpectrumModel:
         return cls("ExplicitList", pairs, kernel_dim, {})
 
     @classmethod
-    def from_eigenvalues(cls, values, kernel_tol=1e-10):
+    def from_eigenvalues(cls, values):
         """ExplicitList from raw eigenvalues; near-zeros become kernel."""
         values = np.asarray(values, dtype=float)
         scale = max(float(np.abs(values).max()), 1.0) if values.size else 1.0
-        zero = np.abs(values) <= kernel_tol * scale
+        zero = np.abs(values) <= 1e-10 * scale
         pairs = [(float(v), 1) for v in values[~zero]]
         return cls("ExplicitList", pairs, int(zero.sum()), {})
 
@@ -172,7 +169,7 @@ def _extrapolate3(ts, hs, exponents):
     return float(np.linalg.solve(V, np.asarray(hs))[0])
 
 
-def eta_numeric(model, tol=None):
+def eta_numeric(model):
     """Heat-kernel estimate of eta(A) = eta_A(0) + dim ker A.
 
     The t-grid is the geometric ladder t0 * 2^j ending at 1/lambda_min^2,
@@ -181,7 +178,6 @@ def eta_numeric(model, tol=None):
     extrapolated and the flattest adjacent pair of extrapolants is the
     plateau.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     pairs = model.eigenvalues()
     if not pairs:
         return EtaResult(float(model.kernel_dim), "HeatExtrapolated", 1e-15,
@@ -221,56 +217,6 @@ def fractional_part(d):
     if not isinstance(d, DyadicRational):
         d = DyadicRational.from_fraction(d)
     return d.fractional_part()
-
-
-def _twist_symbol(q):
-    # fixed even invertible order-0 symbol with nonconstant determinant phase
-    jk = np.outer(np.arange(q), np.arange(q))
-    V = np.exp(2j * np.pi * jk / q) / np.sqrt(q)
-    e0 = np.zeros((q, q), dtype=complex)
-    e0[0, 0] = 1.0
-    rest = np.eye(q, dtype=complex) - e0
-    face = {0: V @ rest @ V.conj().T, 1: V @ e0 @ V.conj().T}
-    return CircleSymbol(0, face, face, name="twist")
-
-
-def _d_once(sigma, L, N, scales, tol, lift_order):
-    op = SubspaceOperator(sigma, L, full_subspace(sigma.rows))
-    for _ in range(lift_order):
-        op = op.direct_sum(op)
-    ind = analytic_index(op, N=N, scales=scales, tol=tol)
-    ind_dbl = analytic_index(build_parity_double(op), N=N, scales=scales,
-                             tol=tol)
-    return DyadicRational(ind, lift_order) \
-        - DyadicRational(ind_dbl, lift_order + 1)
-
-
-def dimension_functional(L, N=16, scales=(1, 2, 3), tol=None, lift_order=0,
-                         verify_lift=True):
-    """d(L) = 2^{-k}(ind of the lifted trivializer - half the index of its
-    parity double), an exact dyadic rational.
-
-    Defined for even subspaces whose symbol lifts; the result must not
-    depend on the lift, which is verified against a twisted second lift
-    unless verify_lift is off.  lift_order forces k artificial doublings.
-    """
-    if L.symbol.parity != "Even":
-        raise ParityError("dimension functional needs an even subspace")
-    lift = lift_symbol(L)
-    if lift.f_rank == 0:
-        return DyadicRational.from_integer(0)
-    # quantization needs N > 2 * degree; the twisted lift adds one degree
-    N = max(N, 2 * (lift.sigma.degree + L.symbol.degree + 1) + 1)
-    d = _d_once(lift.sigma, L, N, scales, tol, lift_order)
-    if d.exponent > lift_order + 1:
-        raise ArithmeticError("dyadic exponent exceeds the lift-order bound")
-    if verify_lift:
-        twisted = _twist_symbol(lift.f_rank) @ lift.sigma
-        d2 = _d_once(twisted, L, N, scales, tol, lift_order)
-        if d2 != d:
-            raise ArithmeticError(
-                f"dimension functional is lift-dependent: {d} vs {d2}")
-    return d
 
 
 def mode_zero_crossing_family(c_values=None, n_max=40):

@@ -6,6 +6,8 @@ take the near-null singular vectors on both sides, and count only those
 localized in the bulk half of the mode window (the boundary of the
 truncation sheds spurious null directions that an unfiltered rank count
 would absorb).  The count must agree across three truncation scales.
+The dimension functional d(L) combines two such indices: a lift's and its
+parity double's.
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ import numpy as np
 
 from .core import DEFAULT_TOL, EllipticityViolation, fit_trig_poly
 from .dyadic import DyadicRational
-from .subspaces import PdoSubspace, UnstableIndexError, full_subspace
+from .subspaces import (_SCALES, ParityError, PdoSubspace, SubspaceRealization,
+                        UnstableIndexError, _pointwise_basis, full_subspace,
+                        lift_symbol)
 from .symbols import (CircleSymbol, FullSymbol, ellipticity_check, mode_labels,
                       quantize)
 
@@ -22,6 +26,7 @@ __all__ = [
     "antipodal_subspace",
     "analytic_index",
     "build_parity_double",
+    "dimension_functional",
     "index_formula_report",
 ]
 
@@ -93,7 +98,6 @@ def antipodal_subspace(L):
         base = L.realize(N)
         q = base.basis.shape[1]
         flipped = base.basis.reshape(2 * N + 1, fiber, q)[::-1]
-        from .subspaces import SubspaceRealization
         return SubspaceRealization(N, flipped.reshape(-1, q), base.warnings)
 
     return PdoSubspace(sym, realizer, name=f"alpha*{L.name}" if L.name else "")
@@ -128,7 +132,7 @@ def _filtered_index_once(op, N, tol):
         - _bulk_count(coker, N, op.target.fiber)
 
 
-def analytic_index(op, N=16, scales=(1, 2, 3), tol=None):
+def analytic_index(op, N=16, scales=_SCALES, tol=None):
     """Stabilized index of an elliptic operator in subspaces.
 
     Raises EllipticityViolation if the symbol is not invertible between
@@ -143,11 +147,6 @@ def analytic_index(op, N=16, scales=(1, 2, 3), tol=None):
     if len(set(vals)) != 1:
         raise UnstableIndexError(f"analytic index did not stabilize: {vals}")
     return vals[0]
-
-
-def _pointwise_basis(P):
-    w, U = np.linalg.eigh(P)
-    return U[:, w > 0.5]
 
 
 def _even_double_sample(sv, sw, pp, pm):
@@ -166,7 +165,7 @@ def _odd_double_sample(sv, sw, pp, pm):
     return np.concatenate([sv @ pi1, sw @ pi2], axis=0)
 
 
-def _double_face(op, sign, sample, fit_tol):
+def _double_face(op, sign, sample):
     """Fit the face of the parity double whose value at x is
     sample(sigma_s, sigma_-s, p1_s, p1_-s), all evaluated at x."""
     faces = (op.principal.face(sign), op.principal.face(-sign),
@@ -178,10 +177,10 @@ def _double_face(op, sign, sample, fit_tol):
 
     grid = max(64, 8 * (2 * op.principal.degree +
                         2 * op.source.symbol.degree + 1))
-    return fit_trig_poly(fn, grid=grid, tol=fit_tol)
+    return fit_trig_poly(fn, grid=grid)
 
 
-def build_parity_double(op, fit_tol=1e-8):
+def build_parity_double(op):
     """The full-space (or full-source) operator carrying twice the defect
     of D relative to its parity-doubled symbol.
 
@@ -194,8 +193,8 @@ def build_parity_double(op, fit_tol=1e-8):
     if parity == "Even":
         if op.target.symbol.parity != "Even":
             raise ValueError("parity double needs matching parities")
-        plus = _double_face(op, +1, _even_double_sample, fit_tol)
-        minus = _double_face(op, -1, _even_double_sample, fit_tol)
+        plus = _double_face(op, +1, _even_double_sample)
+        minus = _double_face(op, -1, _even_double_sample)
         r1 = op.source.fiber
         sym = CircleSymbol(0, plus, minus, name=f"double({op.name})")
         return SubspaceOperator(sym, full_subspace(r1), full_subspace(r1),
@@ -203,8 +202,8 @@ def build_parity_double(op, fit_tol=1e-8):
     if parity == "Odd":
         if op.target.symbol.parity != "Odd":
             raise ValueError("parity double needs matching parities")
-        plus = _double_face(op, +1, _odd_double_sample, fit_tol)
-        minus = _double_face(op, -1, _odd_double_sample, fit_tol)
+        plus = _double_face(op, +1, _odd_double_sample)
+        minus = _double_face(op, -1, _odd_double_sample)
         sym = CircleSymbol(op.order, plus, minus, name=f"double({op.name})")
         target = op.target.direct_sum(antipodal_subspace(op.target))
         return SubspaceOperator(sym, full_subspace(op.source.fiber), target,
@@ -212,11 +211,57 @@ def build_parity_double(op, fit_tol=1e-8):
     raise ValueError("source subspace has no parity; no double exists")
 
 
+def _twist_symbol(q):
+    # fixed even invertible order-0 symbol with nonconstant determinant phase
+    jk = np.outer(np.arange(q), np.arange(q))
+    V = np.exp(2j * np.pi * jk / q) / np.sqrt(q)
+    e0 = np.zeros((q, q), dtype=complex)
+    e0[0, 0] = 1.0
+    rest = np.eye(q, dtype=complex) - e0
+    face = {0: V @ rest @ V.conj().T, 1: V @ e0 @ V.conj().T}
+    return CircleSymbol(0, face, face, name="twist")
+
+
+def _d_once(sigma, L, N, tol, lift_order):
+    op = SubspaceOperator(sigma, L, full_subspace(sigma.rows))
+    for _ in range(lift_order):
+        op = op.direct_sum(op)
+    ind = analytic_index(op, N=N, tol=tol)
+    ind_dbl = analytic_index(build_parity_double(op), N=N, tol=tol)
+    return DyadicRational(ind, lift_order) \
+        - DyadicRational(ind_dbl, lift_order + 1)
+
+
+def dimension_functional(L, N=16, tol=None, lift_order=0):
+    """d(L) = 2^{-k}(ind of the lifted trivializer - half the index of its
+    parity double), an exact dyadic rational.
+
+    Defined for even subspaces whose symbol lifts; the result must not
+    depend on the lift, which is verified against a twisted second lift.
+    lift_order forces k artificial doublings.
+    """
+    if L.symbol.parity != "Even":
+        raise ParityError("dimension functional needs an even subspace")
+    lift = lift_symbol(L)
+    if lift.f_rank == 0:
+        return DyadicRational.from_integer(0)
+    # quantization needs N > 2 * degree; the twisted lift adds one degree
+    N = max(N, 2 * (lift.sigma.degree + L.symbol.degree + 1) + 1)
+    d = _d_once(lift.sigma, L, N, tol, lift_order)
+    if d.exponent > lift_order + 1:
+        raise ArithmeticError("dyadic exponent exceeds the lift-order bound")
+    twisted = _twist_symbol(lift.f_rank) @ lift.sigma
+    d2 = _d_once(twisted, L, N, tol, lift_order)
+    if d2 != d:
+        raise ArithmeticError(
+            f"dimension functional is lift-dependent: {d} vs {d2}")
+    return d
+
+
 def index_formula_report(op, example_id, N=16, tol=None):
     """One defect-formula evaluation as a flat JSON-ready row; its
     "residual" ind D - (1/2) ind double(D) - d(L1) + d(L2) is an exact
     dyadic rational that the defect formula asserts is zero."""
-    from .eta import dimension_functional
     ind_d = analytic_index(op, N=N, tol=tol)
     dbl = build_parity_double(op)
     ind_dbl = analytic_index(dbl, N=N, tol=tol)

@@ -143,10 +143,7 @@ def gamma_trivialization(n, steps=10):
 # ---------------------------------------------------------------------------
 
 def n_fold(L, n):
-    out = L
-    for _ in range(n - 1):
-        out = out.direct_sum(L)
-    return out
+    return _chain_direct_sum([L] * n)
 
 
 def _chain_direct_sum(spaces):
@@ -209,21 +206,21 @@ def beta_symbol(n):
                         (full_subspace(1),), (full_subspace(1),))
 
 
-def _side_frame(bases, n, sign, tol):
+def _side_frame(bases, n, sign):
     blocks = []
     for b in bases:
-        f = face_frames(b.symbol, tol)[sign].frame
+        f = face_frames(b.symbol)[sign].frame
         blocks.extend([f] * n)
     return trig_blockdiag(blocks)
 
 
-def winding_datum(el, tol=1e-8):
+def winding_datum(el):
     """(w+ - w-) mod n of the frame-trivialized symbol determinant."""
     sigma = el.operator.principal
     v = {}
     for sign in (+1, -1):
-        f = _side_frame(el.source_bases, el.n, sign, tol)
-        g = _side_frame(el.target_bases, el.n, sign, tol)
+        f = _side_frame(el.source_bases, el.n, sign)
+        g = _side_frame(el.target_bases, el.n, sign)
         M = g.conj_transpose() @ sigma.face(sign) @ f
         if M.shape[0] != M.shape[1]:
             raise ValueError("frame ranks of source and target differ")
@@ -231,20 +228,20 @@ def winding_datum(el, tol=1e-8):
     return (v[+1] - v[-1]) % el.n
 
 
-def difference_construction_zn(el, tol=1e-8):
+def difference_construction_zn(el):
     """K-class of the symbol: pure torsion given by the winding datum."""
-    return KClassZn(el.n, 0, winding_datum(el, tol))
+    return KClassZn(el.n, 0, winding_datum(el))
 
 
-def mod_n_analytic_index(el, N=12, scales=(1, 2, 3), tol=None):
-    return analytic_index(el.operator, N=N, scales=scales, tol=tol) % el.n
+def mod_n_analytic_index(el, N=12, tol=None):
+    return analytic_index(el.operator, N=N, tol=tol) % el.n
 
 
 @lru_cache(maxsize=None)
-def _direct_image_sign(n, N=12):
+def _direct_image_sign(n):
     # fix the sign convention once per modulus against the shift generator
     el = shift_element(n)
-    ind = mod_n_analytic_index(el, N=N)
+    ind = mod_n_analytic_index(el)
     t = winding_datum(el)
     if math.gcd(t, n) != 1:
         raise ArithmeticError("calibration datum is not a unit mod n")
@@ -267,10 +264,10 @@ def antipodal_element(el):
                         tuple(antipodal_subspace(b) for b in el.target_bases))
 
 
-def antipodal_action_check(el, tol=1e-8):
+def antipodal_action_check(el):
     """True iff the datum of the antipodal pullback negates mod n."""
-    t = winding_datum(el, tol)
-    ta = winding_datum(antipodal_element(el), tol)
+    t = winding_datum(el)
+    ta = winding_datum(antipodal_element(el))
     return (t + ta) % el.n == 0
 
 
@@ -289,7 +286,7 @@ def _pair_rotation(p_face):
     return trig_block([[p_face, q_face], [-1.0 * q_face, p_face]])
 
 
-def normal_form(el, N=12, scales=(1, 2, 3), tol=None):
+def normal_form(el, N=12, tol=None):
     """Equivalent element whose target is the standard constant subspace.
 
     Pads by the identity on an n-fold trivial line and on the n-fold
@@ -298,7 +295,7 @@ def normal_form(el, N=12, scales=(1, 2, 3), tol=None):
     index is computed before and after and must agree.
     """
     n = el.n
-    before = mod_n_analytic_index(el, N=N, scales=scales, tol=tol)
+    before = mod_n_analytic_index(el, N=N, tol=tol)
     op = SubspaceOperator(el.operator.principal, el.operator.source,
                           el.operator.target, name=el.operator.name)
     line = full_subspace(1)
@@ -343,7 +340,7 @@ def normal_form(el, N=12, scales=(1, 2, 3), tol=None):
                               _chain_direct_sum(std_parts),
                               name=f"nf({el.operator.name})")
     out = EllZnElement(n, out_op, src_bases, tuple(tgt_bases))
-    after = mod_n_analytic_index(out, N=N, scales=scales, tol=tol)
+    after = mod_n_analytic_index(out, N=N, tol=tol)
     if after != before:
         raise ArithmeticError(
             f"normal form changed the mod-n index: {before} -> {after}")
@@ -354,16 +351,16 @@ def normal_form(el, N=12, scales=(1, 2, 3), tol=None):
 # fractional eta from the symbol, and symbol-side decompositions
 # ---------------------------------------------------------------------------
 
-def fractional_eta_topological(L, tol=1e-8):
+def fractional_eta_topological(L):
     """Fractional part of the eta-type defect of an even subspace, read off
     the symbol: the winding datum of sigma (+) alpha* sigma in the lift
     frames, reduced at modulus 2^{k+1} for a lift of order k."""
-    lift = lift_symbol(L, tol)
+    lift = lift_symbol(L)
     if lift.f_rank == 0:
         return DyadicRational.from_integer(0)
     sigma = lift.sigma
     tau = sigma.direct_sum(antipodal_pullback(sigma))
-    ff = face_frames(L.symbol, tol)
+    ff = face_frames(L.symbol)
     v = {}
     for sign in (+1, -1):
         f2 = trig_blockdiag([ff[sign].frame] * 2)
@@ -381,17 +378,15 @@ class RowDecomposition:
     projector: CircleSymbol
 
 
-def inverse_row_decomposition(L, sigma1=None, tol=1e-8, check_tol=1e-10):
+def inverse_row_decomposition(L, check_tol=1e-10):
     """Split the identity through L and its orthocomplement.
 
-    sigma1 defaults to the lift trivializer of L; sigma2 is always the
-    trivializer of the complement.  The stacked symbol is inverted
-    pointwise and refitted, and the four two-sided identities are verified
-    before returning.
+    sigma1 and sigma2 are the lift trivializers of L and of its
+    complement.  The stacked symbol is inverted pointwise and refitted,
+    and the four two-sided identities are verified before returning.
     """
-    lift2 = lift_symbol(orthocomplement(L), tol)
-    s1 = sigma1 if sigma1 is not None else lift_symbol(L, tol).sigma
-    s2 = lift2.sigma
+    s1 = lift_symbol(L).sigma
+    s2 = lift_symbol(orthocomplement(L)).sigma
     q1, r = s1.rows, s1.rank
 
     def inv_face(sign):
@@ -401,12 +396,11 @@ def inverse_row_decomposition(L, sigma1=None, tol=1e-8, check_tol=1e-10):
             return np.linalg.inv(np.concatenate([top(xs), bot(xs)], axis=1))
 
         return fit_trig_poly(
-            fn, grid=max(64, 8 * (s1.degree + s2.degree + 1)), tol=tol)
+            fn, grid=max(64, 8 * (s1.degree + s2.degree + 1)))
 
     inv_plus, inv_minus = inv_face(+1), inv_face(-1)
 
     def slice_cols(m, a, b):
-        d = m.degree
         table = m.coeff_table()[:, :, a:b]
         return TrigPolyMatrix(table)
 

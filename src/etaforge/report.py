@@ -19,9 +19,10 @@ import numpy as np
 from . import __version__
 from .core import DEFAULT_TOL, ToleranceConfig, winding_number
 from .dyadic import DyadicRational
-from .eta import (SpectrumModel, dimension_functional, eta_closed_form,
-                  eta_numeric, fractional_part, mode_zero_crossing_family)
-from .indexing import analytic_index, index_formula_report
+from .eta import (SpectrumModel, eta_closed_form, eta_numeric,
+                  fractional_part, mode_zero_crossing_family)
+from .indexing import (analytic_index, dimension_functional,
+                       index_formula_report)
 from .kzn import (difference_construction_zn, direct_image_s1,
                   fractional_eta_topological, gamma_trivialization,
                   mod_n_analytic_index, normal_form)
@@ -159,7 +160,7 @@ def _eta_rows(cfg, tol):
         return rows
     for theta in (0.1, 0.25, 0.5, 0.9):
         model = SpectrumModel.arithmetic_progression(theta)
-        num = eta_numeric(model, tol)
+        num = eta_numeric(model)
         closed = eta_closed_form(model)
         ok = abs(num.value - closed.value) <= tol.eta_tol
         rows.append(_row("eta", f"ap_theta_{theta}", "eta.progression",
@@ -167,7 +168,7 @@ def _eta_rows(cfg, tol):
     family = mode_zero_crossing_family()
     etas = []
     for c, model in family:
-        num = eta_numeric(model, tol)
+        num = eta_numeric(model)
         etas.append((c, float(round(num.value))
                      if abs(num.value - round(num.value)) < 1e-6
                      else num.value))

@@ -20,6 +20,9 @@ from .symbols import (CircleSymbol, TruncatedOperator,
                       _check_projection_faces, classify_parity,
                       ellipticity_check, quantize)
 
+_SCALES = (1, 2, 3)  # an index is accepted when it agrees at every N * s
+_FRAME_TOL = 1e-8  # closure and fit bound of a transported face frame
+
 __all__ = [
     "ParityError",
     "RealizationGapError",
@@ -73,7 +76,7 @@ class SubspaceSymbol:
         self.projection = CircleSymbol(0, plus, minus, name=name)
         self.name = name
         self._parity = None
-        self._frames = {}  # tol -> face_frames result
+        self._frames = None
         if validate:
             _check_projection_faces(
                 self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False), 1e-7)
@@ -223,12 +226,11 @@ def _embed_basis(B, N, fiber, total, offset):
     return out
 
 
-def _gap_realization(symbol, N, tol=None, tie_tol=1e-6):
-    tol = DEFAULT_TOL if tol is None else tol
+def _gap_realization(symbol, N):
     A = quantize(symbol.projection, N).matrix
     Q = (A + A.conj().T) / 2
-    w = np.linalg.eigvalsh(Q)
-    ties = np.abs(w - 0.5) <= tie_tol
+    w, U = np.linalg.eigh(Q)
+    ties = np.abs(w - 0.5) <= 1e-6
     inside = (w >= 0.25) & (w <= 0.75) & ~ties
     if inside.any():
         raise RealizationGapError(
@@ -238,19 +240,16 @@ def _gap_realization(symbol, N, tol=None, tie_tol=1e-6):
     if ties.any():
         warnings = (f"{int(ties.sum())} eigenvalues at the gap center 1/2 "
                     f"assigned to the complement side",)
-    _, U = np.linalg.eigh(Q)
-    basis = U[:, w > 0.75]
-    return SubspaceRealization(N, basis, warnings)
+    return SubspaceRealization(N, U[:, w > 0.75], warnings)
 
 
-def realize_projection(symbol, N, tie_tol=1e-6):
+def realize_projection(symbol, N):
     """Subspace from a projection-valued symbol; the spectrum of the
     symmetrized quantization must have a gap around 1/2 (eigenvalues pinned
     at exactly 1/2 are sent to the complement and recorded as warnings)."""
     if N <= 2 * symbol.degree:
         raise ValueError("truncation too small for the symbol degree")
-    L = PdoSubspace(symbol, realizer=lambda n: _gap_realization(
-        symbol, n, tie_tol=tie_tol), name=symbol.name)
+    L = PdoSubspace(symbol)
     L.realize(N)  # fail fast at the requested truncation
     return L
 
@@ -303,7 +302,7 @@ def spectral_subspace(A, tol=None):
     return PdoSubspace(sym, realizer, name="spectral")
 
 
-def relative_index(L1, L2, N=16, scales=(1, 2, 3), tol=None):
+def relative_index(L1, L2, N=16, tol=None):
     """ind(P2 : Im P1 -> Im P2) for subspaces with the same symbol,
     accepted only when three truncation scales agree."""
     tol = DEFAULT_TOL if tol is None else tol
@@ -312,7 +311,7 @@ def relative_index(L1, L2, N=16, scales=(1, 2, 3), tol=None):
     if diff > max(tol.rank_tol, 1e-8):
         raise ValueError("relative index needs subspaces with equal symbols")
     vals = []
-    for s in scales:
+    for s in _SCALES:
         b1 = L1.basis(N * s)
         b2 = L2.basis(N * s)
         r12 = stable_rank(b2.conj().T @ b1, tol.rank_tol)
@@ -421,7 +420,7 @@ def _transport_states(p, G, oversample):
     return out
 
 
-def _face_frame(p, tol=1e-8, grid=128, oversample=8, cap=2048):
+def _face_frame(p, grid=128, oversample=8, cap=2048):
     """Periodic orthonormal frame of Im p and its trivializer sigma = frame*.
 
     Transport produces a frame that may return holonomy-rotated; the
@@ -452,39 +451,38 @@ def _face_frame(p, tol=1e-8, grid=128, oversample=8, cap=2048):
         # fit on even samples, validate on odd ones
         fit, _ = _fft_fit(frames[0::2], 1e-12)
         resid = float(np.abs(fit(xs[1::2]) - frames[1::2]).max())
-        if max(resid, closure) <= tol or 2 * G > cap:
+        if max(resid, closure) <= _FRAME_TOL or 2 * G > cap:
             break
         G *= 2
-    if max(resid, closure) > tol:
+    if max(resid, closure) > _FRAME_TOL:
         raise ArithmeticError(
             f"frame transport failed to close/fit ({closure:.1e}/{resid:.1e})")
     return FaceFrame(fit, fit.conj_transpose(), tuple(float(t) for t in phases),
                      closure, resid)
 
 
-def face_frames(symbol, tol=1e-8):
-    """Per-face periodic frames for a SubspaceSymbol (memoized per tol on
-    the symbol; transports are not cheap)."""
-    out = symbol._frames.get(tol)
-    if out is None:
+def face_frames(symbol):
+    """Per-face periodic frames for a SubspaceSymbol (memoized on the
+    symbol; transports are not cheap)."""
+    if symbol._frames is None:
         even = (symbol.plus - symbol.minus).max_abs() <= 1e-12
-        ff = [_face_frame(symbol.face(s), tol)
+        ff = [_face_frame(symbol.face(s))
               for s in ((+1,) if even else (+1, -1))]
-        out = symbol._frames[tol] = {+1: ff[0], -1: ff[-1]}
-    return out
+        symbol._frames = {+1: ff[0], -1: ff[-1]}
+    return symbol._frames
 
 
-def lift_symbol(L, tol=1e-8):
+def lift_symbol(L):
     """Trivialization of an even subspace symbol over the circle.
 
     Returns a LiftResult with order N = 0 (no doubling is ever needed over
     the circle) and sigma an order-zero symbol restricting to an
     isomorphism Im p -> trivial rank-q fiber.
     """
-    sym = L.symbol if isinstance(L, PdoSubspace) else L
+    sym = L.symbol
     if sym.parity != "Even":
         raise ParityError("lift over the circle needs an even subspace")
-    ff = face_frames(sym, tol)[+1]
+    ff = face_frames(sym)[+1]
     sigma = CircleSymbol(0, ff.sigma, ff.sigma, name="lift")
     q = sigma.rows
     if q:
@@ -500,20 +498,36 @@ def lift_symbol(L, tol=1e-8):
 # Stock subspaces
 # ---------------------------------------------------------------------------
 
-def hardy_subspace(shift=0, symbol=None):
+def _pointwise_basis(P):
+    w, U = np.linalg.eigh(P)
+    return U[:, w > 0.5]
+
+
+def _modewise(N, Bp, Bm, cut=0):
+    """Mode-major basis: the columns of Bp on every mode n >= cut, those of
+    Bm on the modes below."""
+    blocks = [Bp if n >= cut else Bm for n in range(-N, N + 1)]
+    r, c = Bp.shape[0], np.cumsum([0] + [b.shape[1] for b in blocks])
+    out = np.zeros((r * len(blocks), c[-1]), dtype=complex)
+    for m, b in enumerate(blocks):
+        out[m * r:(m + 1) * r, c[m]:c[m + 1]] = b
+    return out
+
+
+def hardy_subspace(shift=0):
     """Modes n >= shift of the trivial line bundle (shift 0: Hardy space).
 
-    All shifts share one symbol object, so relative_index applies across
-    the family.
+    Every shift has the same symbol, so relative_index applies across the
+    family.
     """
-    sym = symbol if symbol is not None else SubspaceSymbol(
-        np.eye(1), np.zeros((1, 1)), name="hardy", validate=False)
+    sym = SubspaceSymbol(np.eye(1), np.zeros((1, 1)), name="hardy",
+                         validate=False)
 
     def realizer(N):
         if shift > N:
             raise ValueError("shift outside the truncation window")
-        eye = np.eye(2 * N + 1, dtype=complex)
-        return SubspaceRealization(N, eye[:, shift + N:])
+        return SubspaceRealization(
+            N, _modewise(N, np.eye(1), np.zeros((1, 0)), cut=shift))
 
     return PdoSubspace(sym, realizer, name=f"hardy+{shift}" if shift else "hardy")
 
@@ -535,36 +549,19 @@ def mobius_subspace():
 
 def trivial_subspace(rank, q, name=""):
     """Constant subspace spanned by the first q fiber coordinates."""
-    P0 = np.zeros((rank, rank))
-    P0[:q, :q] = np.eye(q)
-    sym = SubspaceSymbol(P0, P0, name=name or f"trivial{q}of{rank}",
+    E = np.eye(rank)[:, :q]
+    sym = SubspaceSymbol(E @ E.T, E @ E.T, name=name or f"trivial{q}of{rank}",
                          validate=False)
-
-    def realizer(N):
-        modes = 2 * N + 1
-        eye = np.eye(rank, dtype=complex)[:, :q]
-        B = np.kron(np.eye(modes, dtype=complex), eye)
-        return SubspaceRealization(N, B)
-
-    return PdoSubspace(sym, realizer, name=sym.name)
+    return PdoSubspace(sym, lambda N: SubspaceRealization(
+        N, _modewise(N, E, E)), name=sym.name)
 
 
 def full_subspace(rank, name=""):
-    sym = SubspaceSymbol(np.eye(rank), name=name or f"full{rank}",
-                         validate=False)
-    return PdoSubspace(
-        sym, lambda N: SubspaceRealization(N, np.eye(rank * (2 * N + 1),
-                                                     dtype=complex)),
-        name=sym.name)
+    return trivial_subspace(rank, rank, name or f"full{rank}")
 
 
 def zero_subspace(rank):
-    sym = SubspaceSymbol(np.zeros((rank, rank)), name=f"zero{rank}",
-                         validate=False)
-    return PdoSubspace(
-        sym, lambda N: SubspaceRealization(
-            N, np.zeros((rank * (2 * N + 1), 0), dtype=complex)),
-        name=sym.name)
+    return trivial_subspace(rank, 0, f"zero{rank}")
 
 
 def two_face_subspace(p_plus, p_minus, name="twoface"):
@@ -573,26 +570,13 @@ def two_face_subspace(p_plus, p_minus, name="twoface"):
     p_plus = np.asarray(p_plus, dtype=complex)
     p_minus = np.asarray(p_minus, dtype=complex)
     sym = SubspaceSymbol(p_plus, p_minus, name=name)
-    wp, Up = np.linalg.eigh(p_plus)
-    wm, Um = np.linalg.eigh(p_minus)
-    Bp = Up[:, wp > 0.5]
-    Bm = Um[:, wm > 0.5]
-    r = p_plus.shape[0]
-
-    def realizer(N):
-        cols = []
-        for n in range(-N, N + 1):
-            blk = Bp if n >= 0 else Bm  # zero mode sits on the + face
-            q = blk.shape[1]
-            col = np.zeros((r * (2 * N + 1), q), dtype=complex)
-            col[(n + N) * r:(n + N + 1) * r] = blk
-            cols.append(col)
-        return SubspaceRealization(N, np.concatenate(cols, axis=1))
-
-    return PdoSubspace(sym, realizer, name=name)
+    Bp, Bm = _pointwise_basis(p_plus), _pointwise_basis(p_minus)
+    # the zero mode sits on the + face
+    return PdoSubspace(sym, lambda N: SubspaceRealization(
+        N, _modewise(N, Bp, Bm)), name=name)
 
 
-def conjugate_subspace(L, W, name="", fit_tol=1e-8):
+def conjugate_subspace(L, W, name=""):
     """Image of L under an invertible operator W: the subspace with
     pointwise symbol = orthogonal projection onto W(x) Im p(x), realized as
     the exact orthogonal projection onto W_N (Im P_N)."""
@@ -619,8 +603,8 @@ def conjugate_subspace(L, W, name="", fit_tol=1e-8):
                 out[j] = Q @ Q.conj().T
             return out
 
-        return fit_trig_poly(fn, grid=max(64, 8 * (W.degree + sym0.degree + 1)),
-                             tol=fit_tol)
+        return fit_trig_poly(
+            fn, grid=max(64, 8 * (W.degree + sym0.degree + 1)))
 
     even_shortcut = sym0.parity == "Even" and \
         (W.plus - W.minus).max_abs() <= 1e-12

@@ -133,18 +133,18 @@ class GilkeyEta:
         return DyadicRational.from_integer(self.value).fractional_part()
 
 
-def gilkey_eta(twist=None, R=10, tol=1e-2):
+def gilkey_eta(twist=None, R=10):
     """eta of the twisted signature family, cross-checked two ways.
 
     The closed form comes from the lattice zeta value; the heat numeric
-    must land within max(tol, 3 * its own error bar) of it, and the result
+    must land within max(1e-2, 3 * its own error bar) of it, and the result
     snaps to that integer.  The fractional part is always zero here.
     """
     twist = TwistCharacter.trivial() if twist is None else twist
     model = SpectrumModel.lattice3_quadratic(twist.components, cutoff=R)
     closed = eta_closed_form(model)
     numeric = eta_numeric(model)
-    band = max(tol, 3.0 * numeric.error_estimate)
+    band = max(1e-2, 3.0 * numeric.error_estimate)
     if abs(numeric.value - closed.value) > band:
         raise ArithmeticError(
             f"numeric eta {numeric.value:.4f} disagrees with the closed "

@@ -1,10 +1,14 @@
 """Filtered analytic index: Toeplitz calibration, stability gates, the
 parity double, and the defect-formula residual."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import etaforge
 from etaforge.core import EllipticityViolation, TrigPolyMatrix
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
@@ -179,3 +183,17 @@ def test_antipodal_is_an_involution():
     back = antipodal_subspace(antipodal_subspace(L))
     N = 6
     assert np.allclose(back.realize(N).basis, L.realize(N).basis)
+
+
+def test_no_function_level_imports():
+    # every module imports at top level, so no import cycle hides in a body
+    paths = sorted(pathlib.Path(etaforge.__file__).parent.glob("*.py"))
+    assert len(paths) > 10
+    hits = set()
+    for path in paths:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hits |= {f"{path.name}:{node.lineno}"
+                         for node in ast.walk(fn)
+                         if isinstance(node, (ast.Import, ast.ImportFrom))}
+    assert sorted(hits) == []

@@ -145,6 +145,18 @@ def test_cli_reports_failing_rows(tmp_path, capsys):
     assert "FAIL eta.ap_theta_0.1" in err
 
 
+def test_cli_crash_is_not_a_failed_check(tmp_path, capsys, monkeypatch):
+    # an exception inside the run is a crash (3), not a failed check (1)
+    def crash(cfg):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("etaforge.cli.run", crash)
+    code = main(["eta", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "ZeroDivisionError: boom" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_console_script_wired():
     exe = shutil.which("etaforge")
     if exe is None:

@@ -51,6 +51,9 @@ def test_full_and_zero():
     assert zero_subspace(2).rank(4) == 0
     c = orthocomplement(full_subspace(1))
     assert c.rank(4) == 0
+    # the exact bases the byte-stable reports rest on
+    assert np.array_equal(full_subspace(2).basis(4), np.eye(2 * 9))
+    assert np.array_equal(zero_subspace(2).basis(4), np.zeros((2 * 9, 0)))
 
 
 def test_trivial_subspace_projection():
@@ -58,6 +61,7 @@ def test_trivial_subspace_projection():
     P = L.projection(4)
     np.testing.assert_allclose(P @ P, P, atol=1e-13)
     assert L.rank(4) == 2 * 9
+    assert np.array_equal(L.basis(4), np.kron(np.eye(9), np.eye(3)[:, :2]))
 
 
 def test_realize_projection_gap_guard():
