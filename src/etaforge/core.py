@@ -253,14 +253,21 @@ def _fft_fit(vals, trim):
     return TrigPolyMatrix(table).trimmed(trim), nyq
 
 
-def fit_trig_poly(fn, grid=64, cap=4096):
+def _sample_count(degree):
+    """Starting sample count for a loop of trig degree <= degree."""
+    return max(64, 8 * (degree + 1))
+
+
+def fit_trig_poly(fn, degree=0, cap=4096):
     """Fit x -> fn(x) (vectorized, shape (len(xs), rows, cols)) by FFT.
 
-    Validates on the midpoint grid and doubles the sample count until the
-    off-grid error drops below 1e-8 * scale; analytic families converge
-    geometrically, genuinely non-polynomial ones raise TrigFitError.
+    degree is the expected trig degree of fn; it sets the starting grid
+    (_sample_count).  Validates on the midpoint grid and doubles the
+    sample count until the off-grid error drops below 1e-8 * scale;
+    analytic families converge geometrically, genuinely non-polynomial
+    ones raise TrigFitError once the grid would exceed cap.
     """
-    G = int(grid)
+    G = _sample_count(degree)
     while True:
         xs = 2 * np.pi * np.arange(G) / G
         vals = np.asarray(fn(xs), dtype=complex)
@@ -277,11 +284,6 @@ def fit_trig_poly(fn, grid=64, cap=4096):
         G *= 2
 
 
-def winding_grid(rank, degree, minimum=64):
-    """Grid size for phase-safe winding of an (rank x rank, degree) loop."""
-    return max(int(8 * (rank * degree + 1)), minimum)
-
-
 def winding_number(loop, tol=None):
     """Winding of x -> det G(x) around 0 for an invertible trig-poly loop.
 
@@ -294,7 +296,7 @@ def winding_number(loop, tol=None):
     r, c = loop.shape
     if r != c:
         raise ValueError("winding_number needs a square loop")
-    G = winding_grid(r, loop.degree)
+    G = _sample_count(r * loop.degree)
     xs = np.linspace(0.0, 2 * np.pi, G, endpoint=False)
     dets = np.linalg.det(loop(xs))
     if np.any(np.abs(dets) < tol):

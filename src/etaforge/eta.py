@@ -106,12 +106,7 @@ class SpectrumModel:
         if cutoff < 8:
             raise ValueError("lattice cutoff below 8 starves the tail")
         theta = tuple(float(t) for t in theta)
-        b = int(np.ceil(cutoff + max(abs(t) for t in theta) + 1))
-        g = np.arange(-b, b + 1)
-        K = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1)
-        v = K.reshape(-1, 3) + np.asarray(theta)
-        q = (v * v).sum(axis=1)
-        q = q[q <= cutoff * cutoff]
+        _, q = _lattice3(theta, cutoff)
         kernel = 3 * int((q == 0.0).sum())
         pairs = itertools.chain(((qq, 1) for qq in q if qq > 0.0),
                                 ((-qq, 2) for qq in q if qq > 0.0))
@@ -137,6 +132,18 @@ class SpectrumModel:
     def __repr__(self):
         return (f"SpectrumModel({self.kind}, {len(self.pairs)} levels, "
                 f"kernel_dim={self.kernel_dim})")
+
+
+def _lattice3(theta, R):
+    """The k in Z^3 with q = |k + theta|^2 <= R^2, in lexicographic order
+    of k, and their q."""
+    b = int(np.ceil(R + max(abs(t) for t in theta) + 1))
+    g = np.arange(-b, b + 1)
+    K = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    v = K + np.asarray(theta)
+    q = (v * v).sum(axis=1)
+    inside = q <= R * R
+    return K[inside], q[inside]
 
 
 def eta_closed_form(model):

@@ -16,10 +16,9 @@ import numpy as np
 from .core import DEFAULT_TOL, EllipticityViolation, fit_trig_poly
 from .dyadic import DyadicRational
 from .subspaces import (_SCALES, ParityError, PdoSubspace, SubspaceRealization,
-                        UnstableIndexError, _pointwise_basis, full_subspace,
-                        lift_symbol)
-from .symbols import (CircleSymbol, FullSymbol, ellipticity_check, mode_labels,
-                      quantize)
+                        UnstableIndexError, full_subspace, lift_symbol)
+from .symbols import (CircleSymbol, FullSymbol, _range_basis, ellipticity_check,
+                      mode_labels, quantize)
 
 __all__ = [
     "SubspaceOperator",
@@ -152,32 +151,26 @@ def analytic_index(op, N=16, scales=_SCALES, tol=None):
 def _even_double_sample(sv, sw, pp, pm):
     # (alpha* sigma)^{-1} sigma on Im p1, identity on the complement
     return np.linalg.pinv(sw @ pp, rcond=1e-12) @ (sv @ pp) \
-        + (np.eye(len(pp)) - pp)
+        + (np.eye(pp.shape[-1]) - pp)
 
 
 def _odd_double_sample(sv, sw, pp, pm):
     # sigma (+) alpha* sigma through the splitting Im p1_s (+) Im p1_-s
-    bp = _pointwise_basis(pp)
-    bm = _pointwise_basis(pm)
-    inv = np.linalg.inv(np.concatenate([bp, bm], axis=1))
-    pi1 = bp @ inv[:bp.shape[1]]
-    pi2 = bm @ inv[bp.shape[1]:]
-    return np.concatenate([sv @ pi1, sw @ pi2], axis=0)
+    bp, bm = _range_basis(pp), _range_basis(pm)
+    q = bp.shape[-1]
+    inv = np.linalg.inv(np.concatenate([bp, bm], axis=-1))
+    return np.concatenate([sv @ (bp @ inv[:, :q]), sw @ (bm @ inv[:, q:])],
+                          axis=1)
 
 
 def _double_face(op, sign, sample):
     """Fit the face of the parity double whose value at x is
-    sample(sigma_s, sigma_-s, p1_s, p1_-s), all evaluated at x."""
+    sample(sigma_s, sigma_-s, p1_s, p1_-s); the maps act on the whole
+    stack of samples."""
     faces = (op.principal.face(sign), op.principal.face(-sign),
              op.source.symbol.face(sign), op.source.symbol.face(-sign))
-
-    def fn(xs):
-        vals = [f(xs) for f in faces]
-        return np.stack([sample(*v) for v in zip(*vals)])
-
-    grid = max(64, 8 * (2 * op.principal.degree +
-                        2 * op.source.symbol.degree + 1))
-    return fit_trig_poly(fn, grid=grid)
+    return fit_trig_poly(lambda xs: sample(*(f(xs) for f in faces)),
+                         2 * (op.principal.degree + op.source.symbol.degree))
 
 
 def build_parity_double(op):

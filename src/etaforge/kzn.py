@@ -20,7 +20,7 @@ from .core import (TrigPolyMatrix, constant_trig, fit_trig_poly, trig_block,
                    trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
 from .indexing import SubspaceOperator, analytic_index, antipodal_subspace
-from .subspaces import (PdoSubspace, face_frames, full_subspace, lift_symbol,
+from .subspaces import (face_frames, full_subspace, lift_symbol,
                         orthocomplement, zero_subspace)
 from .symbols import CircleSymbol, antipodal_pullback, identity_symbol
 
@@ -395,8 +395,7 @@ def inverse_row_decomposition(L, check_tol=1e-10):
         def fn(xs):
             return np.linalg.inv(np.concatenate([top(xs), bot(xs)], axis=1))
 
-        return fit_trig_poly(
-            fn, grid=max(64, 8 * (s1.degree + s2.degree + 1)))
+        return fit_trig_poly(fn, s1.degree + s2.degree)
 
     inv_plus, inv_minus = inv_face(+1), inv_face(-1)
 

@@ -12,15 +12,13 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from . import __version__
 from .core import DEFAULT_TOL, ToleranceConfig, winding_number
 from .dyadic import DyadicRational
 from .eta import (SpectrumModel, eta_closed_form, eta_numeric,
-                  fractional_part, mode_zero_crossing_family)
+                  mode_zero_crossing_family)
 from .indexing import (analytic_index, dimension_functional,
                        index_formula_report)
 from .kzn import (difference_construction_zn, direct_image_s1,

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (DEFAULT_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
                    fit_trig_poly, polar_unitary, stable_rank)
 from .symbols import (CircleSymbol, TruncatedOperator,
-                      _check_projection_faces, classify_parity,
+                      _check_projection_faces, _range_basis, classify_parity,
                       ellipticity_check, quantize)
 
 _SCALES = (1, 2, 3)  # an index is accepted when it agrees at every N * s
@@ -66,54 +66,31 @@ class UnstableIndexError(RuntimeError):
     """An index failed to agree across the three truncation scales."""
 
 
-class SubspaceSymbol:
-    """Projection-valued order-zero symbol; the symbol L = Im p of a subspace."""
+class SubspaceSymbol(CircleSymbol):
+    """Projection-valued order-zero symbol p; the symbol L = Im p of a
+    subspace."""
 
     def __init__(self, plus, minus=None, name="", validate=True):
-        plus = plus if isinstance(plus, TrigPolyMatrix) else constant_trig(plus)
-        minus = plus if minus is None else (
-            minus if isinstance(minus, TrigPolyMatrix) else constant_trig(minus))
-        self.projection = CircleSymbol(0, plus, minus, name=name)
-        self.name = name
+        super().__init__(0, plus, plus if minus is None else minus, name=name)
         self._parity = None
         self._frames = None
         if validate:
             _check_projection_faces(
                 self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False), 1e-7)
 
-    def face(self, sign):
-        return self.projection.face(sign)
-
-    @property
-    def plus(self):
-        return self.projection.plus
-
-    @property
-    def minus(self):
-        return self.projection.minus
-
-    @property
-    def rank(self):
-        return self.projection.rank
-
-    @property
-    def degree(self):
-        return self.projection.degree
-
     @property
     def parity(self):
         if self._parity is None:
-            self._parity = classify_parity(self.projection)
+            self._parity = classify_parity(self)
         return self._parity
 
     def face_rank(self, sign):
         """Pointwise rank of the chosen face (must be x-independent)."""
         xs = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-        w = np.linalg.eigvalsh(self.face(sign)(xs))
-        counts = (w > 0.5).sum(axis=1)
-        if counts.max() != counts.min():
+        B = _range_basis(self.face(sign)(xs))
+        if B is None:
             raise ValueError("face rank is not constant in x")
-        return int(counts[0])
+        return B.shape[-1]
 
     def complement(self):
         eye = np.eye(self.rank)
@@ -128,7 +105,7 @@ class SubspaceSymbol:
                               validate=False)
 
     def direct_sum(self, other):
-        s = self.projection.direct_sum(other.projection)
+        s = super().direct_sum(other)
         return SubspaceSymbol(s.plus, s.minus, validate=False,
                               name=f"{self.name}+{other.name}")
 
@@ -227,7 +204,7 @@ def _embed_basis(B, N, fiber, total, offset):
 
 
 def _gap_realization(symbol, N):
-    A = quantize(symbol.projection, N).matrix
+    A = quantize(symbol, N).matrix
     Q = (A + A.conj().T) / 2
     w, U = np.linalg.eigh(Q)
     ties = np.abs(w - 0.5) <= 1e-6
@@ -282,7 +259,7 @@ def spectral_subspace(A, tol=None):
             sel = (w >= 0).astype(float)
             return np.einsum("gik,gk,gjk->gij", U, sel, np.conj(U))
 
-        return fit_trig_poly(fn, grid=max(64, 8 * (principal.degree + 1)))
+        return fit_trig_poly(fn, principal.degree)
 
     sym = SubspaceSymbol(pos_face(+1), pos_face(-1), name="spectral",
                          validate=False)
@@ -390,20 +367,18 @@ class LiftResult:
     frames: dict = field(compare=False, default=None)
 
 
-def _transport_states(p, G, oversample):
+def _transport_states(p, G):
     """Kato transport F' = [p', p] F over [0, 2pi], RK4 with per-step
     re-orthonormalization onto Im p; returns frames at 2*G uniform points
     plus the endpoint."""
-    r = p.shape[0]
+    r, oversample = p.shape[0], 8  # RK4 steps per grid cell 2pi/G
     halfsteps = 2 * G * oversample
     xs = 2 * np.pi * np.arange(halfsteps + 1) / halfsteps
     pv = p(xs)
     dv = p.derivative()(xs)
     comm = np.matmul(dv, pv) - np.matmul(pv, dv)
-    w0, U0 = np.linalg.eigh(pv[0])
-    F = U0[:, w0 > 0.5]
-    q = F.shape[1]
-    out = np.empty((2 * G + 1, r, q), dtype=complex)
+    F = _range_basis(pv[0])
+    out = np.empty((2 * G + 1, r, F.shape[1]), dtype=complex)
     stride = oversample // 2  # integration steps per recorded sample
     h = 2 * np.pi / (G * oversample)
     out[0] = F
@@ -420,22 +395,21 @@ def _transport_states(p, G, oversample):
     return out
 
 
-def _face_frame(p, grid=128, oversample=8, cap=2048):
+def _face_frame(p):
     """Periodic orthonormal frame of Im p and its trivializer sigma = frame*.
 
     Transport produces a frame that may return holonomy-rotated; the
     holonomy eigenphases are spread linearly over the circle to close it
     up.  Both the frame and sigma are certified trig polynomials (fit on
-    half the samples, validated on the other half).
+    half the samples, validated on the other half); the grid G starts at
+    128 and doubles up to 2048.
     """
-    q0 = int(np.isclose(np.linalg.eigvalsh(p([0.0])[0]), 1, atol=0.4).sum())
-    r = p.shape[0]
-    if q0 == 0:
-        z = TrigPolyMatrix(np.zeros((1, r, 0)))
+    if _range_basis(p([0.0])[0]).shape[1] == 0:
+        z = TrigPolyMatrix(np.zeros((1, p.shape[0], 0)))
         return FaceFrame(z, z.conj_transpose(), (), 0.0, 0.0)
-    G = grid
+    G = 128
     while True:
-        states = _transport_states(p, G, oversample)
+        states = _transport_states(p, G)
         F0, Fend = states[0], states[2 * G]
         H = F0.conj().T @ Fend
         evals, EV = np.linalg.eig(H)
@@ -451,7 +425,7 @@ def _face_frame(p, grid=128, oversample=8, cap=2048):
         # fit on even samples, validate on odd ones
         fit, _ = _fft_fit(frames[0::2], 1e-12)
         resid = float(np.abs(fit(xs[1::2]) - frames[1::2]).max())
-        if max(resid, closure) <= _FRAME_TOL or 2 * G > cap:
+        if max(resid, closure) <= _FRAME_TOL or 2 * G > 2048:
             break
         G *= 2
     if max(resid, closure) > _FRAME_TOL:
@@ -497,11 +471,6 @@ def lift_symbol(L):
 # ---------------------------------------------------------------------------
 # Stock subspaces
 # ---------------------------------------------------------------------------
-
-def _pointwise_basis(P):
-    w, U = np.linalg.eigh(P)
-    return U[:, w > 0.5]
-
 
 def _modewise(N, Bp, Bm, cut=0):
     """Mode-major basis: the columns of Bp on every mode n >= cut, those of
@@ -570,7 +539,7 @@ def two_face_subspace(p_plus, p_minus, name="twoface"):
     p_plus = np.asarray(p_plus, dtype=complex)
     p_minus = np.asarray(p_minus, dtype=complex)
     sym = SubspaceSymbol(p_plus, p_minus, name=name)
-    Bp, Bm = _pointwise_basis(p_plus), _pointwise_basis(p_minus)
+    Bp, Bm = _range_basis(p_plus), _range_basis(p_minus)
     # the zero mode sits on the + face
     return PdoSubspace(sym, lambda N: SubspaceRealization(
         N, _modewise(N, Bp, Bm)), name=name)
@@ -589,22 +558,13 @@ def conjugate_subspace(L, W, name=""):
         pface = sym0.face(sign)
 
         def fn(xs):
-            pv = pface(xs)
-            wv = wface(xs)
-            w_, U = np.linalg.eigh(pv)
-            out = np.zeros_like(pv)
-            for j in range(len(xs)):
-                cols = U[j][:, w_[j] > 0.5]
-                if cols.shape[1] == 0:
-                    continue
-                M = wv[j] @ cols
-                u, s, _ = np.linalg.svd(M, full_matrices=False)
-                Q = u[:, :cols.shape[1]]
-                out[j] = Q @ Q.conj().T
-            return out
+            B = _range_basis(pface(xs))
+            if B is None:
+                raise ValueError("face rank is not constant in x")
+            Q = np.linalg.svd(wface(xs) @ B, full_matrices=False)[0]
+            return Q @ np.conj(np.swapaxes(Q, 1, 2))
 
-        return fit_trig_poly(
-            fn, grid=max(64, 8 * (W.degree + sym0.degree + 1)))
+        return fit_trig_poly(fn, W.degree + sym0.degree)
 
     even_shortcut = sym0.parity == "Even" and \
         (W.plus - W.minus).max_abs() <= 1e-12
@@ -685,7 +645,7 @@ def dump_subspace_csv(L, truncations, path):
         writer = csv.writer(fh)
         writer.writerow(["N", "index", "eigenvalue_Q", "rank_PN"])
         for N in truncations:
-            A = quantize(L.symbol.projection, N).matrix
+            A = quantize(L.symbol, N).matrix
             w = np.linalg.eigvalsh((A + A.conj().T) / 2)
             rank = L.rank(N)
             for i, val in enumerate(w):

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, TrigPolyMatrix, constant_trig, trig_blockdiag,
-                   winding_grid)
+from .core import (DEFAULT_TOL, TrigPolyMatrix, _sample_count, constant_trig,
+                   trig_blockdiag)
 
 __all__ = [
     "CircleSymbol",
@@ -214,10 +214,22 @@ def _check_projection_faces(p, xs, tol):
             raise ValueError("faces are not projection-valued within rank_tol")
 
 
+def _range_basis(P):
+    """Orthonormal basis of Im P for a Hermitian projection P, or for each
+    matrix of a stack of them: the eigenvectors with eigenvalue above 1/2
+    (eigh sorts ascending, so they are the last q columns).  None when q
+    varies along the stack."""
+    w, U = np.linalg.eigh(P)
+    q = (w > 0.5).sum(axis=-1)
+    if q.min() != q.max():
+        return None
+    return U[..., U.shape[-1] - int(q.max()):]
+
+
 def _grid_for(*objs):
     r = max(o.rank for o in objs)
     d = max(o.degree for o in objs)
-    return np.linspace(0.0, 2 * np.pi, winding_grid(r, d), endpoint=False)
+    return np.linspace(0.0, 2 * np.pi, _sample_count(r * d), endpoint=False)
 
 
 def classify_parity(p, tol=None):
@@ -234,21 +246,12 @@ def classify_parity(p, tol=None):
     if np.abs(vp - vm).max() <= 1e-7:
         return "Even"
     # direct-sum test: ranks add to the fiber and joint basis is full rank
-    r = p.rank
-    wp, Up = np.linalg.eigh(vp)
-    wm, Um = np.linalg.eigh(vm)
-    odd = True
-    for j in range(len(xs)):
-        bp = Up[j][:, wp[j] > 0.5]
-        bm = Um[j][:, wm[j] > 0.5]
-        if bp.shape[1] + bm.shape[1] != r:
-            odd = False
-            break
-        joint = np.concatenate([bp, bm], axis=1)
-        if np.linalg.svd(joint, compute_uv=False)[-1] <= max(tol, 1e-7):
-            odd = False
-            break
-    return "Odd" if odd else "Neither"
+    bp, bm = _range_basis(vp), _range_basis(vm)
+    if bp is None or bm is None or bp.shape[-1] + bm.shape[-1] != p.rank:
+        return "Neither"
+    joint = np.concatenate([bp, bm], axis=-1)
+    smin = np.linalg.svd(joint, compute_uv=False)[:, -1]
+    return "Odd" if np.all(smin > max(tol, 1e-7)) else "Neither"
 
 
 def ellipticity_check(sigma, L1, L2, tol=None):
@@ -260,25 +263,19 @@ def ellipticity_check(sigma, L1, L2, tol=None):
     tol = DEFAULT_TOL.rank_tol if tol is None else tol
     xs = _grid_for(sigma, L1, L2)
     for sign in (+1, -1):
-        p1 = L1.face(sign)(xs)
         p2 = L2.face(sign)(xs)
-        sv = sigma.face(sign)(xs)
-        w1, U1 = np.linalg.eigh(p1)
-        w2 = np.linalg.eigvalsh(p2)
-        r1 = (w1 > 0.5).sum(axis=1)
-        r2 = (w2 > 0.5).sum(axis=1)
-        if not np.array_equal(r1, r2):
-            log.debug("ellipticity: rank mismatch between faces of L1 and L2")
-            return False
-        if r1.max() != r1.min():
+        B1 = _range_basis(L1.face(sign)(xs))
+        B2 = _range_basis(p2)
+        if B1 is None or B2 is None:
             log.debug("ellipticity: non-constant subspace rank on a face")
             return False
-        q = int(r1[0])
-        if q == 0:
+        if B1.shape[-1] != B2.shape[-1]:
+            log.debug("ellipticity: rank mismatch between faces of L1 and L2")
+            return False
+        if B1.shape[-1] == 0:
             continue
         # image basis of Im L1 under sigma, and leakage out of Im L2
-        B1 = np.stack([U1[j][:, w1[j] > 0.5] for j in range(len(xs))])
-        img = np.matmul(sv, B1)
+        img = np.matmul(sigma.face(sign)(xs), B1)
         leak = img - np.matmul(p2, img)
         scale = max(float(np.abs(img).max()), 1.0)
         if np.abs(leak).max() > 1e-6 * scale:

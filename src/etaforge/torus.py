@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicRational
-from .eta import SpectrumModel, eta_closed_form, eta_numeric
+from .eta import SpectrumModel, _lattice3, eta_closed_form, eta_numeric
 
 __all__ = [
     "TwistCharacter",
@@ -46,9 +46,6 @@ class TwistCharacter:
     def is_trivial(self):
         return all(t == 0.0 for t in self.components)
 
-    def as_array(self):
-        return np.array(self.components)
-
 
 @dataclass(frozen=True)
 class FormSpectrum:
@@ -61,6 +58,7 @@ class FormSpectrum:
     R: float
     points: tuple
     kernel_dim: int
+    twist: TwistCharacter = TwistCharacter.trivial()
 
     def __post_init__(self):
         if self.kernel_dim not in (0, 3):
@@ -78,7 +76,8 @@ class FormSpectrum:
         # heat traces of this family diverge like t^{-3/4}; tag the model
         # so the extrapolation uses the lattice ladder, not the generic one
         return SpectrumModel("Lattice3Quadratic", self.entries,
-                             self.kernel_dim, {"R": self.R})
+                             self.kernel_dim,
+                             {"theta": self.twist.components, "R": self.R})
 
 
 def gilkey_symbol(xi):
@@ -101,23 +100,13 @@ def symbol_projection(xi):
 def t3_spectrum(twist=None, R=1.5):
     """Enumerate the symbol spectrum over modes with |k + theta| <= R."""
     twist = TwistCharacter.trivial() if twist is None else twist
-    theta = twist.as_array()
-    b = int(np.ceil(R + np.abs(theta).max() + 1))
-    pts = []
-    kernel = 0
-    for k0 in range(-b, b + 1):
-        for k1 in range(-b, b + 1):
-            for k2 in range(-b, b + 1):
-                v = np.array([k0, k1, k2], dtype=float) + theta
-                q = float(v @ v)
-                if q > R * R:
-                    continue
-                if q == 0.0:
-                    kernel += 3
-                else:
-                    pts.append(((k0, k1, k2), q))
-    pts.sort(key=lambda p: (p[1], p[0]))
-    return FormSpectrum(R=float(R), points=tuple(pts), kernel_dim=kernel)
+    K, q = _lattice3(twist.components, R)
+    zero = q == 0.0
+    K, q = K[~zero], q[~zero]
+    order = np.lexsort((K[:, 2], K[:, 1], K[:, 0], q))
+    pts = tuple(zip(map(tuple, K[order].tolist()), q[order].tolist()))
+    return FormSpectrum(R=float(R), points=pts, kernel_dim=3 * int(zero.sum()),
+                        twist=twist)
 
 
 @dataclass(frozen=True)

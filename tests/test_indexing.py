@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import etaforge
-from etaforge.core import EllipticityViolation, TrigPolyMatrix
+from etaforge.core import EllipticityViolation, TrigPolyMatrix, constant_trig
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
                                index_formula_report)
-from etaforge.subspaces import (UnstableIndexError, full_subspace,
-                                hardy_subspace)
+from etaforge.subspaces import (PdoSubspace, SubspaceSymbol,
+                                UnstableIndexError, full_subspace,
+                                hardy_subspace, mobius_symbol)
 from etaforge.suites import (even_invertible_symbol, index_formula_suite,
                              perturbation_terms, rng_for, toeplitz_operator)
-from etaforge.symbols import CircleSymbol
+from etaforge.symbols import CircleSymbol, identity_symbol
 
 
 @pytest.mark.parametrize("k", range(-3, 4))
@@ -124,6 +125,32 @@ def test_odd_double_of_toeplitz(k):
     assert analytic_index(dbl, N=32) == -1
 
 
+def test_odd_double_with_turning_faces():
+    # faces p and 1 - p, p the Mobius projection: an odd subspace whose
+    # face subbundles depend on x
+    p = mobius_symbol().plus
+    L = PdoSubspace(SubspaceSymbol(p, constant_trig(np.eye(2)) - p))
+    assert L.symbol.parity == "Odd"
+    op = SubspaceOperator(identity_symbol(2), L, L)
+    dbl = build_parity_double(op)
+    assert analytic_index(dbl, N=16) == 4
+    # the fitted faces against the odd formula taken one sample at a time
+    xs = np.random.default_rng(2).uniform(0.0, 2 * np.pi, 9)
+    for sign in (+1, -1):
+        got = dbl.principal.face(sign)(xs)
+        for j, x in enumerate(xs):
+            sv, sw, pp, pm = (f([x])[0] for f in (
+                op.principal.face(sign), op.principal.face(-sign),
+                L.symbol.face(sign), L.symbol.face(-sign)))
+            wp, Up = np.linalg.eigh(pp)
+            wm, Um = np.linalg.eigh(pm)
+            bp, bm = Up[:, wp > 0.5], Um[:, wm > 0.5]
+            inv = np.linalg.inv(np.concatenate([bp, bm], axis=1))
+            q = bp.shape[1]
+            want = np.concatenate([sv @ bp @ inv[:q], sw @ bm @ inv[q:]])
+            assert np.abs(got[j] - want).max() < 1e-8
+
+
 def test_even_double_is_full_space():
     rng = rng_for(5, "evdbl")
     sym = even_invertible_symbol(rng, 2)
@@ -197,3 +224,28 @@ def test_no_function_level_imports():
                          for node in ast.walk(fn)
                          if isinstance(node, (ast.Import, ast.ImportFrom))}
     assert sorted(hits) == []
+
+
+def test_no_unused_module_imports():
+    # a module-level import that the module never reads is dead weight;
+    # "# noqa: F401" marks a deliberate re-export
+    paths = sorted(pathlib.Path(etaforge.__file__).parent.glob("*.py"))
+    hits = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                    getattr(node, "module", None) == "__future__" or \
+                    "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    hits.append(f"{path.name}:{name}")
+    assert hits == []

@@ -3,10 +3,10 @@ import pytest
 
 from etaforge.core import TrigPolyMatrix, constant_trig
 from etaforge.subspaces import mobius_symbol
-from etaforge.symbols import (CircleSymbol, FullSymbol, antipodal_pullback,
-                              classify_parity, dump_symbol, ellipticity_check,
-                              identity_symbol, load_symbol, mode_labels,
-                              quantize)
+from etaforge.symbols import (CircleSymbol, FullSymbol, _range_basis,
+                              antipodal_pullback, classify_parity, dump_symbol,
+                              ellipticity_check, identity_symbol, load_symbol,
+                              mode_labels, quantize)
 
 
 def test_constant_face_promotion():
@@ -46,7 +46,7 @@ def test_direct_sum_blocks():
 
 
 def test_parity_classification():
-    assert classify_parity(mobius_symbol().projection) == "Even"
+    assert classify_parity(mobius_symbol()) == "Even"
     # odd: the two face subbundles sum directly to the fiber
     p = constant_trig(np.diag([1.0, 0.0]))
     m = constant_trig(np.diag([0.0, 1.0]))
@@ -57,7 +57,7 @@ def test_parity_classification():
 
 
 def test_antipodal_pullback_is_involution():
-    s = mobius_symbol().projection
+    s = mobius_symbol()
     ss = antipodal_pullback(antipodal_pullback(s))
     xs = np.linspace(0, 2 * np.pi, 17)
     np.testing.assert_allclose(ss.plus(xs), s.plus(xs), atol=1e-14)
@@ -132,8 +132,34 @@ def test_ellipticity_check_full_space():
     assert not ellipticity_check(zero, g, g, 1e-8)
 
 
+def test_ellipticity_check_rank_mismatch_is_false():
+    # Im L1 has rank 2 and Im L2 rank 1: no pointwise isomorphism exists
+    from etaforge.subspaces import full_subspace, trivial_subspace
+    assert ellipticity_check(identity_symbol(2), full_subspace(2).symbol,
+                             trivial_subspace(2, 1).symbol) is False
+
+
+def test_range_basis_is_the_per_sample_eigenvector_selection():
+    rng = np.random.default_rng(4)
+    Z = rng.standard_normal((10, 4, 4)) + 1j * rng.standard_normal((10, 4, 4))
+    V = np.linalg.qr(Z)[0][:, :, :2]
+    P = V @ np.conj(np.swapaxes(V, 1, 2))
+    B = _range_basis(P)
+    assert B.shape == (10, 4, 2)
+    for j in range(10):
+        w, U = np.linalg.eigh(P[j])
+        assert np.array_equal(B[j], U[:, w > 0.5])
+        assert np.array_equal(_range_basis(P[j]), U[:, w > 0.5])
+
+
+def test_range_basis_of_zero_and_of_rank_varying_stacks():
+    assert _range_basis(np.zeros((5, 3, 3))).shape == (5, 3, 0)
+    assert _range_basis(np.zeros((3, 3))).shape == (3, 0)
+    assert _range_basis(np.stack([np.diag([1.0, 0.0]), np.eye(2)])) is None
+
+
 def test_dump_load_roundtrip_exact():
-    for sym in (identity_symbol(2), mobius_symbol().projection,
+    for sym in (identity_symbol(2), mobius_symbol(),
                 CircleSymbol(1, np.eye(1), -np.eye(1))):
         text = dump_symbol(sym)
         assert text.startswith("symbol.v1")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etaforge.dyadic import DyadicRational
-from etaforge.eta import eta_closed_form, eta_numeric
+from etaforge.eta import SpectrumModel, eta_closed_form, eta_numeric
 from etaforge.torus import (FormSpectrum, TwistCharacter, gilkey_eta,
                             gilkey_symbol, orientability_halfinteger_check,
                             symbol_projection, t3_spectrum)
@@ -86,6 +86,16 @@ def test_spectrum_model_matches_lattice_enumeration():
     b = SpectrumModel.lattice3_quadratic((0.0, 0.0, 0.0), cutoff=8)
     assert a.kernel_dim == b.kernel_dim
     assert sorted(a.pairs) == sorted(b.pairs)
+
+
+@pytest.mark.parametrize("theta, eta", [(None, 4.0), ((0.5, 0.0, 0.0), 0.0)])
+def test_spectrum_model_closed_form_follows_the_twist(theta, eta):
+    twist = None if theta is None else TwistCharacter(theta)
+    got = eta_closed_form(t3_spectrum(twist, R=8).spectrum_model())
+    ref = eta_closed_form(
+        SpectrumModel.lattice3_quadratic(theta or (0.0, 0.0, 0.0), cutoff=8))
+    assert got.value == eta
+    assert repr(got) == repr(ref)
 
 
 def test_gilkey_eta_untwisted():
