@@ -56,24 +56,22 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def stable_rank(M, tol=None):
-    """Number of singular values above tol times the largest one."""
-    tol = DEFAULT_TOL.rank_tol if tol is None else tol
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def stable_rank(M):
+    """Number of singular values above 1e-8 times the largest one."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     smax = s[0] if s.size and s[0] > 0 else 1.0
-    return int(np.sum(s > tol * smax))
+    return int(np.sum(s > 1e-8 * smax))
 
 
 class TrigPolyMatrix:
     """Matrix-valued trigonometric polynomial sum_k c_k e^{ikx}.
 
     Coefficients are stored densely over k in [-degree, degree] as an
-    ndarray of shape (2*degree+1, rows, cols).  Instances are immutable.
+    ndarray of shape (2*degree+1, rows, cols).  Instances are immutable
+    values, equal when their tables have equal shapes and bytes (as hash).
     """
 
     def __init__(self, coeffs):
@@ -114,6 +112,13 @@ class TrigPolyMatrix:
 
     def coeff_table(self):
         return self._c
+
+    def __eq__(self, other):
+        return isinstance(other, TrigPolyMatrix) and self._c.shape == \
+            other._c.shape and self._c.tobytes() == other._c.tobytes()
+
+    def __hash__(self):
+        return hash((self._c.shape, self._c.tobytes()))
 
     def __call__(self, xs):
         """Evaluate at points xs; returns (len(xs), rows, cols)."""
@@ -172,10 +177,6 @@ class TrigPolyMatrix:
 
     def max_abs(self):
         return float(np.abs(self._c).reshape(self._c.shape[0], -1).sum(axis=0).max())
-
-    def is_hermitian(self, tol=1e-10):
-        diff = self - self.conj_transpose()
-        return diff.max_abs() <= tol * max(self.max_abs(), 1.0)
 
 
 def _as_trig(val, shape):
@@ -284,14 +285,13 @@ def fit_trig_poly(fn, degree=0, cap=4096):
         G *= 2
 
 
-def winding_number(loop, tol=None):
+def winding_number(loop):
     """Winding of x -> det G(x) around 0 for an invertible trig-poly loop.
 
     The determinant of an r x r matrix with entry degree D is a trig
     polynomial of degree <= r*D, so a grid of 8(rD+1) points keeps every
     phase increment well under pi and argument accumulation is exact.
     """
-    tol = DEFAULT_TOL.rank_tol if tol is None else tol
     loop = loop if isinstance(loop, TrigPolyMatrix) else TrigPolyMatrix(loop)
     r, c = loop.shape
     if r != c:
@@ -299,9 +299,9 @@ def winding_number(loop, tol=None):
     G = _sample_count(r * loop.degree)
     xs = np.linspace(0.0, 2 * np.pi, G, endpoint=False)
     dets = np.linalg.det(loop(xs))
-    if np.any(np.abs(dets) < tol):
+    if np.any(np.abs(dets) < 1e-8):
         raise EllipticityViolation(
-            "loop determinant within rank_tol of zero; not invertible")
+            "loop determinant within 1e-8 of zero; not invertible")
     closed = np.concatenate([dets, dets[:1]])
     increments = np.angle(closed[1:] / closed[:-1])
     total = float(np.sum(increments)) / (2 * np.pi)

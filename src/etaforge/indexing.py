@@ -102,13 +102,13 @@ def antipodal_subspace(L):
     return PdoSubspace(sym, realizer, name=f"alpha*{L.name}" if L.name else "")
 
 
-def _bulk_count(V, N, fiber, window=2, thresh=0.5):
-    # V: orthonormal columns; count directions carried by modes |n| <= N//window
+def _bulk_count(V, N, fiber):
+    # V: orthonormal columns; count directions carried by modes |n| <= N//2
     if V.shape[1] == 0:
         return 0
-    inner = mode_labels(N, fiber) <= N // window
+    inner = mode_labels(N, fiber) <= N // 2
     s = np.linalg.svd(V[inner], compute_uv=False)
-    return int((s > thresh).sum())
+    return int((s > 0.5).sum())
 
 
 def _filtered_index_once(op, N, tol):
@@ -251,10 +251,17 @@ def dimension_functional(L, N=16, tol=None, lift_order=0):
     return d
 
 
+def _fitting_truncation(op, N):
+    """Smallest truncation >= N that quantizes op and its parity double."""
+    terms = op.symbol.terms + build_parity_double(op).symbol.terms
+    return max(N, 2 * max(t.degree for t in terms) + 1)
+
+
 def index_formula_report(op, example_id, N=16, tol=None):
     """One defect-formula evaluation as a flat JSON-ready row; its
     "residual" ind D - (1/2) ind double(D) - d(L1) + d(L2) is an exact
-    dyadic rational that the defect formula asserts is zero."""
+    dyadic rational that the defect formula asserts is zero.  N must fit
+    op and its parity double (see _fitting_truncation)."""
     ind_d = analytic_index(op, N=N, tol=tol)
     dbl = build_parity_double(op)
     ind_dbl = analytic_index(dbl, N=N, tol=tol)

@@ -19,8 +19,8 @@ from .core import DEFAULT_TOL, ToleranceConfig, winding_number
 from .dyadic import DyadicRational
 from .eta import (SpectrumModel, eta_closed_form, eta_numeric,
                   mode_zero_crossing_family)
-from .indexing import (analytic_index, dimension_functional,
-                       index_formula_report)
+from .indexing import (_fitting_truncation, analytic_index,
+                       dimension_functional, index_formula_report)
 from .kzn import (difference_construction_zn, direct_image_s1,
                   fractional_eta_topological, gamma_trivialization,
                   mod_n_analytic_index, normal_form)
@@ -194,7 +194,8 @@ def _index_rows(cfg, tol):
         rows.append(_row("index", f"relative_shift{k}", "index.relative",
                          got, k, got == k))
     for example_id, op in suites.index_formula_suite(cfg.seed):
-        rep = index_formula_report(op, example_id, N=cfg.N, tol=tol)
+        rep = index_formula_report(op, example_id,
+                                   N=_fitting_truncation(op, cfg.N), tol=tol)
         rows.append(_row("index", f"residual_{example_id}", "index.defect",
                          rep["residual"], "0", rep["residual"] == "0"))
     return rows

@@ -4,18 +4,20 @@ A subspace is the range of an order-zero projection.  It carries a
 projection-valued symbol (two faces) and a family of exact finite
 projections indexed by the Fourier truncation N.  Realizations are cached
 per N; the cache is append-only and idempotent, so concurrent realize()
-calls are safe.
+calls are safe.  Face frames are cached by face value (lru_cache on
+_face_frame), so equal faces share one transport; symbols keep no memo.
 """
 from __future__ import annotations
 
 import csv
 import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (DEFAULT_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
-                   fit_trig_poly, polar_unitary, stable_rank)
+                   fit_trig_poly, polar_unitary)
 from .symbols import (CircleSymbol, TruncatedOperator,
                       _check_projection_faces, _range_basis, classify_parity,
                       ellipticity_check, quantize)
@@ -72,17 +74,13 @@ class SubspaceSymbol(CircleSymbol):
 
     def __init__(self, plus, minus=None, name="", validate=True):
         super().__init__(0, plus, plus if minus is None else minus, name=name)
-        self._parity = None
-        self._frames = None
         if validate:
             _check_projection_faces(
                 self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False), 1e-7)
 
     @property
     def parity(self):
-        if self._parity is None:
-            self._parity = classify_parity(self)
-        return self._parity
+        return classify_parity(self)
 
     def face_rank(self, sign):
         """Pointwise rank of the chosen face (must be x-independent)."""
@@ -280,19 +278,15 @@ def spectral_subspace(A, tol=None):
 
 
 def relative_index(L1, L2, N=16, tol=None):
-    """ind(P2 : Im P1 -> Im P2) for subspaces with the same symbol,
-    accepted only when three truncation scales agree."""
+    """ind(P2 : Im P1 -> Im P2) for subspaces with the same symbol: the rank
+    difference of the realized projections, accepted when it agrees at
+    every truncation scale."""
     tol = DEFAULT_TOL if tol is None else tol
     diff = max((L1.symbol.plus - L2.symbol.plus).max_abs(),
                (L1.symbol.minus - L2.symbol.minus).max_abs())
     if diff > max(tol.rank_tol, 1e-8):
         raise ValueError("relative index needs subspaces with equal symbols")
-    vals = []
-    for s in _SCALES:
-        b1 = L1.basis(N * s)
-        b2 = L2.basis(N * s)
-        r12 = stable_rank(b2.conj().T @ b1, tol.rank_tol)
-        vals.append((b1.shape[1] - r12) - (b2.shape[1] - r12))
+    vals = [L1.rank(N * s) - L2.rank(N * s) for s in _SCALES]
     if len(set(vals)) != 1:
         raise UnstableIndexError(f"relative index did not stabilize: {vals}")
     return vals[0]
@@ -311,11 +305,11 @@ def orthocomplement(L):
     return PdoSubspace(sym, realizer, name=f"{L.name}^perp" if L.name else "")
 
 
-def _check_projection_matrix(P, tol=1e-10):
+def _check_projection_matrix(P):
     P = np.asarray(P, dtype=complex)
     scale = max(np.linalg.norm(P), 1.0)
-    if np.linalg.norm(P - P.conj().T) > tol * scale or \
-       np.linalg.norm(P @ P - P) > tol * scale:
+    if np.linalg.norm(P - P.conj().T) > 1e-10 * scale or \
+       np.linalg.norm(P @ P - P) > 1e-10 * scale:
         raise ValueError("input is not a projection matrix")
     return P
 
@@ -395,18 +389,21 @@ def _transport_states(p, G):
     return out
 
 
+@lru_cache(maxsize=256)
 def _face_frame(p):
     """Periodic orthonormal frame of Im p and its trivializer sigma = frame*.
 
-    Transport produces a frame that may return holonomy-rotated; the
+    A pure function of the value of p, cached by it.  A constant face
+    (trimmed degree 0) needs no transport: its frame is _range_basis(c_0).
+    Otherwise the transported frame may return holonomy-rotated; the
     holonomy eigenphases are spread linearly over the circle to close it
     up.  Both the frame and sigma are certified trig polynomials (fit on
     half the samples, validated on the other half); the grid G starts at
     128 and doubles up to 2048.
     """
-    if _range_basis(p([0.0])[0]).shape[1] == 0:
-        z = TrigPolyMatrix(np.zeros((1, p.shape[0], 0)))
-        return FaceFrame(z, z.conj_transpose(), (), 0.0, 0.0)
+    if p.trimmed().degree == 0:
+        B = TrigPolyMatrix(_range_basis(p.coeff(0))[None])
+        return FaceFrame(B, B.conj_transpose(), (0.0,) * B.shape[1], 0.0, 0.0)
     G = 128
     while True:
         states = _transport_states(p, G)
@@ -436,14 +433,9 @@ def _face_frame(p):
 
 
 def face_frames(symbol):
-    """Per-face periodic frames for a SubspaceSymbol (memoized on the
-    symbol; transports are not cheap)."""
-    if symbol._frames is None:
-        even = (symbol.plus - symbol.minus).max_abs() <= 1e-12
-        ff = [_face_frame(symbol.face(s))
-              for s in ((+1,) if even else (+1, -1))]
-        symbol._frames = {+1: ff[0], -1: ff[-1]}
-    return symbol._frames
+    """Per-face periodic frames for a SubspaceSymbol; each is cached by the
+    face's value, so equal faces (of this or any symbol) share a frame."""
+    return {s: _face_frame(symbol.face(s)) for s in (+1, -1)}
 
 
 def lift_symbol(L):

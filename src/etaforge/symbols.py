@@ -83,9 +83,8 @@ class CircleSymbol:
         return CircleSymbol(self.order, trig_blockdiag([self.plus, other.plus]),
                             trig_blockdiag([self.minus, other.minus]))
 
-    def is_even(self, tol=None):
-        tol = DEFAULT_TOL.rank_tol if tol is None else tol
-        return (self.plus - self.minus).max_abs() <= tol
+    def is_even(self):
+        return (self.plus - self.minus).max_abs() <= 1e-8
 
 
 def identity_symbol(rank):
@@ -143,10 +142,9 @@ class TruncatedOperator:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def is_hermitian(self, tol=None):
-        tol = DEFAULT_TOL.eig_tol if tol is None else tol
+    def is_hermitian(self):
         scale = max(np.linalg.norm(self.matrix), 1.0)
-        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= tol * scale
+        return np.linalg.norm(self.matrix - self.matrix.conj().T) <= 1e-10 * scale
 
 
 def mode_labels(N, fiber):
@@ -232,15 +230,14 @@ def _grid_for(*objs):
     return np.linspace(0.0, 2 * np.pi, _sample_count(r * d), endpoint=False)
 
 
-def classify_parity(p, tol=None):
+def classify_parity(p):
     """Even / Odd / Neither for a projection-valued symbol.
 
     Even means the two face subbundles coincide pointwise, odd that they
-    sum directly to the whole fiber.
+    sum directly to the whole fiber (every decision at 1e-7).
     """
-    tol = DEFAULT_TOL.rank_tol if tol is None else tol
     xs = _grid_for(p)
-    _check_projection_faces(p, xs, max(tol, 1e-7))
+    _check_projection_faces(p, xs, 1e-7)
     vp = p.face(+1)(xs)
     vm = p.face(-1)(xs)
     if np.abs(vp - vm).max() <= 1e-7:
@@ -251,7 +248,7 @@ def classify_parity(p, tol=None):
         return "Neither"
     joint = np.concatenate([bp, bm], axis=-1)
     smin = np.linalg.svd(joint, compute_uv=False)[:, -1]
-    return "Odd" if np.all(smin > max(tol, 1e-7)) else "Neither"
+    return "Odd" if np.all(smin > 1e-7) else "Neither"
 
 
 def ellipticity_check(sigma, L1, L2, tol=None):

@@ -64,6 +64,16 @@ def test_trimmed_drops_tiny_coefficients():
     assert a.trimmed().degree == 0
 
 
+def test_value_equality_and_hash():
+    a = TrigPolyMatrix({-1: np.array([[1.0, 2j]]), 1: np.array([[0.5, 0.0]])})
+    b = TrigPolyMatrix(np.array([[[1.0, 2j]], [[0.0, 0.0]], [[0.5, 0.0]]]))
+    assert a == b and hash(a) == hash(b)
+    t = b.coeff_table().copy()
+    t[1, 0, 0] = complex(-0.0, 0.0)
+    assert np.array_equal(t, b.coeff_table())
+    assert TrigPolyMatrix(t) != b
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
 def test_fit_recovers_trig_polynomials(degree, dim):

@@ -8,8 +8,10 @@ import pytest
 
 from etaforge.cli import main
 from etaforge.core import DEFAULT_TOL
+from etaforge.indexing import _fitting_truncation
 from etaforge.report import (RunConfig, Report, emit_report, parse_config,
                              run)
+from etaforge.suites import index_formula_suite
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,18 @@ def test_cli_crash_is_not_a_failed_check(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "ZeroDivisionError: boom" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_index_raises_n_to_fit_a_high_degree_operator(tmp_path, capsys):
+    # suite seed 4 draws a degree-10 conjugated_line, too big for N=16
+    ops = dict(index_formula_suite(4))
+    assert _fitting_truncation(ops["conjugated_line"], 16) == 21
+    assert _fitting_truncation(ops["half_spin_row"], 16) == 16
+    code = main(["index", "--seed", "4", "--out", str(tmp_path / "out")])
+    assert code == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    row, = [r for r in rows if r["check"] == "residual_conjugated_line"]
+    assert row["lhs"] == "0" and row["pass"]
 
 
 def test_console_script_wired():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from etaforge import subspaces
 from etaforge.core import TrigPolyMatrix, constant_trig
 from etaforge.subspaces import (ParityError, RealizationGapError,
                                 SubspaceSymbol, conjugate_subspace,
@@ -12,7 +13,7 @@ from etaforge.subspaces import (ParityError, RealizationGapError,
                                 rotation_unitary, spectral_subspace,
                                 trivial_subspace, two_face_subspace,
                                 zero_subspace)
-from etaforge.symbols import CircleSymbol, quantize
+from etaforge.symbols import CircleSymbol, _range_basis, quantize
 
 
 def test_subspace_symbol_validates_projection():
@@ -185,6 +186,30 @@ def test_face_frames_shared_for_even():
 def test_lift_reuses_the_memoized_face_frame():
     L = mobius_subspace()
     assert lift_symbol(L).frames[+1] is face_frames(L.symbol)[+1]
+
+
+def test_equal_faces_of_separately_built_symbols_share_a_frame():
+    a, b = full_subspace(1).symbol, full_subspace(1).symbol
+    assert a is not b
+    assert face_frames(a)[+1] is face_frames(b)[+1]
+    L = mobius_subspace()
+    c1, c2 = L.symbol.complement(), L.symbol.complement()
+    assert c1 is not c2
+    assert face_frames(c1)[+1] is face_frames(c2)[+1]
+
+
+def test_constant_face_frame_is_its_range_basis(monkeypatch):
+    def no_transport(p, G):
+        raise AssertionError("a constant face needs no transport")
+
+    monkeypatch.setattr(subspaces, "_transport_states", no_transport)
+    sym = trivial_subspace(3, 2).symbol
+    ff = face_frames(sym)[+1]
+    assert ff.frame.degree == 0
+    assert ff.phases == (0.0, 0.0)
+    assert ff.closure_residual == ff.fit_residual == 0.0
+    B = _range_basis(sym.plus.coeff(0))
+    assert ff.frame.coeff_table()[0].tobytes() == B.tobytes()
 
 
 def test_lift_symbol_trivial_line():
