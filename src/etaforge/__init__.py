@@ -19,9 +19,9 @@ from .subspaces import (ParityError, PdoSubspace, RealizationGapError,
                         dump_subspace_csv, face_frames, full_subspace,
                         hardy_subspace, lift_symbol, mobius_subspace,
                         mobius_symbol, orthocomplement, puncture,
-                        realize_projection, relative_index, rotation_homotopy,
-                        rotation_unitary, spectral_subspace, trivial_subspace,
-                        two_face_subspace, zero_subspace)
+                        relative_index, rotation_homotopy, rotation_unitary,
+                        spectral_subspace, trivial_subspace, two_face_subspace,
+                        zero_subspace)
 from .indexing import (SubspaceOperator, analytic_index, antipodal_subspace,
                        build_parity_double, dimension_functional,
                        index_formula_report)
@@ -34,7 +34,7 @@ from .kzn import (EllZnElement, KClassZn, antipodal_element, beta_symbol,
                   fractional_eta_topological, gamma_trivialization,
                   inverse_row_decomposition, mod_n_analytic_index, n_fold,
                   normal_form, reduction_mod_n, shift_element,
-                  subspace_class, winding_datum)
-from .torus import (FormSpectrum, GilkeyEta, TwistCharacter, gilkey_eta,
-                    gilkey_symbol, orientability_halfinteger_check,
-                    symbol_projection, t3_spectrum)
+                  winding_datum)
+from .torus import (FormSpectrum, TwistCharacter, gilkey_eta, gilkey_symbol,
+                    orientability_halfinteger_check, symbol_projection,
+                    t3_spectrum)

@@ -7,6 +7,9 @@ of the two determinant windings is well defined mod n because a change of
 base frame shifts both windings by a multiple of n.  The direct image to
 a point multiplies that datum by a sign fixed once per modulus against
 the shift generator, whose analytic index is computed independently.
+The normal form pads and rotates an element onto a standard constant
+target; it computes no index, and its callers compare the mod-n indices
+of the element and of its normal form.
 """
 from __future__ import annotations
 
@@ -40,8 +43,6 @@ __all__ = [
     "normal_form",
     "fractional_eta_topological",
     "inverse_row_decomposition",
-    "RowDecomposition",
-    "subspace_class",
     "reduction_mod_n",
     "bockstein",
 ]
@@ -286,16 +287,16 @@ def _pair_rotation(p_face):
     return trig_block([[p_face, q_face], [-1.0 * q_face, p_face]])
 
 
-def normal_form(el, N=12, tol=None):
+def normal_form(el, N=None):
     """Equivalent element whose target is the standard constant subspace.
 
     Pads by the identity on an n-fold trivial line and on the n-fold
     complements of each target base, then rotates every (base, complement)
-    pair onto (full, zero) by the exact quarter-turn unitary.  The mod-n
-    index is computed before and after and must agree.
+    pair onto (full, zero) by the exact quarter-turn unitary.  Computes no
+    index; callers compare.  N is ignored, kept only for callers that
+    still pass it.
     """
     n = el.n
-    before = mod_n_analytic_index(el, N=N, tol=tol)
     op = SubspaceOperator(el.operator.principal, el.operator.source,
                           el.operator.target, name=el.operator.name)
     line = full_subspace(1)
@@ -339,12 +340,7 @@ def normal_form(el, N=12, tol=None):
     out_op = SubspaceOperator(tilde @ op.principal, op.source,
                               _chain_direct_sum(std_parts),
                               name=f"nf({el.operator.name})")
-    out = EllZnElement(n, out_op, src_bases, tuple(tgt_bases))
-    after = mod_n_analytic_index(out, N=N, tol=tol)
-    if after != before:
-        raise ArithmeticError(
-            f"normal form changed the mod-n index: {before} -> {after}")
-    return out
+    return EllZnElement(n, out_op, src_bases, tuple(tgt_bases))
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +427,3 @@ def inverse_row_decomposition(L, check_tol=1e-10):
     proj = CircleSymbol(0, sigma_c1.plus @ rows[0].plus,
                         sigma_c1.minus @ rows[0].minus, name="q")
     return RowDecomposition(rows=rows, cols=cols, projector=proj)
-
-
-def subspace_class(L, samples=7):
-    """Per-face (rank, fiberwise winding) of z |-> z p(x) + (1 - p(x)),
-    computed literally and checked to be x-independent."""
-    out = {}
-    xs = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    for sign in (+1, -1):
-        vals = L.symbol.face(sign)(xs)
-        eye = np.eye(L.fiber)
-        winds = []
-        for v in vals:
-            loop = TrigPolyMatrix({0: eye - v, 1: v})
-            winds.append(winding_number(loop))
-        if len(set(winds)) != 1:
-            raise ArithmeticError("fiberwise winding is not constant in x")
-        out[sign] = (L.symbol.face_rank(sign), winds[0])
-    return out

@@ -209,15 +209,16 @@ def _modn_rows(cfg, tol):
         rows.append(_row("modn", f"gamma_windings_n{n}", "kzn.moore",
                          str(winds), str([n]), winds == [n]))
         suite = suites.modn_element_suite(cfg.seed, n, count=cfg.ops_per_n)
-        for example_id, el in suite:
-            lhs = mod_n_analytic_index(el, N=cfg.modn_N, tol=tol)
+        indices = [mod_n_analytic_index(el, N=cfg.modn_N, tol=tol)
+                   for _, el in suite]
+        for (example_id, el), ind in zip(suite, indices):
             rhs = direct_image_s1(difference_construction_zn(el))
             rows.append(_row("modn", f"theorem_{example_id}", "kzn.theorem",
-                             lhs, rhs, lhs == rhs))
-        _, el0 = suite[0]
-        before = mod_n_analytic_index(el0, N=cfg.modn_N, tol=tol)
-        nf = normal_form(el0, N=cfg.modn_N, tol=tol)
-        after = mod_n_analytic_index(nf, N=cfg.modn_N, tol=tol)
+                             ind, rhs, ind == rhs))
+        # before is the theorem row's lhs of suite[0]; only after is new
+        before = indices[0]
+        after = mod_n_analytic_index(normal_form(suite[0][1]),
+                                     N=cfg.modn_N, tol=tol)
         rows.append(_row("modn", f"normal_form_n{n}", "kzn.normal-form",
                          after, before, after == before))
     return rows

@@ -4,13 +4,13 @@ A subspace is the range of an order-zero projection.  It carries a
 projection-valued symbol (two faces) and a family of exact finite
 projections indexed by the Fourier truncation N.  Realizations are cached
 per N; the cache is append-only and idempotent, so concurrent realize()
-calls are safe.  Face frames are cached by face value (lru_cache on
+calls are safe: dict.setdefault is atomic, so every caller gets the one
+stored realization.  Face frames are cached by face value (lru_cache on
 _face_frame), so equal faces share one transport; symbols keep no memo.
 """
 from __future__ import annotations
 
 import csv
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,7 +32,6 @@ __all__ = [
     "SubspaceSymbol",
     "SubspaceRealization",
     "PdoSubspace",
-    "realize_projection",
     "spectral_subspace",
     "relative_index",
     "orthocomplement",
@@ -144,7 +143,6 @@ class PdoSubspace:
         self._realizer = realizer if realizer is not None else \
             (lambda N: _gap_realization(symbol, N))
         self._cache = {}
-        self._lock = threading.Lock()
 
     @property
     def fiber(self):
@@ -155,9 +153,7 @@ class PdoSubspace:
         hit = self._cache.get(N)
         if hit is not None:
             return hit
-        value = self._realizer(N)
-        with self._lock:
-            return self._cache.setdefault(N, value)
+        return self._cache.setdefault(N, self._realizer(N))
 
     def realized_truncations(self):
         return tuple(sorted(self._cache))
@@ -216,17 +212,6 @@ def _gap_realization(symbol, N):
         warnings = (f"{int(ties.sum())} eigenvalues at the gap center 1/2 "
                     f"assigned to the complement side",)
     return SubspaceRealization(N, U[:, w > 0.75], warnings)
-
-
-def realize_projection(symbol, N):
-    """Subspace from a projection-valued symbol; the spectrum of the
-    symmetrized quantization must have a gap around 1/2 (eigenvalues pinned
-    at exactly 1/2 are sent to the complement and recorded as warnings)."""
-    if N <= 2 * symbol.degree:
-        raise ValueError("truncation too small for the symbol degree")
-    L = PdoSubspace(symbol)
-    L.realize(N)  # fail fast at the requested truncation
-    return L
 
 
 def spectral_subspace(A, tol=None):

@@ -8,6 +8,7 @@ import pytest
 
 from etaforge.cli import main
 from etaforge.core import DEFAULT_TOL
+from etaforge.eta import EtaResult, eta_numeric
 from etaforge.indexing import _fitting_truncation
 from etaforge.report import (RunConfig, Report, emit_report, parse_config,
                              run)
@@ -157,6 +158,19 @@ def test_cli_crash_is_not_a_failed_check(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "ZeroDivisionError: boom" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_t3_eta_mismatch_is_a_failed_row(monkeypatch):
+    # gilkey_eta computes; the report row owns the numeric-vs-closed band
+    def shifted(model):
+        res = eta_numeric(model)
+        return EtaResult(res.value + 1.0, res.method, res.error_estimate,
+                         res.kernel_dim)
+
+    monkeypatch.setattr("etaforge.torus.eta_numeric", shifted)
+    rows = run(RunConfig(command="eta", model="t3")).rows
+    row, = [r for r in rows if r["check"] == "gilkey_twist"]
+    assert row["pass"] is False
 
 
 def test_index_raises_n_to_fit_a_high_degree_operator(tmp_path, capsys):

@@ -3,16 +3,15 @@ import pytest
 
 from etaforge import subspaces
 from etaforge.core import TrigPolyMatrix, constant_trig
-from etaforge.subspaces import (ParityError, RealizationGapError,
+from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
                                 SubspaceSymbol, conjugate_subspace,
                                 dump_subspace_csv, face_frames, face_residual,
                                 full_subspace, hardy_subspace, lift_symbol,
                                 mobius_subspace, mobius_symbol,
-                                orthocomplement, puncture, realize_projection,
-                                relative_index, rotation_homotopy,
-                                rotation_unitary, spectral_subspace,
-                                trivial_subspace, two_face_subspace,
-                                zero_subspace)
+                                orthocomplement, puncture, relative_index,
+                                rotation_homotopy, rotation_unitary,
+                                spectral_subspace, trivial_subspace,
+                                two_face_subspace, zero_subspace)
 from etaforge.symbols import CircleSymbol, _range_basis, quantize
 
 
@@ -70,7 +69,7 @@ def test_realize_projection_gap_guard():
     mid = constant_trig(0.6 * np.eye(1))
     sym = SubspaceSymbol(mid, mid, validate=False)
     with pytest.raises(RealizationGapError):
-        realize_projection(sym, 8)
+        PdoSubspace(sym).realize(8)
 
 
 def test_mobius_realization_rank_deficit():

@@ -109,6 +109,8 @@ def test_gilkey_eta_half_twist():
     g = gilkey_eta(TwistCharacter((0.5, 0.5, 0.5)))
     assert g.value == 0
     assert g.numeric.kernel_dim == 0
+    band = max(1e-2, 3.0 * g.numeric.error_estimate)
+    assert abs(g.numeric.value - g.closed.value) <= band
 
 
 def test_halfinteger_check():
