@@ -8,6 +8,31 @@ truncation sheds spurious null directions that an unfiltered rank count
 would absorb).  The count must agree across three truncation scales.
 The dimension functional d(L) combines two such indices: a lift's and its
 parity double's.
+
+Structure.  When both realizations are mode-local (every basis column
+lives on one mode: full, trivial, zero, Hardy and two-face subspaces,
+complements of coordinates, and direct sums of these), the section T with
+rows and columns sorted by mode keeps the block band of the quantized
+matrix A: T[i, j] vanishes when the modes of row i and column j differ by
+more than the symbol degree.  Two coordinate subspaces give a slice of A;
+other mode-local pairs are assembled mode by mode.  Any other realization
+(gap, conjugated, punctured, antipodal) has a dense basis B, and the
+section is B2* A B1.
+
+Near-null vectors.  A dense section goes through a full SVD, and the rank
+cut is rank_tol * smax.  A sliced section is solved banded instead: the
+shifted Gram matrix T*T + mu^2 I (mu = 1e-6 smax) is block tridiagonal
+and is factored by block Cholesky, and block inverse iteration finds the
+singular vectors below 100 mu.  The cut is made on the singular values of
+T X for the iterated block X (its Ritz values), never on the squared Gram
+matrix; the cokernel comes from the same solve on T^t.
+
+Hand-off.  The banded solve only brackets smax (a power-iteration lower
+bound, a Gershgorin upper bound), so its cut is a bracket.  It hands the
+call to the dense SVD when a Ritz value lies within 2x of that bracket,
+when the section is small or its band wide against it, when a block does
+not settle, or when kernel and cokernel disagree on the rank.  The dense
+SVD is also the oracle the tests compare the banded solve against.
 """
 from __future__ import annotations
 
@@ -102,33 +127,237 @@ def antipodal_subspace(L):
     return PdoSubspace(sym, realizer, name=f"alpha*{L.name}" if L.name else "")
 
 
-def _bulk_count(V, N, fiber):
-    # V: orthonormal columns; count directions carried by modes |n| <= N//2
+def _bulk_count(V, inner):
+    """Directions of the orthonormal columns V carried by the bulk rows
+    `inner` (modes |n| <= N//2): the singular values of V[inner] above
+    1/2, read as the eigenvalues above 1/4 of its k x k Gram matrix."""
     if V.shape[1] == 0:
         return 0
-    inner = mode_labels(N, fiber) <= N // 2
-    s = np.linalg.svd(V[inner], compute_uv=False)
-    return int((s > 0.5).sum())
+    W = V[inner]
+    return int((np.linalg.eigvalsh(W.conj().T @ W) > 0.25).sum())
+
+
+def _dense_near_null(T, rank_tol):
+    """Kernel and cokernel of T from a full SVD: the singular vectors past
+    the rank r = #{s > rank_tol * smax}."""
+    u, s, vh = np.linalg.svd(T)
+    smax = float(s[0]) if s.size else 0.0
+    r = int((s > rank_tol * smax).sum()) if smax > 0 else 0
+    return vh.conj().T[:, r:], u[:, r:]
+
+
+# The banded solve's rules.  Each literal was read off the sections the
+# package builds (fibers 1-8, N 12-144); none is a setting.
+_DENSE_BELOW = 160  # a smaller side goes dense: there the full SVD is as fast
+_BLOCK_COLS = 48    # columns per block at least, so BLAS work outweighs the loop
+_MIN_BLOCKS = 4     # fewer blocks means a band wide against n: dense
+_SHIFT = 1e-6       # mu = _SHIFT * smax shifts G = T*T + mu^2 I off singular
+_CLEAR = 100.0      # a Ritz block is complete once its top value clears _CLEAR*mu
+_MARGIN = 2.0       # a Ritz value within this factor of the cut bracket: dense
+_START_BLOCK = 16   # first Ritz block; it doubles until it is complete
+_STEPS = 6          # inverse-iteration steps before an unsettled block goes dense
+_POWER_STEPS = 10   # power steps for the lower bound on smax
+
+
+class _BandedGram:
+    """G = M*M for a section M whose entry (i, j) vanishes unless the modes
+    of row i and column j differ by at most d.  Columns more than 2d modes
+    apart are then orthogonal, so in column blocks spanning at least 2d
+    modes G is block tridiagonal.  It is built block by block inside the
+    band, never as a dense product, and factored by a block Cholesky."""
+
+    def __init__(self, M, row_modes, col_modes, d):
+        self.shape = M.shape
+        per_mode = M.shape[1] / (col_modes[-1] - col_modes[0] + 1)
+        span = max(2 * d, int(np.ceil(_BLOCK_COLS / per_mode)))
+        starts = np.searchsorted(
+            col_modes, np.arange(col_modes[0], col_modes[-1] + 1, span))
+        bounds = np.unique(np.append(starts, M.shape[1]))
+        self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        # the rows where block J's columns can be nonzero
+        self.rows = [slice(np.searchsorted(row_modes, col_modes[c.start] - d),
+                           np.searchsorted(row_modes, col_modes[c.stop - 1] + d,
+                                           "right")) for c in self.cols]
+        self.panels = [M[r, c] for r, c in zip(self.rows, self.cols)]
+        self.diag = [P.conj().T @ P for P in self.panels]
+        self.low = [M[r, c].conj().T @ P  # G[J, J-1]
+                    for r, c, P in zip(self.rows, self.cols[1:], self.panels)]
+
+    def matvec(self, X):
+        out = np.zeros((self.shape[0], X.shape[1]), dtype=complex)
+        for r, c, P in zip(self.rows, self.cols, self.panels):
+            out[r] += P @ X[c]
+        return out
+
+    def upper_bound(self):
+        """Gershgorin bound on the largest eigenvalue of G."""
+        sums = [np.abs(D).sum(axis=1) for D in self.diag]
+        for J, L in enumerate(self.low, start=1):
+            sums[J] += np.abs(L).sum(axis=1)
+            sums[J - 1] += np.abs(L).sum(axis=0)
+        return float(max(s.max() for s in sums))
+
+    def lower_bound(self):
+        """||M v|| for a unit v after power steps: at most smax."""
+        v = np.random.default_rng(0).standard_normal((self.shape[1], 1))
+        for _ in range(_POWER_STEPS):
+            v = v / np.linalg.norm(v)
+            Mv = self.matvec(v)
+            v = np.concatenate([P.conj().T @ Mv[r]
+                                for r, P in zip(self.rows, self.panels)])
+        return float(np.linalg.norm(self.matvec(v / np.linalg.norm(v))))
+
+    def factor(self, mu):
+        """Block Cholesky G + mu^2 I = L L*: the inverted diagonal blocks
+        C^-1 of L and its subdiagonal blocks S, each kept with its adjoint.
+        Raises LinAlgError when a pivot block is not positive definite."""
+        self.inv, self.sub = [], []
+        for J, D in enumerate(self.diag):
+            D = D + mu * mu * np.eye(len(D))
+            if J:
+                S = self.low[J - 1] @ self.inv[J - 1][1]
+                D = D - S @ S.conj().T
+                self.sub.append((S, S.conj().T))
+            C = np.linalg.inv(np.linalg.cholesky(D))
+            self.inv.append((C, C.conj().T))
+
+    def solve(self, B):
+        """(G + mu^2 I)^-1 B: forward, then backward block substitution."""
+        y = []
+        for J, c in enumerate(self.cols):
+            r = B[c] - self.sub[J - 1][0] @ y[-1] if J else B[c]
+            y.append(self.inv[J][0] @ r)
+        x = [None] * len(y)
+        for J in reversed(range(len(y))):
+            r = y[J] - self.sub[J][1] @ x[J + 1] if J + 1 < len(y) else y[J]
+            x[J] = self.inv[J][1] @ r
+        return np.concatenate(x)
+
+    def near_null(self, mu, cut_lo, cut_hi):
+        """Orthonormal right singular vectors of M below the cut, from
+        block inverse iteration with G + mu^2 I; None when the block does
+        not settle or a Ritz value lies within _MARGIN of [cut_lo, cut_hi].
+        The Ritz values are the singular values of M X, never those of G."""
+        n = self.shape[1]
+        rng = np.random.default_rng(0)
+        p = _START_BLOCK
+        while 2 * p <= n:
+            X = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+            prev = None
+            for _ in range(_STEPS):
+                X = np.linalg.qr(self.solve(X))[0]
+                R = np.linalg.qr(self.matvec(X), mode="r")
+                _, s, vh = np.linalg.svd(R)
+                low = s < _CLEAR * mu
+                if prev is not None and np.array_equal(low, prev < _CLEAR * mu) \
+                        and np.all(np.abs(s - prev)[low]
+                                   <= 1e-2 * np.maximum(s[low], cut_lo)):
+                    break
+                prev = s
+            else:
+                return None
+            if s[0] < _CLEAR * mu:  # may miss near-null vectors: grow
+                p *= 2
+                continue
+            if np.any((s >= cut_lo / _MARGIN) & (s <= _MARGIN * cut_hi)):
+                return None
+            k = int((s < cut_lo / _MARGIN).sum())
+            return X @ vh[p - k:].conj().T
+        return None
+
+
+def _banded_near_null(T, row_modes, col_modes, d, rank_tol):
+    """Kernel and cokernel of a sliced section T, or None to hand the call
+    to the dense SVD.
+
+    smax lies between a power-iteration lower bound and a Gershgorin upper
+    bound, so the rank cut rank_tol * smax lies in [cut_lo, cut_hi].  The
+    count below it is certain when no Ritz value of T or T* lies within
+    _MARGIN of that bracket and both sides agree on the rank.
+    """
+    if min(T.shape) < _DENSE_BELOW:
+        return None
+    cols = _BandedGram(T, row_modes, col_modes, d)
+    # T* y = 0 iff (T^t) conj(y) = 0, and T^t is a view where T* is a copy
+    rows = _BandedGram(T.T, col_modes, row_modes, d)
+    if min(len(cols.cols), len(rows.cols)) < _MIN_BLOCKS:
+        return None
+    lo = cols.lower_bound()
+    hi = np.sqrt(min(cols.upper_bound(), rows.upper_bound()))
+    mu = _SHIFT * lo
+    cut_lo, cut_hi = rank_tol * lo, rank_tol * hi
+    if _MARGIN * cut_hi > mu:  # bracket too wide for the shift
+        return None
+    try:
+        cols.factor(mu)
+        rows.factor(mu)
+    except np.linalg.LinAlgError:
+        return None
+    ker = cols.near_null(mu, cut_lo, cut_hi)
+    coker = rows.near_null(mu, cut_lo, cut_hi)
+    if ker is None or coker is None or \
+            T.shape[1] - ker.shape[1] != T.shape[0] - coker.shape[1]:
+        return None
+    return ker, coker.conj()
+
+
+def _local_section(A, B1, m1, r1, B2, m2, r2, d):
+    """B2* A B1 for mode-local bases with columns sorted by mode (m1, m2):
+    the columns of mode m meet only the rows of modes m - d .. m + d, so
+    the section is assembled from one pair of small products per mode."""
+    T = np.zeros((B2.shape[1], B1.shape[1]), dtype=complex)
+    for m in np.unique(m1):
+        c = slice(*np.searchsorted(m1, [m, m + 1]))
+        t = slice(*np.searchsorted(m2, [m - d, m + d + 1]))
+        rows = slice(max(m - d, 0) * r2, (m + d + 1) * r2)
+        own = slice(m * r1, (m + 1) * r1)
+        T[t, c] = B2[rows, t].conj().T @ (A[rows, own] @ B1[own, c])
+    return T
+
+
+def _mode_order(real):
+    # columns by mode; a selection by ambient coordinate, which orders its
+    # modes too
+    return np.argsort(real.modes if real.select is None else real.select,
+                      kind="stable")
 
 
 def _filtered_index_once(op, N, tol):
-    B1 = op.source.basis(N)
-    B2 = op.target.basis(N)
-    q1, q2 = B1.shape[1], B2.shape[1]
-    if q1 == 0 and q2 == 0:
-        return 0
-    if q1 == 0:
-        return -_bulk_count(B2, N, op.target.fiber)
-    if q2 == 0:
-        return _bulk_count(B1, N, op.source.fiber)
-    T = B2.conj().T @ op.full_matrix(N) @ B1
-    u, s, vh = np.linalg.svd(T)
-    smax = float(s[0]) if s.size else 0.0
-    r = int((s > tol.rank_tol * smax).sum()) if smax > 0 else 0
-    ker = B1 @ vh.conj().T[:, r:]
-    coker = B2 @ u[:, r:]
-    return _bulk_count(ker, N, op.source.fiber) \
-        - _bulk_count(coker, N, op.target.fiber)
+    """The bulk-filtered index at one truncation: compress, take the
+    near-null vectors on both sides (banded solve or dense SVD), count
+    those in the bulk."""
+    src, tgt = op.source.realize(N), op.target.realize(N)
+    if src.modes is not None and tgt.modes is not None:
+        # mode-local bases: with rows and columns sorted by mode the section
+        # keeps the band of A (a permutation changes neither the index nor
+        # the bulk counts); a coordinate pair is a slice of A
+        o1, o2 = _mode_order(src), _mode_order(tgt)
+        m1, m2 = src.modes[o1], tgt.modes[o2]
+        inner1, inner2 = np.abs(m1 - N) <= N // 2, np.abs(m2 - N) <= N // 2
+        if m1.size == 0 or m2.size == 0:
+            return int(inner1.sum()) - int(inner2.sum())
+        A = op.full_matrix(N)
+        d = max(t.degree for t in op.symbol.terms)
+        if src.select is not None and tgt.select is not None:
+            c1, c2 = src.select[o1], tgt.select[o2]
+            # sorted distinct coordinates, all of them: the identity
+            T = A if (c2.size, c1.size) == A.shape else A[np.ix_(c2, c1)]
+        else:
+            T = _local_section(A, src.basis[:, o1], m1, op.source.fiber,
+                               tgt.basis[:, o2], m2, op.target.fiber, d)
+        near = _banded_near_null(T, m2, m1, d, tol.rank_tol)
+        ker, coker = near if near is not None else \
+            _dense_near_null(T, tol.rank_tol)
+    else:
+        B1, B2 = src.basis, tgt.basis
+        inner1 = mode_labels(N, op.source.fiber) <= N // 2
+        inner2 = mode_labels(N, op.target.fiber) <= N // 2
+        if B1.shape[1] == 0 or B2.shape[1] == 0:
+            return _bulk_count(B1, inner1) - _bulk_count(B2, inner2)
+        ker, coker = _dense_near_null(
+            B2.conj().T @ op.full_matrix(N) @ B1, tol.rank_tol)
+        ker, coker = B1 @ ker, B2 @ coker
+    return _bulk_count(ker, inner1) - _bulk_count(coker, inner2)
 
 
 def analytic_index(op, N=16, scales=_SCALES, tol=None):

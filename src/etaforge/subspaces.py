@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -107,23 +107,48 @@ class SubspaceSymbol(CircleSymbol):
                               name=f"{self.name}+{other.name}")
 
 
-@dataclass(frozen=True)
+def _readonly(a):
+    a.setflags(write=False)
+    return a
+
+
 class SubspaceRealization:
     """Exact finite projection at one truncation, stored via an orthonormal
-    basis of its range."""
+    basis of its range.
 
-    N: int
-    basis: np.ndarray
-    warnings: tuple = ()
+    A mode-local realization, each of whose basis columns lives on the
+    fiber coordinates of a single mode, records that mode (0 .. 2N) per
+    column in `modes`; the index kernel then keeps the band of the
+    quantized symbol.  A coordinate subspace, whose basis columns are
+    ambient coordinate vectors, is stored as `select`: those coordinates,
+    in column order.  Its basis eye(dim)[:, select] is built only when
+    asked for; the index kernel slices with `select` and never builds it.
+    """
 
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=complex)
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+    def __init__(self, N, basis=None, warnings=(), select=None, dim=None,
+                 modes=None):
+        self.N = N
+        self.warnings = warnings
+        self.select = None
+        if select is not None:
+            self.select = _readonly(np.asarray(select, dtype=np.intp))
+            self._dim = dim
+            modes = self.select // (dim // (2 * N + 1))
+        else:
+            self.basis = _readonly(np.asarray(basis, dtype=complex))
+        self.modes = None if modes is None else \
+            _readonly(np.asarray(modes, dtype=np.intp))
+
+    @cached_property
+    def basis(self):
+        # reached only for a coordinate subspace (set in __init__ otherwise)
+        B = np.zeros((self._dim, self.select.size), dtype=complex)
+        B[self.select, np.arange(self.select.size)] = 1.0
+        return _readonly(B)
 
     @property
     def rank(self):
-        return self.basis.shape[1]
+        return self.basis.shape[1] if self.select is None else self.select.size
 
     @property
     def projection(self):
@@ -176,10 +201,20 @@ class PdoSubspace:
 
         def realizer(N):
             a, b = self.realize(N), other.realize(N)
+            warnings = a.warnings + b.warnings
+            if a.select is not None and b.select is not None:
+                # coordinate (mode m, c) of a summand is m * (f1 + f2) + c
+                sel = np.concatenate([
+                    a.select // f1 * (f1 + f2) + a.select % f1,
+                    b.select // f2 * (f1 + f2) + f1 + b.select % f2])
+                return SubspaceRealization(N, warnings=warnings, select=sel,
+                                           dim=(2 * N + 1) * (f1 + f2))
             B = np.concatenate([
                 _embed_basis(a.basis, N, f1, f1 + f2, 0),
                 _embed_basis(b.basis, N, f2, f1 + f2, f1)], axis=1)
-            return SubspaceRealization(N, B, a.warnings + b.warnings)
+            modes = None if a.modes is None or b.modes is None else \
+                np.concatenate([a.modes, b.modes])
+            return SubspaceRealization(N, B, warnings, modes=modes)
 
         return PdoSubspace(sym, realizer, name=f"{self.name}+{other.name}")
 
@@ -282,6 +317,11 @@ def orthocomplement(L):
 
     def realizer(N):
         base = L.realize(N)
+        if base.select is not None:  # the complement of coordinates
+            dim = (2 * N + 1) * L.fiber
+            return SubspaceRealization(
+                N, warnings=base.warnings, dim=dim,
+                select=np.setdiff1d(np.arange(dim), base.select))
         u, _, _ = np.linalg.svd(base.basis, full_matrices=True) \
             if base.basis.shape[1] else (np.eye(base.basis.shape[0]), None, None)
         comp = u[:, base.basis.shape[1]:]
@@ -449,15 +489,32 @@ def lift_symbol(L):
 # Stock subspaces
 # ---------------------------------------------------------------------------
 
+def _coordinates(B):
+    """Fiber coordinates picked by B's columns when each column is a
+    coordinate vector, else None."""
+    idx = np.argmax(np.abs(B), axis=0)
+    return idx if np.array_equal(B, np.eye(B.shape[0])[:, idx]) else None
+
+
 def _modewise(N, Bp, Bm, cut=0):
-    """Mode-major basis: the columns of Bp on every mode n >= cut, those of
-    Bm on the modes below."""
+    """Mode-major, mode-local realization: the columns of Bp on every mode
+    n >= cut, those of Bm on the modes below.  When both are coordinate
+    columns it is a coordinate subspace, recorded by its selection."""
     blocks = [Bp if n >= cut else Bm for n in range(-N, N + 1)]
-    r, c = Bp.shape[0], np.cumsum([0] + [b.shape[1] for b in blocks])
+    r = Bp.shape[0]
+    cp, cm = _coordinates(Bp), _coordinates(Bm)
+    if cp is not None and cm is not None:
+        sel = [m * r + (cp if n >= cut else cm)
+               for m, n in enumerate(range(-N, N + 1))]
+        return SubspaceRealization(N, select=np.concatenate(sel),
+                                   dim=r * len(blocks))
+    counts = [b.shape[1] for b in blocks]
+    c = np.cumsum([0] + counts)
     out = np.zeros((r * len(blocks), c[-1]), dtype=complex)
     for m, b in enumerate(blocks):
         out[m * r:(m + 1) * r, c[m]:c[m + 1]] = b
-    return out
+    return SubspaceRealization(N, out,
+                               modes=np.repeat(np.arange(len(blocks)), counts))
 
 
 def hardy_subspace(shift=0):
@@ -472,8 +529,7 @@ def hardy_subspace(shift=0):
     def realizer(N):
         if shift > N:
             raise ValueError("shift outside the truncation window")
-        return SubspaceRealization(
-            N, _modewise(N, np.eye(1), np.zeros((1, 0)), cut=shift))
+        return _modewise(N, np.eye(1), np.zeros((1, 0)), cut=shift)
 
     return PdoSubspace(sym, realizer, name=f"hardy+{shift}" if shift else "hardy")
 
@@ -498,8 +554,7 @@ def trivial_subspace(rank, q, name=""):
     E = np.eye(rank)[:, :q]
     sym = SubspaceSymbol(E @ E.T, E @ E.T, name=name or f"trivial{q}of{rank}",
                          validate=False)
-    return PdoSubspace(sym, lambda N: SubspaceRealization(
-        N, _modewise(N, E, E)), name=sym.name)
+    return PdoSubspace(sym, lambda N: _modewise(N, E, E), name=sym.name)
 
 
 def full_subspace(rank, name=""):
@@ -518,8 +573,7 @@ def two_face_subspace(p_plus, p_minus, name="twoface"):
     sym = SubspaceSymbol(p_plus, p_minus, name=name)
     Bp, Bm = _range_basis(p_plus), _range_basis(p_minus)
     # the zero mode sits on the + face
-    return PdoSubspace(sym, lambda N: SubspaceRealization(
-        N, _modewise(N, Bp, Bm)), name=name)
+    return PdoSubspace(sym, lambda N: _modewise(N, Bp, Bm), name=name)
 
 
 def conjugate_subspace(L, W, name=""):

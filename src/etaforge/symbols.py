@@ -164,7 +164,11 @@ def quantize(symbol, N):
 
     Mode n' feeds mode n = n' + k through the k-th Fourier coefficient of
     the face picked by sign(n'), weighted by |n'|^{order}; the n' = 0
-    column uses the + face.
+    column uses the + face.  Each (term, face, coefficient) is one strided
+    scatter onto a block diagonal.  A block receives at most one
+    coefficient per term and the terms are added in order, so every entry
+    is summed in the order of a block-by-block loop; zero coefficients and
+    zero weights are skipped, so no signed zero flips.
     """
     full = symbol if isinstance(symbol, FullSymbol) else FullSymbol.of(symbol)
     lead = full.principal
@@ -173,25 +177,18 @@ def quantize(symbol, N):
     rows, cols = lead.rows, lead.rank
     modes = 2 * N + 1
     A = np.zeros((rows * modes, cols * modes), dtype=complex)
+    blocks = A.reshape(modes, rows, modes, cols)  # [n_dst, :, n_src, :]
     for term in full.terms:
-        for sign, rng in ((+1, range(0, N + 1)), (-1, range(-N, 0))):
+        for sign, n_src in ((+1, np.arange(0, N + 1)), (-1, np.arange(-N, 0))):
+            w = np.array([_column_weight(term.order, n) for n in n_src])
+            n_src, w = n_src[w != 0.0], w[w != 0.0]
             face = term.face(sign)
             table = face.coeff_table()
-            d = face.degree
-            for i in range(table.shape[0]):
-                k = i - d
-                block = table[i]
-                if not np.any(block):
-                    continue
-                for n_src in rng:
-                    w = _column_weight(term.order, n_src)
-                    if w == 0.0:
-                        continue
-                    n_dst = n_src + k
-                    if -N <= n_dst <= N:
-                        r0 = (n_dst + N) * rows
-                        c0 = (n_src + N) * cols
-                        A[r0:r0 + rows, c0:c0 + cols] += w * block
+            for i in np.flatnonzero(table.reshape(len(table), -1).any(axis=1)):
+                k = i - face.degree
+                fits = np.abs(n_src + k) <= N
+                src = n_src[fits] + N
+                blocks[src + k, :, src, :] += w[fits, None, None] * table[i]
     return TruncatedOperator(N=N, matrix=A, order=full.order, fiber_in=cols,
                              fiber_out=rows, symbol=full)
 

@@ -64,6 +64,41 @@ def test_trivial_subspace_projection():
     assert np.array_equal(L.basis(4), np.kron(np.eye(9), np.eye(3)[:, :2]))
 
 
+def test_coordinate_subspaces_record_their_selection():
+    # the stock coordinate subspaces and direct sums of them keep the
+    # selected coordinates; the basis built from them is the dense one
+    # that summing embedded bases gives
+    N = 4
+    for L in (full_subspace(2), trivial_subspace(3, 2), hardy_subspace(2),
+              zero_subspace(2), two_face_subspace(np.eye(2), np.zeros((2, 2))),
+              hardy_subspace().direct_sum(trivial_subspace(3, 1))):
+        real = L.realize(N)
+        assert real.select is not None
+        assert np.array_equal(real.basis,
+                              np.eye(L.fiber * (2 * N + 1))[:, real.select])
+    a, b = hardy_subspace(1), trivial_subspace(2, 1)
+    s = a.direct_sum(b)
+    dense = np.concatenate([
+        subspaces._embed_basis(a.basis(N), N, 1, 3, 0),
+        subspaces._embed_basis(b.basis(N), N, 2, 3, 1)], axis=1)
+    assert np.array_equal(s.basis(N), dense) and s.rank(N) == 4 + 9
+    assert mobius_subspace().direct_sum(full_subspace(1)).realize(N).select \
+        is None
+    # the complement of coordinates is the complementary coordinates
+    c = orthocomplement(trivial_subspace(3, 2)).realize(N)
+    assert np.array_equal(c.select, np.arange(2, 3 * (2 * N + 1), 3))
+    # a two-face subspace with rotated faces is mode-local, not coordinate
+    U = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
+    real = two_face_subspace(U[:, :1] @ U[:, :1].T, np.eye(3)).realize(N)
+    assert real.select is None
+    np.testing.assert_array_equal(
+        real.modes, np.repeat(np.arange(2 * N + 1), [3] * N + [1] * (N + 1)))
+    mask = np.abs(real.basis) > 0
+    assert np.all(mask.any(axis=0))
+    assert all(set(np.flatnonzero(mask[:, j]) // 3) == {m}
+               for j, m in enumerate(real.modes))
+
+
 def test_realize_projection_gap_guard():
     # an eigenvalue stuck in the middle band means no spectral gap
     mid = constant_trig(0.6 * np.eye(1))

@@ -101,6 +101,59 @@ def test_quantize_order_weights():
                                atol=1e-14)
 
 
+def _quantize_blockwise(full, N):
+    # reference: the block-by-block triple loop quantize replaced
+    lead = full.principal
+    rows, cols = lead.rows, lead.rank
+    modes = 2 * N + 1
+    A = np.zeros((rows * modes, cols * modes), dtype=complex)
+    for term in full.terms:
+        for sign, rng in ((+1, range(0, N + 1)), (-1, range(-N, 0))):
+            face = term.face(sign)
+            table = face.coeff_table()
+            d = face.degree
+            for i in range(table.shape[0]):
+                k = i - d
+                block = table[i]
+                if not np.any(block):
+                    continue
+                for n_src in rng:
+                    if n_src == 0:
+                        w = 1.0 if term.order <= 0 else 0.0
+                    else:
+                        w = float(abs(n_src)) ** term.order
+                    if w == 0.0:
+                        continue
+                    n_dst = n_src + k
+                    if -N <= n_dst <= N:
+                        r0 = (n_dst + N) * rows
+                        c0 = (n_src + N) * cols
+                        A[r0:r0 + rows, c0:c0 + cols] += w * block
+    return A
+
+
+def _random_face(rng, rows, cols, degree, sparse=False):
+    c = {k: rng.standard_normal((rows, cols))
+         + 1j * rng.standard_normal((rows, cols))
+         for k in range(-degree, degree + 1)}
+    if sparse:  # a zero coefficient inside the band
+        c[0] = np.zeros((rows, cols), dtype=complex)
+    return TrigPolyMatrix(c)
+
+
+@pytest.mark.parametrize("rows,cols,orders,N", [
+    (1, 1, (0,), 5), (2, 2, (0, -1), 9), (3, 2, (1, 0, -1), 8),
+    (2, 4, (-1, -2), 7), (3, 3, (2, 1), 11)])
+def test_quantize_matches_the_blockwise_loop(rows, cols, orders, N):
+    rng = np.random.default_rng(rows * 100 + cols * 10 + N)
+    terms = [CircleSymbol(m, _random_face(rng, rows, cols, 2, sparse=i == 1),
+                          _random_face(rng, rows, cols, 1 + i % 2))
+             for i, m in enumerate(orders)]
+    full = FullSymbol.of(*terms)
+    got = quantize(full, N).matrix
+    assert got.tobytes() == _quantize_blockwise(full, N).tobytes()
+
+
 def test_quantize_rejects_small_truncation():
     s = CircleSymbol(0, TrigPolyMatrix({3: np.eye(1)}),
                      TrigPolyMatrix({3: np.eye(1)}))
