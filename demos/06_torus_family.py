@@ -24,7 +24,8 @@ print("projection onto the +q line:\n", np.round(symbol_projection(xi), 4))
 sp = t3_spectrum(TwistCharacter((0.5, 0.0, 0.0)), R=1.5)
 print("\nmodes inside R=1.5 at twist (1/2,0,0):", len(sp.points),
       " kernel:", sp.kernel_dim)
-print("first entries:", sp.entries[:4])
+print("first modes k:", sp.points[:4].tolist(),
+      " q:", sp.values[:4].tolist())
 
 # eta across twists: numeric heat route vs the lattice closed form
 print("\ntwist                   eta   numeric         fractional")

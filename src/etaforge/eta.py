@@ -5,11 +5,17 @@ sum sign(lambda) |lambda|^{-s}; we report eta(A) = eta_A(0) + dim ker A.
 Numerics use the small-t limit of h(t) = sum sign(lambda) e^{-t lambda^2}
 with a three-point power-law extrapolation whose exponent ladder depends
 on the spectral model.
+
+A spectrum is two arrays from end to end: lam (float64) and mult (int64),
+ordered by np.lexsort((lam, |lam|)), i.e. ascending (|lambda|, lambda)
+with equal eigenvalues in input order (lexsort is stable).  That order is
+the heat trace's summation order, so it fixes the bits of every numeric
+eta.  Python (eigenvalue, multiplicity) pairs are built only on request,
+by SpectrumModel.eigenvalues() and the CSV writer.
 """
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 
 import numpy as np
@@ -75,30 +81,53 @@ class SpectrumModel:
       Lattice3Quadratic      -- {+|k+theta|^2 (x1), -|k+theta|^2 (x2)}
                                 over k in Z^3 with |k+theta| <= cutoff
       ExplicitList           -- fixed (eigenvalue, multiplicity) pairs
+
+    The spectrum is held as two read-only arrays, lam (float64) and mult
+    (int64).  Their order is part of the contract, because it is the heat
+    trace's summation order: ascending (|lambda|, lambda), ties kept in
+    input order.  Eigenvalues must be finite and nonzero (zero modes
+    belong in kernel_dim), multiplicities positive integers and
+    kernel_dim a nonnegative integer; anything else raises ValueError.
     """
 
-    def __init__(self, kind, pairs, kernel_dim, params):
-        self.kind = kind
-        # summation order is part of the contract: ascending (|l|, l)
-        self.pairs = tuple(sorted(((float(l), int(m)) for l, m in pairs),
-                                  key=lambda p: (abs(p[0]), p[0])))
+    def __init__(self, kind, lam, mult, kernel_dim, params):
+        if kind not in _EXPONENT_LADDER:
+            raise ValueError(f"unknown spectrum kind {kind!r}")
+        lam = np.array(lam, dtype=np.float64)
+        mult = np.asarray(mult)
+        if lam.ndim != 1 or mult.shape != lam.shape:
+            raise ValueError("need one multiplicity per eigenvalue")
+        if not np.isfinite(lam).all():
+            raise ValueError("eigenvalues must be finite")
+        if (lam == 0.0).any():
+            raise ValueError("zero modes belong in kernel_dim, not the list")
+        # an empty list arrives as float64, so only nonempty input is typed
+        if mult.size and (mult.dtype.kind not in "iu" or (mult <= 0).any()):
+            raise ValueError("multiplicities must be positive integers")
+        if not isinstance(kernel_dim, (int, np.integer)) or kernel_dim < 0:
+            raise ValueError("kernel_dim must be a nonnegative integer")
+        a = np.abs(lam)
+        mult = mult.astype(np.int64)
+        # lexsort is stable, so on input already in (|lambda|, lambda)
+        # order, as _signature_levels makes it, it would be the identity
+        if not np.all((a[1:] > a[:-1])
+                      | ((a[1:] == a[:-1]) & (lam[1:] >= lam[:-1]))):
+            order = np.lexsort((lam, a))
+            lam, mult = lam[order], mult[order]
+        lam.setflags(write=False)
+        mult.setflags(write=False)
+        self.kind, self.lam, self.mult = kind, lam, mult
         self.kernel_dim = int(kernel_dim)
         self.params = dict(params)
-        if any(l == 0.0 for l, _ in self.pairs):
-            raise ValueError("zero modes belong in kernel_dim, not the list")
 
     @classmethod
     def arithmetic_progression(cls, theta, mult=1, cutoff=2000):
         theta = float(theta)
-        pairs = []
-        kernel = 0
-        for n in range(-cutoff, cutoff + 1):
-            lam = n + theta
-            if lam == 0.0:
-                kernel += mult
-            else:
-                pairs.append((lam, mult))
-        return cls("ArithmeticProgression", pairs, kernel,
+        lam = np.arange(-cutoff, cutoff + 1) + theta
+        zero = lam == 0.0
+        return cls("ArithmeticProgression", lam[~zero],
+                   np.full(lam.size - int(zero.sum()), mult),
+                   mult * int(zero.sum()),
                    {"theta": theta, "mult": mult, "cutoff": cutoff})
 
     @classmethod
@@ -107,43 +136,68 @@ class SpectrumModel:
             raise ValueError("lattice cutoff below 8 starves the tail")
         theta = tuple(float(t) for t in theta)
         _, q = _lattice3(theta, cutoff)
-        kernel = 3 * int((q == 0.0).sum())
-        pairs = itertools.chain(((qq, 1) for qq in q if qq > 0.0),
-                                ((-qq, 2) for qq in q if qq > 0.0))
-        return cls("Lattice3Quadratic", pairs, kernel,
+        return cls("Lattice3Quadratic", *_signature_levels(q[q > 0.0]),
+                   3 * int((q == 0.0).sum()),
                    {"theta": theta, "cutoff": cutoff})
 
     @classmethod
     def explicit_list(cls, pairs, kernel_dim=0):
-        return cls("ExplicitList", pairs, kernel_dim, {})
+        pairs = list(pairs)
+        return cls("ExplicitList", [l for l, _ in pairs],
+                   [m for _, m in pairs], kernel_dim, {})
 
     @classmethod
     def from_eigenvalues(cls, values):
         """ExplicitList from raw eigenvalues; near-zeros become kernel."""
         values = np.asarray(values, dtype=float)
+        # an infinite scale would sweep every finite value into the kernel
+        if not np.isfinite(values).all():
+            raise ValueError("eigenvalues must be finite")
         scale = max(float(np.abs(values).max()), 1.0) if values.size else 1.0
         zero = np.abs(values) <= 1e-10 * scale
-        pairs = [(float(v), 1) for v in values[~zero]]
-        return cls("ExplicitList", pairs, int(zero.sum()), {})
+        lam = values[~zero]
+        return cls("ExplicitList", lam, np.ones(lam.size, dtype=np.int64),
+                   int(zero.sum()), {})
 
     def eigenvalues(self):
-        return self.pairs
+        """The (eigenvalue, multiplicity) pairs as Python numbers, in order."""
+        # a list first: tuple(zip(...)) regrows its unsized result, twice
+        # as slow at lattice sizes
+        return tuple(list(zip(self.lam.tolist(), self.mult.tolist())))
+
+    @property
+    def pairs(self):
+        return self.eigenvalues()
 
     def __repr__(self):
-        return (f"SpectrumModel({self.kind}, {len(self.pairs)} levels, "
+        return (f"SpectrumModel({self.kind}, {self.lam.size} levels, "
                 f"kernel_dim={self.kernel_dim})")
 
 
 def _lattice3(theta, R):
     """The k in Z^3 with q = |k + theta|^2 <= R^2, in lexicographic order
     of k, and their q."""
+    if not np.isfinite(theta).all():
+        raise ValueError("twist components must be finite")
     b = int(np.ceil(R + max(abs(t) for t in theta) + 1))
     g = np.arange(-b, b + 1)
-    K = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    v = K + np.asarray(theta)
-    q = (v * v).sum(axis=1)
+    x, y, z = ((g + t) * (g + t) for t in theta)
+    # summed in the order (x + y) + z of a three-term row sum
+    q = (x[:, None, None] + y[None, :, None]) + z[None, None, :]
     inside = q <= R * R
-    return K[inside], q[inside]
+    return g[np.argwhere(inside)], q[inside]
+
+
+def _signature_levels(q):
+    """(lam, mult) of the signature family, +q x1 and -q x2 for each q > 0,
+    already in (|lambda|, lambda) order."""
+    s = np.sort(q)
+    # equal q carry equal multiplicities, so a run of c equal values v
+    # becomes -v (x2) c times, then +v (x1) c times, whatever their order
+    run = np.flatnonzero(np.diff(s, prepend=-np.inf, append=np.inf))
+    u, reps = s[run[:-1]], np.repeat(np.diff(run), 2)
+    return (np.repeat(np.column_stack([-u, u]).ravel(), reps),
+            np.repeat(np.tile(np.array([2, 1], dtype=np.int64), u.size), reps))
 
 
 def eta_closed_form(model):
@@ -171,6 +225,11 @@ _EXPONENT_LADDER = {
 }
 
 
+# exp(-x) is exactly 0.0 in float64 for every x beyond this (the least
+# subnormal is exp(-744.4))
+_EXP_ZERO = 800.0
+
+
 def _extrapolate3(ts, hs, exponents):
     V = np.array([[t ** p for p in (0.0,) + tuple(exponents)] for t in ts])
     return float(np.linalg.solve(V, np.asarray(hs))[0])
@@ -185,13 +244,12 @@ def eta_numeric(model):
     extrapolated and the flattest adjacent pair of extrapolants is the
     plateau.
     """
-    pairs = model.eigenvalues()
-    if not pairs:
+    lam = model.lam
+    if not lam.size:
         return EtaResult(float(model.kernel_dim), "HeatExtrapolated", 1e-15,
                          model.kernel_dim)
-    lam = np.array([p[0] for p in pairs])
-    mult = np.array([p[1] for p in pairs], dtype=float)
-    amax, amin = np.abs(lam).max(), np.abs(lam).min()
+    # lam is sorted by magnitude, so its ends are the extreme |lambda|
+    amin, amax = np.abs(lam[0]), np.abs(lam[-1])
     tmax = 1.0 / amin ** 2
     # narrow spectra leave no room below 1/amax^2; push t0 down so the
     # extrapolation always sees genuinely small t
@@ -201,8 +259,18 @@ def eta_numeric(model):
         ts.append(ts[-1] * 2.0)
     if len(ts) < 8:
         ts = list(np.geomspace(t0, tmax, 8))
-    hs = [float(np.sum(np.sign(lam) * mult * np.exp(-t * lam ** 2)))
-          for t in ts]
+    w = np.sign(lam) * model.mult.astype(np.float64)
+    lam2 = lam ** 2
+    e = np.zeros_like(lam2)
+    hs = []
+    for t in ts:
+        # lam2 ascends, so the levels whose exp underflows to exactly 0.0
+        # are a suffix; they skip the exp but stay in the sum, because
+        # np.sum's pairwise blocking depends on the length
+        k = np.searchsorted(lam2, _EXP_ZERO / t, side="right")
+        np.exp(-t * lam2[:k], out=e[:k])
+        e[k:] = 0.0
+        hs.append(float(np.sum(w * e)))
     ladder = _EXPONENT_LADDER[model.kind]
     ext = [_extrapolate3(ts[j:j + 3], hs[j:j + 3], ladder)
            for j in range(len(ts) - 2)]
@@ -234,17 +302,16 @@ def mode_zero_crossing_family(c_values=None, n_max=40):
     (c, SpectrumModel) pairs.
     """
     cs = np.linspace(0.05, 0.95, 10) if c_values is None else c_values
+    n = np.arange(-n_max, n_max + 1)
+    n = n[n != 0]
+    bulk = (np.sign(n) * (n * n + 1)).astype(np.float64)
     out = []
     for c in cs:
-        pairs = [(float(np.sign(n) * (n * n + 1)), 1)
-                 for n in range(-n_max, n_max + 1) if n != 0]
         lam0 = 1.0 - 2.0 * float(c)
-        kernel = 0
-        if lam0 == 0.0:
-            kernel = 1
-        else:
-            pairs.append((lam0, 1))
-        out.append((float(c), SpectrumModel.explicit_list(pairs, kernel)))
+        lam = bulk if lam0 == 0.0 else np.append(bulk, lam0)
+        out.append((float(c), SpectrumModel(
+            "ExplicitList", lam, np.ones(lam.size, dtype=np.int64),
+            int(lam0 == 0.0), {})))
     return out
 
 

@@ -304,39 +304,66 @@ def dump_symbol(sym):
     return "\n".join(lines) + "\n"
 
 
+_HEADER = ("rank", "rows", "order", "degree")
+
+
+def _header_int(key, val):
+    try:
+        return int(val)
+    except ValueError:
+        raise ValueError(f"{key} = {val!r} is not an integer") from None
+
+
 def load_symbol(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "symbol.v1":
+    """Parse a symbol.v1 document written by dump_symbol.
+
+    Every line is read and every count is checked: a missing, repeated
+    or misplaced header, face or k line, a coefficient row of the wrong
+    length, a block with the wrong number of rows or a mode beyond the
+    header degree raises ValueError.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "symbol.v1":
         raise ValueError("not a symbol.v1 document")
-    header = {}
-    i = 1
-    while i < len(lines) and "=" in lines[i] and not lines[i].startswith("face"):
-        key, val = (part.strip() for part in lines[i].split("=", 1))
-        header[key] = int(val)
-        i += 1
-    rank, rows = header["rank"], header.get("rows", header["rank"])
-    faces = {}
-    current_face, current_k = None, None
-    coeffs = None
-    while i < len(lines):
-        ln = lines[i].strip()
-        if ln.startswith("face"):
-            current_face = ln.split("=", 1)[1].strip()
-            faces[current_face] = {}
-            coeffs = faces[current_face]
-        elif ln.startswith("k"):
-            current_k = int(ln.split("=", 1)[1])
-            coeffs[current_k] = []
+    header, faces = {}, {}
+    face = block = None
+    for ln in lines[1:]:
+        key, eq, val = (part.strip() for part in ln.partition("="))
+        if eq and key in _HEADER:
+            if faces or key in header:
+                raise ValueError(f"misplaced or repeated header {key!r}")
+            header[key] = _header_int(key, val)
+        elif eq and key == "face":
+            missing = [k for k in _HEADER if k not in header]
+            if missing:
+                raise ValueError(f"header lacks {', '.join(missing)}")
+            if val not in ("+", "-") or val in faces:
+                raise ValueError(f"bad or repeated face {val!r}")
+            face = faces[val] = {}
+            block = None
+        elif eq and key == "k":
+            k = _header_int(key, val)
+            if face is None or k in face:
+                raise ValueError(f"k = {k} outside a face or repeated")
+            block = face[k] = []
         else:
             vals = ln.split()
-            row = [complex(float(vals[2 * j]), float(vals[2 * j + 1]))
-                   for j in range(rank)]
-            coeffs[current_k].append(row)
-        i += 1
-    def build(tab):
-        if not tab:
-            return constant_trig(np.zeros((rows, rank)))
-        return TrigPolyMatrix({k: np.array(v, dtype=complex)
-                               for k, v in tab.items()})
-    return CircleSymbol(header["order"], build(faces.get("+", {})),
-                        build(faces.get("-", {})))
+            if block is None or len(vals) != 2 * header["rank"]:
+                raise ValueError(f"misplaced or mis-sized row {ln!r}")
+            re_im = [float(v) for v in vals]
+            block.append([complex(a, b)
+                          for a, b in zip(re_im[::2], re_im[1::2])])
+    if sorted(faces) != ["+", "-"]:
+        raise ValueError("a symbol.v1 document has faces + and -")
+    rank, rows, degree = header["rank"], header["rows"], header["degree"]
+    if min(rank, rows) < 1 or degree < 0:
+        raise ValueError("rank and rows must be positive, degree >= 0")
+    for tab in faces.values():
+        if not tab or max(abs(k) for k in tab) > degree:
+            raise ValueError("face without modes or beyond the degree")
+        if any(len(v) != rows for v in tab.values()):
+            raise ValueError(f"a coefficient block is not {rows} rows")
+    plus, minus = (TrigPolyMatrix({k: np.array(v, dtype=complex)
+                                   for k, v in faces[f].items()})
+                   for f in "+-")
+    return CircleSymbol(header["order"], plus, minus)

@@ -4,6 +4,11 @@ The principal symbol acts on 1-forms as 2 xi xi^T - |xi|^2; its spectrum
 on the theta-twisted Fourier modes is +|k+theta|^2 with multiplicity 1
 and -|k+theta|^2 with multiplicity 2 per lattice point, plus a
 3-dimensional kernel exactly when the twist is trivial.
+
+t3_spectrum enumerates the lattice as arrays, never as per-point tuples:
+the modes k come out of eta._lattice3 in lexicographic order, and a
+stable sort on q = |k+theta|^2 leaves FormSpectrum.points and .values
+ordered by (q, k).
 """
 from __future__ import annotations
 
@@ -12,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicRational
-from .eta import SpectrumModel, _lattice3, eta_closed_form, eta_numeric
+from .eta import (SpectrumModel, _lattice3, _signature_levels,
+                  eta_closed_form, eta_numeric)
 
 __all__ = [
     "TwistCharacter",
@@ -46,16 +52,18 @@ class TwistCharacter:
         return all(t == 0.0 for t in self.components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormSpectrum:
     """Symbol spectrum over the twisted modes inside radius R.
 
-    points holds (k, |k+theta|^2) sorted by (value, k); each point carries
+    points is the (n, 3) int array of modes k and values the float array
+    of their q = |k+theta|^2, both sorted by (q, k); each point carries
     the eigenvalue pair (+q x1, -q x2).  kernel_dim is 0 or 3.
     """
 
     R: float
-    points: tuple
+    points: np.ndarray
+    values: np.ndarray
     kernel_dim: int
     twist: TwistCharacter = TwistCharacter.trivial()
 
@@ -63,19 +71,11 @@ class FormSpectrum:
         if self.kernel_dim not in (0, 3):
             raise ValueError("kernel dimension on the 3-torus is 0 or 3")
 
-    @property
-    def entries(self):
-        out = []
-        for _, q in self.points:
-            out.append((q, 1))
-            out.append((-q, 2))
-        return tuple(out)
-
     def spectrum_model(self):
         # heat traces of this family diverge like t^{-3/4}; tag the model
         # so the extrapolation uses the lattice ladder, not the generic one
-        return SpectrumModel("Lattice3Quadratic", self.entries,
-                             self.kernel_dim,
+        return SpectrumModel("Lattice3Quadratic",
+                             *_signature_levels(self.values), self.kernel_dim,
                              {"theta": self.twist.components, "R": self.R})
 
 
@@ -102,10 +102,10 @@ def t3_spectrum(twist=None, R=1.5):
     K, q = _lattice3(twist.components, R)
     zero = q == 0.0
     K, q = K[~zero], q[~zero]
-    order = np.lexsort((K[:, 2], K[:, 1], K[:, 0], q))
-    pts = tuple(zip(map(tuple, K[order].tolist()), q[order].tolist()))
-    return FormSpectrum(R=float(R), points=pts, kernel_dim=3 * int(zero.sum()),
-                        twist=twist)
+    # K comes in lexicographic order, so a stable sort on q orders by (q, k)
+    order = np.argsort(q, kind="stable")
+    return FormSpectrum(R=float(R), points=K[order], values=q[order],
+                        kernel_dim=3 * int(zero.sum()), twist=twist)
 
 
 @dataclass(frozen=True)

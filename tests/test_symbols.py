@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaforge.core import TrigPolyMatrix, constant_trig
 from etaforge.subspaces import mobius_symbol
@@ -226,3 +227,124 @@ def test_dump_load_roundtrip_exact():
 def test_load_rejects_junk():
     with pytest.raises(ValueError):
         load_symbol("not a symbol\n")
+
+
+_GOOD = """symbol.v1
+rank = 1
+rows = 1
+order = 0
+degree = 1
+face = +
+k = 0
+1.0 0.0
+k = 1
+0.5 -0.25
+face = -
+k = 0
+2.0 0.0
+"""
+
+
+def test_load_reads_a_hand_written_document():
+    sym = load_symbol(_GOOD)
+    assert (sym.order, sym.rows, sym.rank, sym.degree) == (0, 1, 1, 1)
+    assert sym.plus.coeff(1)[0, 0] == 0.5 - 0.25j
+    assert sym.minus.coeff(0)[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("old, new", [
+    ("rank = 1\n", ""),                       # missing rank (was KeyError)
+    ("order = 0\n", ""),                      # missing order (was KeyError)
+    ("rows = 1\n", ""),
+    ("degree = 1\n", ""),
+    ("rank = 1\n", "rank = 1\nrank = 1\n"),
+    ("rank = 1", "rank = one"),
+    ("rank = 1", "rank = 0"),
+    ("degree = 1", "degree = 0"),              # k = 1 beyond the degree
+    ("face = +\nk = 0\n", "face = +\n"),     # row before k (was TypeError)
+    ("face = +\n", ""),                       # k before any face
+    ("1.0 0.0", "1.0"),                        # short row (was IndexError)
+    ("1.0 0.0", "1.0 0.0 3.0 0.0"),            # long row (was truncated)
+    ("1.0 0.0", "1.0 zero"),
+    ("0.5 -0.25\n", ""),                       # empty block
+    ("0.5 -0.25\n", "0.5 -0.25\n0.5 -0.25\n"),  # extra row
+    ("face = -\nk = 0\n2.0 0.0\n", ""),       # missing face (was zero)
+    ("face = -", "face = *"),
+    ("face = -\n", "face = +\n"),
+    ("k = 1", "k = 0"),
+    ("k = 1", "k = x"),
+    ("rank = 1\n", "k = 0\nrank = 1\n"),
+    ("2.0 0.0\n", "2.0 0.0\nrank = 1\n"),
+])
+def test_load_rejects_malformed_documents(old, new):
+    assert old in _GOOD
+    with pytest.raises(ValueError):
+        load_symbol(_GOOD.replace(old, new, 1))
+
+
+def _fuzz_docs():
+    rng = np.random.default_rng(5)
+    rect = CircleSymbol(
+        2, TrigPolyMatrix(rng.standard_normal((5, 2, 3))),
+        TrigPolyMatrix(rng.standard_normal((3, 2, 3))
+                       + 1j * rng.standard_normal((3, 2, 3))))
+    return [dump_symbol(s) for s in (identity_symbol(2), mobius_symbol(),
+                                     CircleSymbol(1, np.eye(1), -np.eye(1)),
+                                     rect)]
+
+
+_DOCS = _fuzz_docs()
+_WORDS = st.text(st.characters(min_codepoint=97, max_codepoint=122),
+                 min_size=1, max_size=6).filter(
+    lambda w: w not in ("nan", "inf", "infinity"))
+_LINES = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                 min_size=1, max_size=20).filter(str.strip)
+
+
+@given(st.sampled_from(_DOCS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_refuses_every_single_line_mutation(doc, data):
+    # dump_symbol writes every header, both faces, k = 0 on each face and
+    # exactly `rows` rows per block, so no single edit of one line leaves
+    # a document that parses: each must raise ValueError, never KeyError,
+    # TypeError or IndexError, and never load as some other symbol
+    lines = doc.splitlines()
+    j = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(
+        ["delete", "repeat", "insert", "drop", "append", "junk"]))
+    toks = lines[j].split()
+    t = data.draw(st.integers(0, len(toks) - 1))
+    if edit == "delete":
+        lines[j:j + 1] = []
+    elif edit == "repeat":
+        lines.insert(j, lines[j])
+    elif edit == "insert":
+        lines.insert(j, data.draw(_LINES))
+    elif edit == "drop":
+        lines[j] = " ".join(toks[:t] + toks[t + 1:])
+    elif edit == "append":
+        lines[j] += " 0.0"
+    else:
+        word = data.draw(_WORDS.filter(lambda w: w != toks[t]))
+        lines[j] = " ".join(toks[:t] + [word] + toks[t + 1:])
+    with pytest.raises(ValueError):
+        load_symbol("\n".join(lines) + "\n")
+
+
+@given(st.sampled_from(_DOCS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_load_of_a_truncated_document(doc, data):
+    cut = data.draw(st.integers(0, len(doc) - 1))
+    minus = doc.index("face = -\n") + len("face = -\n")
+    if cut < minus:
+        # the minus face is not there yet: nothing can parse
+        with pytest.raises(ValueError):
+            load_symbol(doc[:cut])
+        return
+    # past it a cut at a block boundary is a shorter valid document; any
+    # other cut must still fail as ValueError
+    try:
+        sym = load_symbol(doc[:cut])
+    except ValueError:
+        return
+    assert isinstance(sym, CircleSymbol)

@@ -52,8 +52,8 @@ def test_spectrum_counts_untwisted():
     sp = t3_spectrum(R=1.5)
     assert sp.kernel_dim == 3
     assert len(sp.points) == 18
-    values = sorted(q for _, q in sp.points)
-    assert values == [1.0] * 6 + [2.0] * 12
+    assert sp.points.shape == (18, 3)
+    assert sp.values.tolist() == [1.0] * 6 + [2.0] * 12
 
 
 def test_spectrum_counts_half_twist():
@@ -64,19 +64,23 @@ def test_spectrum_counts_half_twist():
 
 def test_spectrum_points_sorted():
     sp = t3_spectrum(R=1.5)
-    keys = [(q, k) for k, q in sp.points]
+    keys = list(zip(sp.values.tolist(), map(tuple, sp.points.tolist())))
     assert keys == sorted(keys)
 
 
 def test_entries_carry_signature_multiplicities():
+    # each point q carries +q with multiplicity 1 and -q with 2
     sp = t3_spectrum(R=1.1)
-    for (q, m1), (mq, m2) in zip(sp.entries[::2], sp.entries[1::2]):
-        assert (m1, m2) == (1, 2) and mq == -q
+    pairs = sp.spectrum_model().pairs
+    qs = sp.values.tolist()
+    assert [p for p in pairs if p[0] > 0] == [(q, 1) for q in qs]
+    assert [p for p in pairs if p[0] < 0] == [(-q, 2) for q in qs]
 
 
 def test_kernel_gate():
     with pytest.raises(ValueError):
-        FormSpectrum(R=1.0, points=(), kernel_dim=1)
+        FormSpectrum(R=1.0, points=np.zeros((0, 3), dtype=np.int64),
+                     values=np.zeros(0), kernel_dim=1)
 
 
 def test_spectrum_model_matches_lattice_enumeration():
@@ -85,7 +89,7 @@ def test_spectrum_model_matches_lattice_enumeration():
     a = t3_spectrum(R=8).spectrum_model()
     b = SpectrumModel.lattice3_quadratic((0.0, 0.0, 0.0), cutoff=8)
     assert a.kernel_dim == b.kernel_dim
-    assert sorted(a.pairs) == sorted(b.pairs)
+    assert np.array_equal(a.lam, b.lam) and np.array_equal(a.mult, b.mult)
 
 
 @pytest.mark.parametrize("theta, eta", [(None, 4.0), ((0.5, 0.0, 0.0), 0.0)])
