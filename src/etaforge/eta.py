@@ -93,7 +93,7 @@ class SpectrumModel:
     def __init__(self, kind, lam, mult, kernel_dim, params):
         if kind not in _EXPONENT_LADDER:
             raise ValueError(f"unknown spectrum kind {kind!r}")
-        lam = np.array(lam, dtype=np.float64)
+        lam = np.asarray(lam, dtype=np.float64)
         mult = np.asarray(mult)
         if lam.ndim != 1 or mult.shape != lam.shape:
             raise ValueError("need one multiplicity per eigenvalue")
@@ -106,14 +106,8 @@ class SpectrumModel:
             raise ValueError("multiplicities must be positive integers")
         if not isinstance(kernel_dim, (int, np.integer)) or kernel_dim < 0:
             raise ValueError("kernel_dim must be a nonnegative integer")
-        a = np.abs(lam)
-        mult = mult.astype(np.int64)
-        # lexsort is stable, so on input already in (|lambda|, lambda)
-        # order, as _signature_levels makes it, it would be the identity
-        if not np.all((a[1:] > a[:-1])
-                      | ((a[1:] == a[:-1]) & (lam[1:] >= lam[:-1]))):
-            order = np.lexsort((lam, a))
-            lam, mult = lam[order], mult[order]
+        order = np.lexsort((lam, np.abs(lam)))
+        lam, mult = lam[order], mult[order].astype(np.int64)
         lam.setflags(write=False)
         mult.setflags(write=False)
         self.kind, self.lam, self.mult = kind, lam, mult
@@ -136,8 +130,9 @@ class SpectrumModel:
             raise ValueError("lattice cutoff below 8 starves the tail")
         theta = tuple(float(t) for t in theta)
         _, q = _lattice3(theta, cutoff)
-        return cls("Lattice3Quadratic", *_signature_levels(q[q > 0.0]),
-                   3 * int((q == 0.0).sum()),
+        pos = q[q > 0.0]
+        return cls("Lattice3Quadratic", np.concatenate([pos, -pos]),
+                   np.repeat([1, 2], pos.size), 3 * int((q == 0.0).sum()),
                    {"theta": theta, "cutoff": cutoff})
 
     @classmethod
@@ -186,18 +181,6 @@ def _lattice3(theta, R):
     q = (x[:, None, None] + y[None, :, None]) + z[None, None, :]
     inside = q <= R * R
     return g[np.argwhere(inside)], q[inside]
-
-
-def _signature_levels(q):
-    """(lam, mult) of the signature family, +q x1 and -q x2 for each q > 0,
-    already in (|lambda|, lambda) order."""
-    s = np.sort(q)
-    # equal q carry equal multiplicities, so a run of c equal values v
-    # becomes -v (x2) c times, then +v (x1) c times, whatever their order
-    run = np.flatnonzero(np.diff(s, prepend=-np.inf, append=np.inf))
-    u, reps = s[run[:-1]], np.repeat(np.diff(run), 2)
-    return (np.repeat(np.column_stack([-u, u]).ravel(), reps),
-            np.repeat(np.tile(np.array([2, 1], dtype=np.int64), u.size), reps))
 
 
 def eta_closed_form(model):

@@ -319,12 +319,17 @@ def load_symbol(text):
 
     Every line is read and every count is checked: a missing, repeated
     or misplaced header, face or k line, a coefficient row of the wrong
-    length, a block with the wrong number of rows or a mode beyond the
-    header degree raises ValueError.
+    length, a block with the wrong number of rows, a mode beyond the
+    header degree or a missing final newline raises ValueError.  The
+    newline keeps a document cut inside its last number from loading as
+    another symbol; a cut between two k blocks still loads, as the
+    symbol without the dropped blocks.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "symbol.v1":
         raise ValueError("not a symbol.v1 document")
+    if not text.endswith("\n"):
+        raise ValueError("a symbol.v1 document ends with a newline")
     header, faces = {}, {}
     face = block = None
     for ln in lines[1:]:

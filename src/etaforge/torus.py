@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicRational
-from .eta import (SpectrumModel, _lattice3, _signature_levels,
-                  eta_closed_form, eta_numeric)
+from .eta import SpectrumModel, _lattice3, eta_closed_form, eta_numeric
 
 __all__ = [
     "TwistCharacter",
@@ -74,8 +73,9 @@ class FormSpectrum:
     def spectrum_model(self):
         # heat traces of this family diverge like t^{-3/4}; tag the model
         # so the extrapolation uses the lattice ladder, not the generic one
-        return SpectrumModel("Lattice3Quadratic",
-                             *_signature_levels(self.values), self.kernel_dim,
+        q = self.values
+        return SpectrumModel("Lattice3Quadratic", np.concatenate([q, -q]),
+                             np.repeat([1, 2], q.size), self.kernel_dim,
                              {"theta": self.twist.components, "R": self.R})
 
 

@@ -449,8 +449,8 @@ def test_explicit_ties_keep_input_order_and_match_the_tuple_model():
     assert m.pairs[:3] == ((-0.5, 2), (0.5, 1), (0.5, 7))
     assert m.eigenvalues() == m.pairs
     _assert_same_model(m, _tuple_sorted(pairs), 2)
-    # input already in order, ties included, skips the sort unchanged;
-    # the model keeps read-only copies, never the caller's arrays
+    # input already in order, ties included, comes back unchanged; the
+    # model keeps read-only copies, never the caller's arrays
     lam = np.array([l for l, _ in m.pairs])
     again = SpectrumModel("ExplicitList", lam, m.mult, 2, {})
     _assert_same_model(again, _tuple_sorted(pairs), 2)

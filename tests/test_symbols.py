@@ -282,18 +282,18 @@ def test_load_rejects_malformed_documents(old, new):
         load_symbol(_GOOD.replace(old, new, 1))
 
 
-def _fuzz_docs():
+def _fuzz_symbols():
     rng = np.random.default_rng(5)
     rect = CircleSymbol(
         2, TrigPolyMatrix(rng.standard_normal((5, 2, 3))),
         TrigPolyMatrix(rng.standard_normal((3, 2, 3))
                        + 1j * rng.standard_normal((3, 2, 3))))
-    return [dump_symbol(s) for s in (identity_symbol(2), mobius_symbol(),
-                                     CircleSymbol(1, np.eye(1), -np.eye(1)),
-                                     rect)]
+    return [identity_symbol(2), mobius_symbol(),
+            CircleSymbol(1, np.eye(1), -np.eye(1)), rect]
 
 
-_DOCS = _fuzz_docs()
+_SYMBOLS = _fuzz_symbols()
+_DOCS = [dump_symbol(s) for s in _SYMBOLS]
 _WORDS = st.text(st.characters(min_codepoint=97, max_codepoint=122),
                  min_size=1, max_size=6).filter(
     lambda w: w not in ("nan", "inf", "infinity"))
@@ -331,20 +331,38 @@ def test_load_refuses_every_single_line_mutation(doc, data):
         load_symbol("\n".join(lines) + "\n")
 
 
-@given(st.sampled_from(_DOCS), st.data())
-@settings(max_examples=150, deadline=None)
-def test_load_of_a_truncated_document(doc, data):
-    cut = data.draw(st.integers(0, len(doc) - 1))
+@pytest.mark.parametrize("i", range(len(_DOCS)))
+def test_load_of_every_truncation(i):
+    sym, doc = _SYMBOLS[i], _DOCS[i]
     minus = doc.index("face = -\n") + len("face = -\n")
-    if cut < minus:
-        # the minus face is not there yet: nothing can parse
-        with pytest.raises(ValueError):
-            load_symbol(doc[:cut])
-        return
-    # past it a cut at a block boundary is a shorter valid document; any
-    # other cut must still fail as ValueError
-    try:
-        sym = load_symbol(doc[:cut])
-    except ValueError:
-        return
-    assert isinstance(sym, CircleSymbol)
+    loaded = 0
+    for cut in range(len(doc)):
+        rest = doc[cut:]
+        if cut <= minus or not (doc[cut - 1] == "\n"
+                                and rest.startswith("k = ")):
+            # before the first k block of the minus face, or not between
+            # two k blocks: nothing may load
+            with pytest.raises(ValueError):
+                load_symbol(doc[:cut])
+            continue
+        # between two k blocks of the minus face: the symbol without the
+        # blocks from the next k on
+        back = load_symbol(doc[:cut])
+        k_next = int(rest.split("\n", 1)[0][len("k = "):])
+        kept = TrigPolyMatrix({k: sym.minus.coeff(k)
+                               for k in range(-sym.minus.degree, k_next)})
+        assert back.order == sym.order
+        assert (back.plus - sym.plus).max_abs() == 0.0
+        assert (back.minus - kept).max_abs() == 0.0
+        loaded += 1
+    assert loaded == doc[minus:].count("k = ") - 1
+
+
+def test_load_refuses_a_document_without_its_final_newline():
+    text = dump_symbol(mobius_symbol())
+    load_symbol(text)
+    with pytest.raises(ValueError):
+        load_symbol(text[:-1])
+    # a cut inside the last number leaves a row of the right length
+    with pytest.raises(ValueError):
+        load_symbol(text[:-2])
