@@ -47,8 +47,9 @@ class ToleranceConfig:
     eta_tol: float = 1e-3
 
     def __post_init__(self):
-        if not (self.rank_tol > 0 and self.eig_tol > 0 and self.eta_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < t < np.inf
+                   for t in (self.rank_tol, self.eig_tol, self.eta_tol)):
+            raise ValueError("tolerances must be finite and strictly positive")
         if not self.rank_tol < 1e-3:
             raise ValueError("rank_tol must be below 1e-3")
 

@@ -214,8 +214,14 @@ _EXP_ZERO = 800.0
 
 
 def _extrapolate3(ts, hs, exponents):
-    V = np.array([[t ** p for p in (0.0,) + tuple(exponents)] for t in ts])
-    return float(np.linalg.solve(V, np.asarray(hs))[0])
+    """E of h(t) = E + a t^p1 + b t^p2 through each consecutive triple of
+    the ladder: one solve over the stack of 3x3 Vandermonde matrices (the
+    same LAPACK routine, matrix by matrix).  The powers are scalar pow, so
+    every row has the bits a per-triple solve would see."""
+    rows = np.array([[t ** p for p in (0.0,) + tuple(exponents)] for t in ts])
+    triples = np.arange(len(ts) - 2)[:, None] + np.arange(3)
+    E = np.linalg.solve(rows[triples], np.asarray(hs)[triples][..., None])
+    return E[:, 0, 0].tolist()
 
 
 def eta_numeric(model):
@@ -255,8 +261,7 @@ def eta_numeric(model):
         e[k:] = 0.0
         hs.append(float(np.sum(w * e)))
     ladder = _EXPONENT_LADDER[model.kind]
-    ext = [_extrapolate3(ts[j:j + 3], hs[j:j + 3], ladder)
-           for j in range(len(ts) - 2)]
+    ext = _extrapolate3(ts, hs, ladder)
     if len(ext) < 2:
         raise EtaConvergenceError("eta not converged: grid too short")
     spreads = [abs(ext[j + 1] - ext[j]) for j in range(len(ext) - 1)]

@@ -461,7 +461,20 @@ def dimension_functional(L, N=16, tol=None, lift_order=0):
     Defined for even subspaces whose symbol lifts; the result must not
     depend on the lift, which is verified against a twisted second lift.
     lift_order forces k artificial doublings.
+
+    Computed once per (N, lift_order, tol) on each subspace: the value is
+    kept in L's memo, next to its realizations; a call that raises keeps
+    nothing.
     """
+    tol = DEFAULT_TOL if tol is None else tol
+    key = (N, lift_order, tol)
+    hit = L._dims.get(key)
+    if hit is not None:
+        return hit
+    return L._dims.setdefault(key, _dimension(L, N, tol, lift_order))
+
+
+def _dimension(L, N, tol, lift_order):
     if L.symbol.parity != "Even":
         raise ParityError("dimension functional needs an even subspace")
     lift = lift_symbol(L)

@@ -11,6 +11,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -67,6 +68,11 @@ class RunConfig:
             raise ValueError("format must be json or csv")
         if any(n < 2 for n in self.moduli):
             raise ValueError("moduli must be >= 2")
+        if len(self.twist) != 3 or not all(map(math.isfinite, self.twist)):
+            raise ValueError("twist needs three finite components")
+        if self.ops_per_n < 1:
+            raise ValueError("ops_per_n must be >= 1")
+        self.tolerances()  # raises ValueError on a bad tolerance
 
     def tolerances(self):
         return ToleranceConfig(
@@ -88,27 +94,45 @@ class RunConfig:
         }
 
 
+def _numbers(kind):
+    return lambda text: tuple(kind(v) for v in text.split(","))
+
+
+# the INI sections and the RunConfig field each key sets, with its parser
+_SECTIONS = {
+    "run": {"command": str, "model": str, "out": str, "format": str,
+            "N": int, "seed": int, "ops_per_n": int, "perturbations": int,
+            "modn_N": int, "moduli": _numbers(int), "twist": _numbers(float)},
+    "tolerances": {"rank_tol": float, "eig_tol": float, "eta_tol": float},
+}
+
+
 def parse_config(path, **overrides):
-    """Read an INI run configuration ([run] and [tolerances] sections)."""
+    """Read an INI run configuration ([run] and [tolerances] sections).
+
+    Everything wrong with the document raises ValueError: text that is not
+    INI, a section or key outside _SECTIONS, a value that does not parse,
+    and a configuration RunConfig refuses.  A missing file raises OSError.
+    """
     cp = configparser.ConfigParser()
     with open(path) as fh:
-        cp.read_file(fh)
+        try:
+            cp.read_file(fh)
+            # dict() reads (and interpolates) every value: errors show here
+            sections = {name: dict(cp[name]) for name in cp.sections()}
+        except configparser.Error as exc:
+            raise ValueError(str(exc)) from exc
+    if cp.defaults():
+        raise ValueError("unknown section [DEFAULT]")
     kw = {}
-    run_sec = cp["run"] if cp.has_section("run") else {}
-    for key in ("command", "model", "out", "format"):
-        if key in run_sec:
-            kw[key] = run_sec[key]
-    for key in ("N", "seed", "ops_per_n", "perturbations", "modn_N"):
-        if key in run_sec:
-            kw[key] = int(run_sec[key])
-    if "moduli" in run_sec:
-        kw["moduli"] = tuple(int(v) for v in run_sec["moduli"].split(","))
-    if "twist" in run_sec:
-        kw["twist"] = tuple(float(v) for v in run_sec["twist"].split(","))
-    if cp.has_section("tolerances"):
-        for key in ("rank_tol", "eig_tol", "eta_tol"):
-            if key in cp["tolerances"]:
-                kw[key] = float(cp["tolerances"][key])
+    for name, values in sections.items():
+        if name not in _SECTIONS:
+            raise ValueError(f"unknown section [{name}]")
+        fields = {cp.optionxform(f): f for f in _SECTIONS[name]}
+        for key, value in values.items():
+            if key not in fields:
+                raise ValueError(f"unknown key {key!r} in [{name}]")
+            kw[fields[key]] = _SECTIONS[name][fields[key]](value)
     kw.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**kw)
 

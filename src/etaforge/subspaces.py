@@ -2,11 +2,14 @@
 
 A subspace is the range of an order-zero projection.  It carries a
 projection-valued symbol (two faces) and a family of exact finite
-projections indexed by the Fourier truncation N.  Realizations are cached
-per N; the cache is append-only and idempotent, so concurrent realize()
-calls are safe: dict.setdefault is atomic, so every caller gets the one
-stored realization.  Face frames are cached by face value (lru_cache on
-_face_frame), so equal faces share one transport; symbols keep no memo.
+projections indexed by the Fourier truncation N.  One cache policy: what
+a subspace computes is kept on the subspace, append-only and idempotent.
+Realizations are cached per N, and the dimension functional d(L) per
+(N, lift_order, tol) in a memo of its own that indexing.dimension_functional
+fills.  Concurrent calls are safe: dict.setdefault is atomic, so every
+caller gets the one stored value.  Face frames are cached by face value
+(lru_cache on _face_frame), so equal faces share one transport; symbols
+keep no memo.
 """
 from __future__ import annotations
 
@@ -159,7 +162,8 @@ class PdoSubspace:
     """A subspace together with its per-N exact projections.
 
     `realizer` maps N to a SubspaceRealization; the default cuts the
-    spectrum of the symmetrized quantization of the symbol.
+    spectrum of the symmetrized quantization of the symbol.  `_dims` holds
+    d(L) by (N, lift_order, tol), apart from the realizations.
     """
 
     def __init__(self, symbol, realizer=None, name=""):
@@ -168,6 +172,7 @@ class PdoSubspace:
         self._realizer = realizer if realizer is not None else \
             (lambda N: _gap_realization(symbol, N))
         self._cache = {}
+        self._dims = {}
 
     @property
     def fiber(self):

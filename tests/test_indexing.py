@@ -12,20 +12,21 @@ from hypothesis import given, settings, strategies as st
 
 import etaforge
 from etaforge import indexing
-from etaforge.core import (DEFAULT_TOL, EllipticityViolation, TrigPolyMatrix,
-                           constant_trig, winding_number)
+from etaforge.core import (DEFAULT_TOL, EllipticityViolation, ToleranceConfig,
+                           TrigPolyMatrix, constant_trig, winding_number)
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
-                               index_formula_report)
+                               dimension_functional, index_formula_report)
 from etaforge.kzn import n_fold
-from etaforge.subspaces import (PdoSubspace, SubspaceSymbol,
+from etaforge.subspaces import (ParityError, PdoSubspace, SubspaceSymbol,
                                 UnstableIndexError, full_subspace,
                                 hardy_subspace, mobius_symbol,
+                                orthocomplement, puncture, trivial_subspace,
                                 two_face_subspace)
-from etaforge.suites import (even_invertible_symbol, haar_unitary,
-                             index_formula_suite, modn_element_suite,
-                             perturbation_terms, phase_diag_loop, rng_for,
-                             toeplitz_operator)
+from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
+                             haar_unitary, index_formula_suite,
+                             modn_element_suite, perturbation_terms,
+                             phase_diag_loop, rng_for, toeplitz_operator)
 from etaforge.symbols import CircleSymbol, identity_symbol
 
 
@@ -198,6 +199,120 @@ def test_report_row_schema():
     assert isinstance(row["ind_D"], int)
     assert isinstance(row["ind_Dtilde"], int)
     assert row["residual"] == "0"
+
+
+# ----------------------------------------------------- d(L) and its memo
+
+
+class _Recomputed(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Recomputed("d(L) was computed again")
+
+
+def _punctured_plane():
+    # d = -1, and the cheapest subspace of the even suite to evaluate
+    return puncture(trivial_subspace(2, 1))
+
+
+def test_d_is_computed_once_per_subspace(monkeypatch):
+    L = _punctured_plane()
+    d = dimension_functional(L)
+    monkeypatch.setattr(indexing, "analytic_index", _refuse)
+    assert dimension_functional(L) == d == -1
+    assert dimension_functional(L, N=16, tol=DEFAULT_TOL, lift_order=0) == d
+
+
+def test_d_memo_key_holds_n_lift_order_and_tol(monkeypatch):
+    L = _punctured_plane()
+    d = dimension_functional(L)
+    monkeypatch.setattr(indexing, "analytic_index", _refuse)
+    assert dimension_functional(L) == d
+    for kw in ({"N": 20}, {"lift_order": 1},
+               {"tol": ToleranceConfig(rank_tol=1e-9)}):
+        with pytest.raises(_Recomputed):
+            dimension_functional(L, **kw)
+    # a fresh subspace with the same symbol shares nothing
+    with pytest.raises(_Recomputed):
+        dimension_functional(_punctured_plane())
+
+
+@pytest.mark.parametrize("exc", [ArithmeticError, UnstableIndexError,
+                                 EllipticityViolation])
+def test_d_that_raises_stores_nothing(monkeypatch, exc):
+    L = _punctured_plane()
+    calls = []
+
+    def once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise exc("first call refused")
+        return d_once(*args)
+
+    d_once = indexing._d_once
+    monkeypatch.setattr(indexing, "_d_once", once)
+    with pytest.raises(exc):
+        dimension_functional(L)
+    assert L._dims == {}
+    assert dimension_functional(L) == -1
+    assert list(L._dims.values()) == [-1]
+
+
+def test_d_of_an_odd_subspace_stores_nothing():
+    L = hardy_subspace()
+    with pytest.raises(ParityError):
+        dimension_functional(L)
+    assert L._dims == {}
+
+
+def test_d_memo_tol_none_and_default_tol_share_an_entry():
+    L = _punctured_plane()
+    d = dimension_functional(L)
+    assert dimension_functional(L, tol=DEFAULT_TOL) is d
+    assert dimension_functional(L, tol=ToleranceConfig()) is d
+    assert list(L._dims) == [(16, 0, DEFAULT_TOL)]
+
+
+def test_realized_truncations_are_ints_after_d():
+    # the memo lives apart from the realizations: realized_truncations()
+    # is still a sorted tuple of the realized Ns only
+    L = _punctured_plane()
+    dimension_functional(L)
+    dimension_functional(L, N=20)
+    got = L.realized_truncations()
+    assert len(L._dims) == 2
+    assert got and got == tuple(sorted(got))
+    assert all(type(N) is int for N in got)
+
+
+@pytest.fixture(scope="module")
+def even_suite():
+    return dict(even_subspace_suite(1914))
+
+
+@pytest.mark.parametrize("a, b", [
+    ("mobius", "punctured_plane"),
+    ("trivial_plane", "conjugated_1"),
+    ("conjugated_0", "punctured_plane"),
+    ("conjugated_0", "conjugated_1"),
+    ("punctured_plane", "punctured_plane"),
+    ("mobius", "mobius_sum"),
+])
+def test_d_is_additive_under_direct_sums(even_suite, a, b):
+    L, M = even_suite[a], even_suite[b]
+    assert dimension_functional(L.direct_sum(M)) == \
+        dimension_functional(L) + dimension_functional(M)
+
+
+@pytest.mark.parametrize("name", ["mobius", "trivial_plane", "conjugated_0",
+                                  "conjugated_1", "punctured_plane",
+                                  "mobius_sum"])
+def test_d_of_a_complement_is_minus_d(even_suite, name):
+    L = even_suite[name]
+    assert dimension_functional(L) + \
+        dimension_functional(orthocomplement(L)) == 0
 
 
 # --------------------------------------------------------------- antipodal

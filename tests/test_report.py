@@ -5,6 +5,7 @@ import shutil
 import subprocess
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etaforge.cli import main
 from etaforge.core import DEFAULT_TOL
@@ -36,6 +37,13 @@ def test_defaults_are_valid():
     {"N": 8},                      # circle runs need N >= 16
     {"format": "yaml"},
     {"moduli": (1, 2)},
+    {"twist": (0.1, 0.2)},
+    {"twist": (0.1, 0.2, 0.3, 0.4)},
+    {"twist": (0.1, float("nan"), 0.0)},
+    {"rank_tol": -1.0},
+    {"eta_tol": 0.0},
+    {"eig_tol": float("inf")},
+    {"ops_per_n": 0},
 ])
 def test_invalid_configs_rejected(kw):
     with pytest.raises(ValueError):
@@ -65,6 +73,96 @@ def test_parse_config_ini(tmp_path):
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(OSError):
         parse_config(tmp_path / "nope.ini")
+
+
+_GOOD_INI = """[run]
+command = eta
+model = s1
+N = 20
+moduli = 2,3
+twist = 0.5,0.25,0.0
+seed = 7
+out = out
+format = json
+ops_per_n = 4
+perturbations = 5
+modn_N = 12
+
+[tolerances]
+rank_tol = 1e-9
+eig_tol = 1e-10
+eta_tol = 1e-4
+"""
+
+
+def test_parse_config_reads_every_key(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text(_GOOD_INI)
+    cfg = parse_config(ini)
+    assert cfg.as_dict() == {
+        "command": "eta", "model": "s1", "N": 20, "moduli": [2, 3],
+        "twist": [0.5, 0.25, 0.0], "rank_tol": 1e-9, "eig_tol": 1e-10,
+        "eta_tol": 1e-4, "seed": 7, "ops_per_n": 4, "perturbations": 5,
+        "modn_N": 12}
+    assert cfg.out == "out" and cfg.format == "json"
+
+
+@pytest.mark.parametrize("text", [
+    "seed = 3\n",                                 # no section header
+    "[run]\nseeed = 3\n",                          # a typo of a key
+    "[runn]\nseed = 3\n",                          # a typo of a section
+    "[DEFAULT]\nseed = 3\n[run]\n",
+    "[run]\nseed = 3\nseed = 4\n",
+    "[run]\n[run]\n",
+    "[run]\nout = 100%\n",                         # bad interpolation
+    "[run]\nseed\n",
+    "[run]\ntwist = 0.1,0.2\n",
+    "[run]\ntwist = 0.1,0.2,inf\n",
+    "[run]\nmoduli = 2,,3\n",
+    "[run]\nops_per_n = 0\n",
+    "[tolerances]\nrank_tol = -1\n",
+    "[tolerances]\neta_tol = nan\n",
+])
+def test_cli_bad_config_is_usage_error(tmp_path, capsys, text):
+    # a configuration the run cannot use is refused before the run (2):
+    # never a failed check (1) or a crash (3)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    code = main(["eta", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_INI_LINES = st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                     min_size=1, max_size=20)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_config_single_line_edits(tmp_path_factory, data):
+    # one edited line either leaves a configuration RunConfig accepts or
+    # raises ValueError: never KeyError, TypeError or a configparser error
+    lines = _GOOD_INI.splitlines()
+    j = data.draw(st.integers(0, len(lines) - 1))
+    edit = data.draw(st.sampled_from(["delete", "repeat", "insert", "junk"]))
+    if edit == "delete":
+        lines[j:j + 1] = []
+    elif edit == "repeat":
+        lines.insert(j, lines[j])
+    elif edit == "insert":
+        lines.insert(j, data.draw(_INI_LINES))
+    else:
+        toks = lines[j].split() or [""]
+        t = data.draw(st.integers(0, len(toks) - 1))
+        toks[t] = data.draw(_INI_LINES)
+        lines[j] = " ".join(toks)
+    ini = tmp_path_factory.mktemp("fuzz") / "run.ini"
+    ini.write_text("\n".join(lines) + "\n")
+    try:
+        assert isinstance(parse_config(ini), RunConfig)
+    except ValueError:
+        pass
 
 
 # --------------------------------------------------------------- reports
