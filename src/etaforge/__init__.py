@@ -5,10 +5,9 @@ theory, with a small T^3 signature-family cross-check.
 
 __version__ = "0.1.0"
 
-from .core import (DEFAULT_TOL, EllipticityViolation, ToleranceConfig,
-                   TrigFitError, TrigPolyMatrix, constant_trig,
-                   fit_trig_poly, polar_unitary, stable_rank, trig_block,
-                   trig_blockdiag, winding_number)
+from .core import (EllipticityViolation, TrigFitError, TrigPolyMatrix,
+                   constant_trig, fit_trig_poly, polar_unitary, stable_rank,
+                   trig_block, trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
 from .symbols import (CircleSymbol, FullSymbol, TruncatedOperator,
                       antipodal_pullback, classify_parity, dump_symbol,

@@ -6,13 +6,9 @@ their linear algebra through these entry points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOL",
     "TrigPolyMatrix",
     "stable_rank",
     "winding_number",
@@ -33,38 +29,20 @@ class TrigFitError(ValueError):
     """A sampled family refused to be a trigonometric polynomial."""
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical policy shared across the package.
-
-    rank_tol governs rank decisions and ellipticity thresholds, eig_tol
-    governs eigendecomposition residuals and projection checks, eta_tol
-    is the acceptance tolerance for heat-extrapolated eta values.
-    """
-
-    rank_tol: float = 1e-8
-    eig_tol: float = 1e-10
-    eta_tol: float = 1e-3
-
-    def __post_init__(self):
-        if not all(0 < t < np.inf
-                   for t in (self.rank_tol, self.eig_tol, self.eta_tol)):
-            raise ValueError("tolerances must be finite and strictly positive")
-        if not self.rank_tol < 1e-3:
-            raise ValueError("rank_tol must be below 1e-3")
-
-
-DEFAULT_TOL = ToleranceConfig()
+# The rank cut: a singular value counts when it exceeds _RANK_TOL times the
+# largest one (the index kernel, conjugate_subspace, stable_rank), and a
+# restricted symbol is elliptic when its smallest singular value exceeds it.
+_RANK_TOL = 1e-8
 
 
 def stable_rank(M):
-    """Number of singular values above 1e-8 times the largest one."""
+    """Number of singular values above _RANK_TOL times the largest one."""
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
     smax = s[0] if s.size and s[0] > 0 else 1.0
-    return int(np.sum(s > 1e-8 * smax))
+    return int(np.sum(s > _RANK_TOL * smax))
 
 
 class TrigPolyMatrix:

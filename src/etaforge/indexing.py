@@ -20,7 +20,7 @@ other mode-local pairs are assembled mode by mode.  Any other realization
 section is B2* A B1.
 
 Near-null vectors.  A dense section goes through a full SVD, and the rank
-cut is rank_tol * smax.  A sliced section is solved banded instead: the
+cut is _RANK_TOL * smax.  A sliced section is solved banded instead: the
 shifted Gram matrix T*T + mu^2 I (mu = 1e-6 smax) is block tridiagonal
 and is factored by block Cholesky, and block inverse iteration finds the
 singular vectors below 100 mu.  The cut is made on the singular values of
@@ -38,12 +38,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, EllipticityViolation, fit_trig_poly
+from .core import _RANK_TOL, EllipticityViolation, fit_trig_poly
 from .dyadic import DyadicRational
 from .subspaces import (_SCALES, ParityError, PdoSubspace, SubspaceRealization,
                         UnstableIndexError, full_subspace, lift_symbol)
-from .symbols import (CircleSymbol, FullSymbol, _range_basis, ellipticity_check,
-                      mode_labels, quantize)
+from .symbols import (CircleSymbol, FullSymbol, _range_basis, _symbols_agree,
+                      ellipticity_check, mode_labels, quantize)
 
 __all__ = [
     "SubspaceOperator",
@@ -79,10 +79,9 @@ class SubspaceOperator:
     def full_matrix(self, N):
         return quantize(self.symbol, N).matrix
 
-    def is_elliptic(self, tol=None):
-        tol = DEFAULT_TOL if tol is None else tol
+    def is_elliptic(self):
         return ellipticity_check(self.principal, self.source.symbol,
-                                 self.target.symbol, tol.rank_tol)
+                                 self.target.symbol)
 
     def with_lower_order(self, *terms):
         """Same operator with extra asymptotic terms appended."""
@@ -91,9 +90,7 @@ class SubspaceOperator:
 
     def compose(self, other):
         """self after other (principal symbols compose; expansions drop)."""
-        gap = max((self.source.symbol.plus - other.target.symbol.plus).max_abs(),
-                  (self.source.symbol.minus - other.target.symbol.minus).max_abs())
-        if gap > 1e-8:
+        if not _symbols_agree(self.source.symbol, other.target.symbol):
             raise ValueError("composition needs matching middle subspaces")
         return SubspaceOperator(self.principal @ other.principal,
                                 other.source, self.target,
@@ -137,12 +134,12 @@ def _bulk_count(V, inner):
     return int((np.linalg.eigvalsh(W.conj().T @ W) > 0.25).sum())
 
 
-def _dense_near_null(T, rank_tol):
+def _dense_near_null(T):
     """Kernel and cokernel of T from a full SVD: the singular vectors past
-    the rank r = #{s > rank_tol * smax}."""
+    the rank r = #{s > _RANK_TOL * smax}."""
     u, s, vh = np.linalg.svd(T)
     smax = float(s[0]) if s.size else 0.0
-    r = int((s > rank_tol * smax).sum()) if smax > 0 else 0
+    r = int((s > _RANK_TOL * smax).sum()) if smax > 0 else 0
     return vh.conj().T[:, r:], u[:, r:]
 
 
@@ -266,12 +263,12 @@ class _BandedGram:
         return None
 
 
-def _banded_near_null(T, row_modes, col_modes, d, rank_tol):
+def _banded_near_null(T, row_modes, col_modes, d):
     """Kernel and cokernel of a sliced section T, or None to hand the call
     to the dense SVD.
 
     smax lies between a power-iteration lower bound and a Gershgorin upper
-    bound, so the rank cut rank_tol * smax lies in [cut_lo, cut_hi].  The
+    bound, so the rank cut _RANK_TOL * smax lies in [cut_lo, cut_hi].  The
     count below it is certain when no Ritz value of T or T* lies within
     _MARGIN of that bracket and both sides agree on the rank.
     """
@@ -285,7 +282,7 @@ def _banded_near_null(T, row_modes, col_modes, d, rank_tol):
     lo = cols.lower_bound()
     hi = np.sqrt(min(cols.upper_bound(), rows.upper_bound()))
     mu = _SHIFT * lo
-    cut_lo, cut_hi = rank_tol * lo, rank_tol * hi
+    cut_lo, cut_hi = _RANK_TOL * lo, _RANK_TOL * hi
     if _MARGIN * cut_hi > mu:  # bracket too wide for the shift
         return None
     try:
@@ -322,7 +319,7 @@ def _mode_order(real):
                       kind="stable")
 
 
-def _filtered_index_once(op, N, tol):
+def _filtered_index_once(op, N):
     """The bulk-filtered index at one truncation: compress, take the
     near-null vectors on both sides (banded solve or dense SVD), count
     those in the bulk."""
@@ -345,33 +342,30 @@ def _filtered_index_once(op, N, tol):
         else:
             T = _local_section(A, src.basis[:, o1], m1, op.source.fiber,
                                tgt.basis[:, o2], m2, op.target.fiber, d)
-        near = _banded_near_null(T, m2, m1, d, tol.rank_tol)
-        ker, coker = near if near is not None else \
-            _dense_near_null(T, tol.rank_tol)
+        near = _banded_near_null(T, m2, m1, d)
+        ker, coker = near if near is not None else _dense_near_null(T)
     else:
         B1, B2 = src.basis, tgt.basis
         inner1 = mode_labels(N, op.source.fiber) <= N // 2
         inner2 = mode_labels(N, op.target.fiber) <= N // 2
         if B1.shape[1] == 0 or B2.shape[1] == 0:
             return _bulk_count(B1, inner1) - _bulk_count(B2, inner2)
-        ker, coker = _dense_near_null(
-            B2.conj().T @ op.full_matrix(N) @ B1, tol.rank_tol)
+        ker, coker = _dense_near_null(B2.conj().T @ op.full_matrix(N) @ B1)
         ker, coker = B1 @ ker, B2 @ coker
     return _bulk_count(ker, inner1) - _bulk_count(coker, inner2)
 
 
-def analytic_index(op, N=16, scales=_SCALES, tol=None):
+def analytic_index(op, N=16, scales=_SCALES):
     """Stabilized index of an elliptic operator in subspaces.
 
     Raises EllipticityViolation if the symbol is not invertible between
     the subspace bundles, UnstableIndexError if the three truncation
     scales disagree.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    if not op.is_elliptic(tol):
+    if not op.is_elliptic():
         raise EllipticityViolation(
             "symbol does not restrict to an isomorphism of the subspaces")
-    vals = [_filtered_index_once(op, N * s, tol) for s in scales]
+    vals = [_filtered_index_once(op, N * s) for s in scales]
     if len(set(vals)) != 1:
         raise UnstableIndexError(f"analytic index did not stabilize: {vals}")
     return vals[0]
@@ -444,17 +438,17 @@ def _twist_symbol(q):
     return CircleSymbol(0, face, face, name="twist")
 
 
-def _d_once(sigma, L, N, tol, lift_order):
+def _d_once(sigma, L, N, lift_order):
     op = SubspaceOperator(sigma, L, full_subspace(sigma.rows))
     for _ in range(lift_order):
         op = op.direct_sum(op)
-    ind = analytic_index(op, N=N, tol=tol)
-    ind_dbl = analytic_index(build_parity_double(op), N=N, tol=tol)
+    ind = analytic_index(op, N=N)
+    ind_dbl = analytic_index(build_parity_double(op), N=N)
     return DyadicRational(ind, lift_order) \
         - DyadicRational(ind_dbl, lift_order + 1)
 
 
-def dimension_functional(L, N=16, tol=None, lift_order=0):
+def dimension_functional(L, N=16, lift_order=0):
     """d(L) = 2^{-k}(ind of the lifted trivializer - half the index of its
     parity double), an exact dyadic rational.
 
@@ -462,53 +456,58 @@ def dimension_functional(L, N=16, tol=None, lift_order=0):
     depend on the lift, which is verified against a twisted second lift.
     lift_order forces k artificial doublings.
 
-    Computed once per (N, lift_order, tol) on each subspace: the value is
-    kept in L's memo, next to its realizations; a call that raises keeps
+    Computed once per (N, lift_order) on each subspace: the value is kept
+    in L's memo, next to its realizations; a call that raises keeps
     nothing.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    key = (N, lift_order, tol)
+    key = (N, lift_order)
     hit = L._dims.get(key)
     if hit is not None:
         return hit
-    return L._dims.setdefault(key, _dimension(L, N, tol, lift_order))
+    return L._dims.setdefault(key, _dimension(L, N, lift_order))
 
 
-def _dimension(L, N, tol, lift_order):
+def _dimension(L, N, lift_order):
     if L.symbol.parity != "Even":
         raise ParityError("dimension functional needs an even subspace")
     lift = lift_symbol(L)
     if lift.f_rank == 0:
         return DyadicRational.from_integer(0)
-    # quantization needs N > 2 * degree; the twisted lift adds one degree
-    N = max(N, 2 * (lift.sigma.degree + L.symbol.degree + 1) + 1)
-    d = _d_once(lift.sigma, L, N, tol, lift_order)
+    # the twisted lift adds one degree
+    N = _fitting_n(N, lift.sigma.degree + L.symbol.degree + 1)
+    d = _d_once(lift.sigma, L, N, lift_order)
     if d.exponent > lift_order + 1:
         raise ArithmeticError("dyadic exponent exceeds the lift-order bound")
     twisted = _twist_symbol(lift.f_rank) @ lift.sigma
-    d2 = _d_once(twisted, L, N, tol, lift_order)
+    d2 = _d_once(twisted, L, N, lift_order)
     if d2 != d:
         raise ArithmeticError(
             f"dimension functional is lift-dependent: {d} vs {d2}")
     return d
 
 
+def _fitting_n(N, degree):
+    """Smallest truncation >= N that quantizes a symbol of this degree
+    (quantization needs N > 2 * degree)."""
+    return max(N, 2 * degree + 1)
+
+
 def _fitting_truncation(op, N):
     """Smallest truncation >= N that quantizes op and its parity double."""
     terms = op.symbol.terms + build_parity_double(op).symbol.terms
-    return max(N, 2 * max(t.degree for t in terms) + 1)
+    return _fitting_n(N, max(t.degree for t in terms))
 
 
-def index_formula_report(op, example_id, N=16, tol=None):
+def index_formula_report(op, example_id, N=16):
     """One defect-formula evaluation as a flat JSON-ready row; its
     "residual" ind D - (1/2) ind double(D) - d(L1) + d(L2) is an exact
     dyadic rational that the defect formula asserts is zero.  N must fit
     op and its parity double (see _fitting_truncation)."""
-    ind_d = analytic_index(op, N=N, tol=tol)
+    ind_d = analytic_index(op, N=N)
     dbl = build_parity_double(op)
-    ind_dbl = analytic_index(dbl, N=N, tol=tol)
-    d1 = dimension_functional(op.source, N=N, tol=tol)
-    d2 = dimension_functional(op.target, N=N, tol=tol)
+    ind_dbl = analytic_index(dbl, N=N)
+    d1 = dimension_functional(op.source, N=N)
+    d2 = dimension_functional(op.target, N=N)
     half = DyadicRational(1, 1)
     resid = (DyadicRational.from_integer(ind_d)
              - half * DyadicRational.from_integer(ind_dbl) - d1 + d2)

@@ -25,7 +25,8 @@ from .dyadic import DyadicRational
 from .indexing import SubspaceOperator, analytic_index, antipodal_subspace
 from .subspaces import (face_frames, full_subspace, lift_symbol,
                         orthocomplement, zero_subspace)
-from .symbols import CircleSymbol, antipodal_pullback, identity_symbol
+from .symbols import (CircleSymbol, _symbols_agree, antipodal_pullback,
+                      identity_symbol)
 
 __all__ = [
     "KClassZn",
@@ -175,9 +176,7 @@ class EllZnElement:
         if space.fiber != self.n * sum(b.fiber for b in bases):
             raise ValueError("bases do not tile the operator's subspace")
         model = _chain_direct_sum([n_fold(b, self.n) for b in bases])
-        gap = max((space.symbol.plus - model.symbol.plus).max_abs(),
-                  (space.symbol.minus - model.symbol.minus).max_abs())
-        if gap > 1e-8:
+        if not _symbols_agree(space.symbol, model.symbol):
             raise ValueError("subspace symbol is not the n-fold of its bases")
 
     def __repr__(self):
@@ -234,8 +233,8 @@ def difference_construction_zn(el):
     return KClassZn(el.n, 0, winding_datum(el))
 
 
-def mod_n_analytic_index(el, N=12, tol=None):
-    return analytic_index(el.operator, N=N, tol=tol) % el.n
+def mod_n_analytic_index(el, N=12):
+    return analytic_index(el.operator, N=N) % el.n
 
 
 @lru_cache(maxsize=None)
@@ -374,12 +373,13 @@ class RowDecomposition:
     projector: CircleSymbol
 
 
-def inverse_row_decomposition(L, check_tol=1e-10):
+def inverse_row_decomposition(L):
     """Split the identity through L and its orthocomplement.
 
     sigma1 and sigma2 are the lift trivializers of L and of its
     complement.  The stacked symbol is inverted pointwise and refitted,
-    and the four two-sided identities are verified before returning.
+    and the four two-sided identities are verified to 1e-10 before
+    returning.
     """
     s1 = lift_symbol(L).sigma
     s2 = lift_symbol(orthocomplement(L)).sigma
@@ -419,9 +419,9 @@ def inverse_row_decomposition(L, check_tol=1e-10):
                                  cols[jj].face(sign)(xs))
                 want = np.eye(rows[i].rows) if i == jj else \
                     np.zeros((rows[i].rows, cols[jj].rank))
-                if np.abs(prod - want).max() > check_tol:
+                if np.abs(prod - want).max() > 1e-10:
                     raise ArithmeticError("row/column identities failed")
-        if np.abs(resolution - np.eye(r)).max() > check_tol:
+        if np.abs(resolution - np.eye(r)).max() > 1e-10:
             raise ArithmeticError("resolution of the identity failed")
 
     proj = CircleSymbol(0, sigma_c1.plus @ rows[0].plus,

@@ -16,11 +16,11 @@ import os
 from dataclasses import dataclass, field
 
 from . import __version__
-from .core import DEFAULT_TOL, ToleranceConfig, winding_number
+from .core import winding_number
 from .dyadic import DyadicRational
 from .eta import (SpectrumModel, eta_closed_form, eta_numeric,
                   mode_zero_crossing_family)
-from .indexing import (_fitting_truncation, analytic_index,
+from .indexing import (_fitting_n, _fitting_truncation, analytic_index,
                        dimension_functional, index_formula_report)
 from .kzn import (difference_construction_zn, direct_image_s1,
                   fractional_eta_topological, gamma_trivialization,
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 COMMANDS = ("eta", "index", "modn", "fractional", "verify-all")
+_ETA_BAND = 1e-3  # an s1 eta row passes when |numeric - closed| <= _ETA_BAND
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,10 @@ class RunConfig:
     N: int = 16
     moduli: tuple = (2, 3, 4, 8)
     twist: tuple = (0.0, 0.0, 0.0)
-    rank_tol: float = None
-    eig_tol: float = None
-    eta_tol: float = None
     seed: int = 1914
     out: str = "etaforge_out"
     format: str = "json"
     ops_per_n: int = 4
-    perturbations: int = 5
     modn_N: int = 12
 
     def __post_init__(self):
@@ -72,25 +69,13 @@ class RunConfig:
             raise ValueError("twist needs three finite components")
         if self.ops_per_n < 1:
             raise ValueError("ops_per_n must be >= 1")
-        self.tolerances()  # raises ValueError on a bad tolerance
-
-    def tolerances(self):
-        return ToleranceConfig(
-            rank_tol=self.rank_tol if self.rank_tol is not None
-            else DEFAULT_TOL.rank_tol,
-            eig_tol=self.eig_tol if self.eig_tol is not None
-            else DEFAULT_TOL.eig_tol,
-            eta_tol=self.eta_tol if self.eta_tol is not None
-            else DEFAULT_TOL.eta_tol)
 
     def as_dict(self):
         return {
             "command": self.command, "model": self.model, "N": self.N,
             "moduli": list(self.moduli), "twist": list(self.twist),
-            "rank_tol": self.rank_tol, "eig_tol": self.eig_tol,
-            "eta_tol": self.eta_tol, "seed": self.seed,
-            "ops_per_n": self.ops_per_n,
-            "perturbations": self.perturbations, "modn_N": self.modn_N,
+            "seed": self.seed, "ops_per_n": self.ops_per_n,
+            "modn_N": self.modn_N,
         }
 
 
@@ -101,14 +86,13 @@ def _numbers(kind):
 # the INI sections and the RunConfig field each key sets, with its parser
 _SECTIONS = {
     "run": {"command": str, "model": str, "out": str, "format": str,
-            "N": int, "seed": int, "ops_per_n": int, "perturbations": int,
-            "modn_N": int, "moduli": _numbers(int), "twist": _numbers(float)},
-    "tolerances": {"rank_tol": float, "eig_tol": float, "eta_tol": float},
+            "N": int, "seed": int, "ops_per_n": int, "modn_N": int,
+            "moduli": _numbers(int), "twist": _numbers(float)},
 }
 
 
 def parse_config(path, **overrides):
-    """Read an INI run configuration ([run] and [tolerances] sections).
+    """Read an INI run configuration (one [run] section).
 
     Everything wrong with the document raises ValueError: text that is not
     INI, a section or key outside _SECTIONS, a value that does not parse,
@@ -169,7 +153,7 @@ def _row(module, check, paper_ref, lhs, rhs, ok):
 # check families
 # ---------------------------------------------------------------------------
 
-def _eta_rows(cfg, tol):
+def _eta_rows(cfg):
     rows = []
     if cfg.model == "t3":
         g = gilkey_eta(TwistCharacter(cfg.twist))
@@ -184,7 +168,7 @@ def _eta_rows(cfg, tol):
         model = SpectrumModel.arithmetic_progression(theta)
         num = eta_numeric(model)
         closed = eta_closed_form(model)
-        ok = abs(num.value - closed.value) <= tol.eta_tol
+        ok = abs(num.value - closed.value) <= _ETA_BAND
         rows.append(_row("eta", f"ap_theta_{theta}", "eta.progression",
                          num.value, closed.value, ok))
     family = mode_zero_crossing_family()
@@ -205,27 +189,35 @@ def _eta_rows(cfg, tol):
     return rows
 
 
-def _index_rows(cfg, tol):
+def _index_rows(cfg):
     rows = []
     for k in range(-3, 4):
-        ind = analytic_index(suites.toeplitz_operator(k), N=max(cfg.N, 32),
-                             tol=tol)
+        ind = analytic_index(suites.toeplitz_operator(k), N=max(cfg.N, 32))
         rows.append(_row("index", f"toeplitz_k{k}", "index.compression",
                          ind, -k, ind == -k))
     hardy = hardy_subspace()
     for k in range(0, 6):
-        got = relative_index(hardy, hardy_subspace(k), N=cfg.N, tol=tol)
+        got = relative_index(hardy, hardy_subspace(k), N=cfg.N)
         rows.append(_row("index", f"relative_shift{k}", "index.relative",
                          got, k, got == k))
     for example_id, op in suites.index_formula_suite(cfg.seed):
         rep = index_formula_report(op, example_id,
-                                   N=_fitting_truncation(op, cfg.N), tol=tol)
+                                   N=_fitting_truncation(op, cfg.N))
         rows.append(_row("index", f"residual_{example_id}", "index.defect",
                          rep["residual"], "0", rep["residual"] == "0"))
     return rows
 
 
-def _modn_rows(cfg, tol):
+def _modn_index(el, N):
+    """The mod-n index at N, raised to fit the operator's terms and its
+    source and target subspace symbols (as _index_rows raises its N)."""
+    op = el.operator
+    symbols = (*op.symbol.terms, op.source.symbol, op.target.symbol)
+    return mod_n_analytic_index(
+        el, N=_fitting_n(N, max(s.degree for s in symbols)))
+
+
+def _modn_rows(cfg):
     rows = []
     for n in cfg.moduli:
         winds = sorted({winding_number(g)
@@ -233,25 +225,23 @@ def _modn_rows(cfg, tol):
         rows.append(_row("modn", f"gamma_windings_n{n}", "kzn.moore",
                          str(winds), str([n]), winds == [n]))
         suite = suites.modn_element_suite(cfg.seed, n, count=cfg.ops_per_n)
-        indices = [mod_n_analytic_index(el, N=cfg.modn_N, tol=tol)
-                   for _, el in suite]
+        indices = [_modn_index(el, cfg.modn_N) for _, el in suite]
         for (example_id, el), ind in zip(suite, indices):
             rhs = direct_image_s1(difference_construction_zn(el))
             rows.append(_row("modn", f"theorem_{example_id}", "kzn.theorem",
                              ind, rhs, ind == rhs))
         # before is the theorem row's lhs of suite[0]; only after is new
         before = indices[0]
-        after = mod_n_analytic_index(normal_form(suite[0][1]),
-                                     N=cfg.modn_N, tol=tol)
+        after = _modn_index(normal_form(suite[0][1]), cfg.modn_N)
         rows.append(_row("modn", f"normal_form_n{n}", "kzn.normal-form",
                          after, before, after == before))
     return rows
 
 
-def _fractional_rows(cfg, tol):
+def _fractional_rows(cfg):
     rows = []
     for name, L in suites.even_subspace_suite(cfg.seed):
-        d = dimension_functional(L, N=cfg.N, tol=tol)
+        d = dimension_functional(L, N=cfg.N)
         top = fractional_eta_topological(L)
         rows.append(_row("fractional", f"match_{name}", "kzn.fractional",
                          str(top), str(d.fractional_part()),
@@ -274,8 +264,7 @@ _FAMILIES = {
 
 def run(cfg):
     """Execute the configured checks and assemble the sorted report."""
-    tol = cfg.tolerances()
-    rows = [r for b in _FAMILIES[cfg.command] for r in b(cfg, tol)]
+    rows = [r for b in _FAMILIES[cfg.command] for r in b(cfg)]
     rows.sort(key=lambda r: (r["module"], r["check"]))
     meta = {"version": __version__, "seed": cfg.seed,
             "config": cfg.as_dict()}

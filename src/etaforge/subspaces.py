@@ -5,7 +5,7 @@ projection-valued symbol (two faces) and a family of exact finite
 projections indexed by the Fourier truncation N.  One cache policy: what
 a subspace computes is kept on the subspace, append-only and idempotent.
 Realizations are cached per N, and the dimension functional d(L) per
-(N, lift_order, tol) in a memo of its own that indexing.dimension_functional
+(N, lift_order) in a memo of its own that indexing.dimension_functional
 fills.  Concurrent calls are safe: dict.setdefault is atomic, so every
 caller gets the one stored value.  Face frames are cached by face value
 (lru_cache on _face_frame), so equal faces share one transport; symbols
@@ -19,14 +19,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
+from .core import (_RANK_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
                    fit_trig_poly, polar_unitary)
 from .symbols import (CircleSymbol, TruncatedOperator,
-                      _check_projection_faces, _range_basis, classify_parity,
-                      ellipticity_check, quantize)
+                      _check_projection_faces, _range_basis, _symbols_agree,
+                      classify_parity, ellipticity_check, quantize)
 
 _SCALES = (1, 2, 3)  # an index is accepted when it agrees at every N * s
 _FRAME_TOL = 1e-8  # closure and fit bound of a transported face frame
+_ZERO_BAND = 1e-10  # spectral_subspace: |eigenvalue| <= _ZERO_BAND * scale
 
 __all__ = [
     "ParityError",
@@ -78,7 +79,7 @@ class SubspaceSymbol(CircleSymbol):
         super().__init__(0, plus, plus if minus is None else minus, name=name)
         if validate:
             _check_projection_faces(
-                self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False), 1e-7)
+                self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
 
     @property
     def parity(self):
@@ -163,7 +164,7 @@ class PdoSubspace:
 
     `realizer` maps N to a SubspaceRealization; the default cuts the
     spectrum of the symmetrized quantization of the symbol.  `_dims` holds
-    d(L) by (N, lift_order, tol), apart from the realizations.
+    d(L) by (N, lift_order), apart from the realizations.
     """
 
     def __init__(self, symbol, realizer=None, name=""):
@@ -196,9 +197,6 @@ class PdoSubspace:
 
     def rank(self, N):
         return self.realize(N).rank
-
-    def complement(self):
-        return orthocomplement(self)
 
     def direct_sum(self, other):
         sym = self.symbol.direct_sum(other.symbol)
@@ -254,16 +252,15 @@ def _gap_realization(symbol, N):
     return SubspaceRealization(N, U[:, w > 0.75], warnings)
 
 
-def spectral_subspace(A, tol=None):
+def spectral_subspace(A):
     """Nonnegative spectral subspace of a self-adjoint elliptic operator.
 
     The finite projections come from the eigenvectors of the (re)quantized
-    operator with eigenvalue >= 0; eigenvalues within eig_tol of zero but
-    nonzero are kept on the side their sign dictates and recorded as
-    boundary warnings.  The symbol is the pointwise nonnegative spectral
-    projection of the principal symbol.
+    operator with eigenvalue >= 0; eigenvalues within _ZERO_BAND (relative
+    to the spectrum) of zero but nonzero are kept on the side their sign
+    dictates and recorded as boundary warnings.  The symbol is the
+    pointwise nonnegative spectral projection of the principal symbol.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if not isinstance(A, TruncatedOperator) or A.symbol is None:
         raise ValueError("spectral_subspace needs a symbol-backed operator")
     if not A.is_hermitian():
@@ -277,7 +274,7 @@ def spectral_subspace(A, tol=None):
             v = f(xs)
             w, U = np.linalg.eigh(v)
             scale = max(float(np.abs(w).max()), 1.0)
-            if np.abs(w).min() <= tol.eig_tol * scale:
+            if np.abs(w).min() <= _ZERO_BAND * scale:
                 raise ValueError("principal symbol is not invertible")
             sel = (w >= 0).astype(float)
             return np.einsum("gik,gk,gjk->gij", U, sel, np.conj(U))
@@ -292,24 +289,21 @@ def spectral_subspace(A, tol=None):
         Q = (M + M.conj().T) / 2
         w, U = np.linalg.eigh(Q)
         scale = max(float(np.abs(w).max()), 1.0)
-        near = (np.abs(w) <= tol.eig_tol * scale) & (w != 0)
+        near = (np.abs(w) <= _ZERO_BAND * scale) & (w != 0)
         warnings = ()
         if near.any():
-            warnings = (f"{int(near.sum())} eigenvalues within eig_tol of 0 "
-                        f"kept on their sign side",)
+            warnings = (f"{int(near.sum())} eigenvalues within "
+                        f"{_ZERO_BAND:g} of 0 kept on their sign side",)
         return SubspaceRealization(N, U[:, w >= 0], warnings)
 
     return PdoSubspace(sym, realizer, name="spectral")
 
 
-def relative_index(L1, L2, N=16, tol=None):
+def relative_index(L1, L2, N=16):
     """ind(P2 : Im P1 -> Im P2) for subspaces with the same symbol: the rank
     difference of the realized projections, accepted when it agrees at
     every truncation scale."""
-    tol = DEFAULT_TOL if tol is None else tol
-    diff = max((L1.symbol.plus - L2.symbol.plus).max_abs(),
-               (L1.symbol.minus - L2.symbol.minus).max_abs())
-    if diff > max(tol.rank_tol, 1e-8):
+    if not _symbols_agree(L1.symbol, L2.symbol):
         raise ValueError("relative index needs subspaces with equal symbols")
     vals = [L1.rank(N * s) - L2.rank(N * s) for s in _SCALES]
     if len(set(vals)) != 1:
@@ -618,7 +612,7 @@ def conjugate_subspace(L, W, name=""):
         u, s, _ = np.linalg.svd(M, full_matrices=False)
         # truncated multiplication shifts boundary modes out the window;
         # those directions die and are dropped, the bulk is untouched
-        keep = int((s > DEFAULT_TOL.rank_tol * s[0]).sum())
+        keep = int((s > _RANK_TOL * s[0]).sum())
         if keep == 0:
             raise ArithmeticError("conjugation collapsed the subspace")
         warnings = base.warnings
@@ -654,16 +648,16 @@ def puncture(L, mode=0, coord=0):
     return PdoSubspace(L.symbol, realizer, name=f"{L.name}-e({mode},{coord})")
 
 
-def face_residual(L, N, mode_fraction=0.5):
+def face_residual(L, N):
     """How well the realized projection reproduces its symbol: compare the
-    matrix blocks in deep bulk columns against the face Fourier
-    coefficients."""
+    matrix blocks in the bulk columns of modes +-N//2 against the face
+    Fourier coefficients."""
     r = L.fiber
     P = L.projection(N)
     d = L.symbol.degree
     resid = 0.0
     for sign in (+1, -1):
-        n_src = sign * max(1, int(N * mode_fraction))
+        n_src = sign * max(1, N // 2)
         face = L.symbol.face(sign)
         for k in range(-d, d + 1):
             n_dst = n_src + k

@@ -62,14 +62,13 @@ def even_invertible_symbol(rng, d, max_wind=2):
     return CircleSymbol(0, loop, loop, name="even_invertible")
 
 
-def mobius_row_symbol(sign_split=True):
+def mobius_row_symbol():
     """The 1x2 row u(x)^* against the half-spin line u = (cos x/2, sin x/2)
-    times e^{ix/2}; with sign_split the minus face carries the opposite
-    sign, which is the classic odd-symbol example on this subspace."""
+    times e^{ix/2}; the minus face carries the opposite sign, which is the
+    classic odd-symbol example on this subspace."""
     row = TrigPolyMatrix({0: np.array([[0.5, -0.5j]]),
                           -1: np.array([[0.5, 0.5j]])})
-    minus = -1.0 * row if sign_split else row
-    return CircleSymbol(0, row, minus, name="half_spin_row")
+    return CircleSymbol(0, row, -1.0 * row, name="half_spin_row")
 
 
 def toeplitz_operator(k):

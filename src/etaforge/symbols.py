@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEFAULT_TOL, TrigPolyMatrix, _sample_count, constant_trig,
+from .core import (_RANK_TOL, TrigPolyMatrix, _sample_count, constant_trig,
                    trig_blockdiag)
 
 __all__ = [
@@ -85,6 +85,13 @@ class CircleSymbol:
 
     def is_even(self):
         return (self.plus - self.minus).max_abs() <= 1e-8
+
+
+def _symbols_agree(a, b):
+    """Whether two symbols have the same faces, to 1e-8 in coefficient sum
+    norm: the test that two subspace symbols are one symbol."""
+    return max((a.plus - b.plus).max_abs(),
+               (a.minus - b.minus).max_abs()) <= 1e-8
 
 
 def identity_symbol(rank):
@@ -200,13 +207,13 @@ def antipodal_pullback(s):
     return CircleSymbol(s.order, s.minus, s.plus, name=s.name)
 
 
-def _check_projection_faces(p, xs, tol):
+def _check_projection_faces(p, xs):
     for sign in (+1, -1):
         vals = p.face(sign)(xs)
         herm = np.abs(vals - np.conj(np.transpose(vals, (0, 2, 1)))).max()
         idem = np.abs(np.matmul(vals, vals) - vals).max()
-        if herm > tol or idem > tol:
-            raise ValueError("faces are not projection-valued within rank_tol")
+        if herm > 1e-7 or idem > 1e-7:
+            raise ValueError("faces are not projection-valued within 1e-7")
 
 
 def _range_basis(P):
@@ -234,7 +241,7 @@ def classify_parity(p):
     sum directly to the whole fiber (every decision at 1e-7).
     """
     xs = _grid_for(p)
-    _check_projection_faces(p, xs, 1e-7)
+    _check_projection_faces(p, xs)
     vp = p.face(+1)(xs)
     vm = p.face(-1)(xs)
     if np.abs(vp - vm).max() <= 1e-7:
@@ -248,13 +255,14 @@ def classify_parity(p):
     return "Odd" if np.all(smin > 1e-7) else "Neither"
 
 
-def ellipticity_check(sigma, L1, L2, tol=None):
-    """True iff sigma restricts to a pointwise isomorphism Im L1 -> Im L2.
+def ellipticity_check(sigma, L1, L2):
+    """True iff sigma restricts to a pointwise isomorphism Im L1 -> Im L2:
+    on the sample grid the smallest singular value of sigma on Im L1
+    stays above the absolute floor _RANK_TOL.
 
     L1, L2 expose projection-valued faces through .face(sign); sigma must
     map Im L1 into Im L2 (checked as a precondition).
     """
-    tol = DEFAULT_TOL.rank_tol if tol is None else tol
     xs = _grid_for(sigma, L1, L2)
     for sign in (+1, -1):
         p2 = L2.face(sign)(xs)
@@ -275,7 +283,7 @@ def ellipticity_check(sigma, L1, L2, tol=None):
         if np.abs(leak).max() > 1e-6 * scale:
             raise ValueError("sigma does not map Im L1 into Im L2")
         smin = np.linalg.svd(img, compute_uv=False)[:, -1]
-        if np.any(smin <= tol):
+        if np.any(smin <= _RANK_TOL):
             return False
     return True
 

@@ -244,8 +244,7 @@ def test_criterion_11_structure_identities():
     for L in (trivial_subspace(2, 1), None):
         from etaforge.subspaces import mobius_subspace
         rd = inverse_row_decomposition(L if L is not None
-                                       else mobius_subspace(),
-                                       check_tol=1e-10)
+                                       else mobius_subspace())
         ok &= rd.projector is not None
 
     for n in MODULI:

@@ -12,22 +12,22 @@ from hypothesis import given, settings, strategies as st
 
 import etaforge
 from etaforge import indexing
-from etaforge.core import (DEFAULT_TOL, EllipticityViolation, ToleranceConfig,
-                           TrigPolyMatrix, constant_trig, winding_number)
+from etaforge.core import (_RANK_TOL, EllipticityViolation, TrigPolyMatrix,
+                           constant_trig, winding_number)
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
                                dimension_functional, index_formula_report)
 from etaforge.kzn import n_fold
 from etaforge.subspaces import (ParityError, PdoSubspace, SubspaceSymbol,
                                 UnstableIndexError, full_subspace,
-                                hardy_subspace, mobius_symbol,
+                                hardy_subspace, mobius_subspace, mobius_symbol,
                                 orthocomplement, puncture, trivial_subspace,
-                                two_face_subspace)
+                                two_face_subspace, zero_subspace)
 from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
                              haar_unitary, index_formula_suite,
                              modn_element_suite, perturbation_terms,
                              phase_diag_loop, rng_for, toeplitz_operator)
-from etaforge.symbols import CircleSymbol, identity_symbol
+from etaforge.symbols import CircleSymbol, identity_symbol, mode_labels
 
 
 @pytest.mark.parametrize("k", range(-3, 4))
@@ -222,16 +222,16 @@ def test_d_is_computed_once_per_subspace(monkeypatch):
     d = dimension_functional(L)
     monkeypatch.setattr(indexing, "analytic_index", _refuse)
     assert dimension_functional(L) == d == -1
-    assert dimension_functional(L, N=16, tol=DEFAULT_TOL, lift_order=0) == d
+    assert dimension_functional(L, N=16, lift_order=0) == d
 
 
-def test_d_memo_key_holds_n_lift_order_and_tol(monkeypatch):
+def test_d_memo_key_holds_n_and_lift_order(monkeypatch):
     L = _punctured_plane()
     d = dimension_functional(L)
+    assert list(L._dims) == [(16, 0)]
     monkeypatch.setattr(indexing, "analytic_index", _refuse)
     assert dimension_functional(L) == d
-    for kw in ({"N": 20}, {"lift_order": 1},
-               {"tol": ToleranceConfig(rank_tol=1e-9)}):
+    for kw in ({"N": 20}, {"lift_order": 1}):
         with pytest.raises(_Recomputed):
             dimension_functional(L, **kw)
     # a fresh subspace with the same symbol shares nothing
@@ -265,14 +265,6 @@ def test_d_of_an_odd_subspace_stores_nothing():
     with pytest.raises(ParityError):
         dimension_functional(L)
     assert L._dims == {}
-
-
-def test_d_memo_tol_none_and_default_tol_share_an_entry():
-    L = _punctured_plane()
-    d = dimension_functional(L)
-    assert dimension_functional(L, tol=DEFAULT_TOL) is d
-    assert dimension_functional(L, tol=ToleranceConfig()) is d
-    assert list(L._dims) == [(16, 0, DEFAULT_TOL)]
 
 
 def test_realized_truncations_are_ints_after_d():
@@ -382,9 +374,9 @@ def _count_dense(monkeypatch):
     calls = []
     dense = indexing._dense_near_null
 
-    def counted(T, rank_tol):
+    def counted(T):
         calls.append(T.shape)
-        return dense(T, rank_tol)
+        return dense(T)
 
     monkeypatch.setattr(indexing, "_dense_near_null", counted)
     return calls
@@ -394,7 +386,7 @@ def _oracle_index(op, N, monkeypatch):
     # the same compression and bulk counts, through the dense SVD only
     with monkeypatch.context() as m:
         m.setattr(indexing, "_banded_near_null", lambda *args: None)
-        return indexing._filtered_index_once(op, N, DEFAULT_TOL)
+        return indexing._filtered_index_once(op, N)
 
 
 def _loop(k):
@@ -439,7 +431,7 @@ def test_banded_kernel_matches_the_dense_svd(case, monkeypatch):
     op, N = _banded_cases()[case]
     want = _oracle_index(op, N, monkeypatch)
     calls = _count_dense(monkeypatch)
-    assert indexing._filtered_index_once(op, N, DEFAULT_TOL) == want
+    assert indexing._filtered_index_once(op, N) == want
     assert calls == []  # the margins are wide: no hand-off
 
 
@@ -474,12 +466,58 @@ def test_thin_margin_hands_off_to_the_dense_svd(monkeypatch):
     term = perturbation_terms(rng_for(839723689, "pert_n4_op0"), op, 2)[0]
     op = op.with_lower_order(term)
     s = np.linalg.svd(op.full_matrix(24), compute_uv=False)
-    cut = DEFAULT_TOL.rank_tol * s[0]
+    cut = _RANK_TOL * s[0]
     assert np.any((s > cut / 2) & (s < cut))
     want = _oracle_index(op, 24, monkeypatch)
     calls = _count_dense(monkeypatch)
-    assert indexing._filtered_index_once(op, 24, DEFAULT_TOL) == want
+    assert indexing._filtered_index_once(op, 24) == want
     assert calls == [(196, 196)]
+
+
+def _refused_cholesky(a):
+    raise np.linalg.LinAlgError("pivot block not positive definite")
+
+
+@pytest.mark.parametrize("owner, name, value", [
+    (indexing, "_STEPS", 1),             # the Ritz block never settles
+    (indexing, "_CLEAR", 1e30),          # the block outgrows half the side
+    (indexing, "_MIN_BLOCKS", 10**6),    # fewer blocks than the minimum
+    (indexing, "_SHIFT", 1e-12),         # the cut bracket is too wide for mu
+    (np.linalg, "cholesky", _refused_cholesky),
+], ids=["unsettled", "outgrown", "few_blocks", "wide_bracket", "cholesky"])
+def test_each_refusal_hands_off_to_the_dense_svd(owner, name, value,
+                                                 monkeypatch):
+    # a section the banded solve takes on its own at the shipped rules
+    op, N = _banded_cases()["square_fiber4"]
+    want = _oracle_index(op, N, monkeypatch)
+    monkeypatch.setattr(owner, name, value)
+    calls = _count_dense(monkeypatch)
+    assert indexing._filtered_index_once(op, N) == want
+    assert len(calls) == 1
+
+
+def _unfiltered_dense_index(op, N):
+    # the dense path on the full bases, without the empty-side return
+    B1, B2 = op.source.basis(N), op.target.basis(N)
+    ker, coker = indexing._dense_near_null(B2.conj().T @ op.full_matrix(N) @ B1)
+    inner1 = mode_labels(N, op.source.fiber) <= N // 2
+    inner2 = mode_labels(N, op.target.fiber) <= N // 2
+    return indexing._bulk_count(B1 @ ker, inner1) \
+        - indexing._bulk_count(B2 @ coker, inner2)
+
+
+@pytest.mark.parametrize("source, target, fiber", [
+    (zero_subspace(1), hardy_subspace(), 1),     # mode-local, empty source
+    (hardy_subspace(), zero_subspace(1), 1),     # mode-local, empty target
+    (zero_subspace(2), mobius_subspace(), 2),    # dense, empty source
+    (mobius_subspace(), zero_subspace(2), 2),    # dense, empty target
+], ids=["local_source", "local_target", "dense_source", "dense_target"])
+def test_an_empty_side_counts_the_other_sides_bulk(source, target, fiber):
+    op = SubspaceOperator(identity_symbol(fiber), source, target)
+    got = indexing._filtered_index_once(op, 16)
+    assert got == _unfiltered_dense_index(op, 16)
+    if "hardy" in source.name + target.name:  # modes 0 .. N//2
+        assert abs(got) == 16 // 2 + 1
 
 
 def test_wide_margins_make_no_large_svd(monkeypatch):

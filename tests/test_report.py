@@ -1,14 +1,17 @@
 """Run configuration, report assembly, byte stability, and the CLI."""
 
+import ast
+import dataclasses
 import json
+import pathlib
 import shutil
 import subprocess
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import etaforge
 from etaforge.cli import main
-from etaforge.core import DEFAULT_TOL
 from etaforge.eta import EtaResult, eta_numeric
 from etaforge.indexing import _fitting_truncation
 from etaforge.report import (RunConfig, Report, emit_report, parse_config,
@@ -40,9 +43,9 @@ def test_defaults_are_valid():
     {"twist": (0.1, 0.2)},
     {"twist": (0.1, 0.2, 0.3, 0.4)},
     {"twist": (0.1, float("nan"), 0.0)},
-    {"rank_tol": -1.0},
-    {"eta_tol": 0.0},
-    {"eig_tol": float("inf")},
+    {"N": 15},                     # one below the circle bound
+    {"moduli": (2, 3, 0)},
+    {"twist": (0.0, 0.0, float("inf"))},
     {"ops_per_n": 0},
 ])
 def test_invalid_configs_rejected(kw):
@@ -50,21 +53,24 @@ def test_invalid_configs_rejected(kw):
         RunConfig(**kw)
 
 
-def test_tolerance_overrides_flow_through():
-    cfg = RunConfig(eta_tol=1e-3)
-    tol = cfg.tolerances()
-    assert tol.eta_tol == 1e-3
-    assert tol.rank_tol == DEFAULT_TOL.rank_tol
+def test_every_run_setting_is_read():
+    # a RunConfig field that no run reads changes nothing while looking
+    # like a setting; as_dict's self.<field> reads do not count
+    src = pathlib.Path(etaforge.__file__).parent
+    read = {node.attr for name in ("report.py", "cli.py")
+            for node in ast.walk(ast.parse((src / name).read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert fields - read == set()
 
 
 def test_parse_config_ini(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text(
-        "[run]\ncommand = modn\nN = 20\nmoduli = 2,3\nseed = 7\n"
-        "[tolerances]\neta_tol = 1e-4\n")
+        "[run]\ncommand = modn\nN = 20\nmoduli = 2,3\nseed = 7\n")
     cfg = parse_config(ini)
     assert (cfg.command, cfg.N, cfg.moduli, cfg.seed) == ("modn", 20, (2, 3), 7)
-    assert cfg.eta_tol == 1e-4
     # explicit overrides beat the file; None overrides are ignored
     cfg2 = parse_config(ini, seed=99, command=None)
     assert (cfg2.command, cfg2.seed) == ("modn", 99)
@@ -85,13 +91,7 @@ seed = 7
 out = out
 format = json
 ops_per_n = 4
-perturbations = 5
 modn_N = 12
-
-[tolerances]
-rank_tol = 1e-9
-eig_tol = 1e-10
-eta_tol = 1e-4
 """
 
 
@@ -101,9 +101,7 @@ def test_parse_config_reads_every_key(tmp_path):
     cfg = parse_config(ini)
     assert cfg.as_dict() == {
         "command": "eta", "model": "s1", "N": 20, "moduli": [2, 3],
-        "twist": [0.5, 0.25, 0.0], "rank_tol": 1e-9, "eig_tol": 1e-10,
-        "eta_tol": 1e-4, "seed": 7, "ops_per_n": 4, "perturbations": 5,
-        "modn_N": 12}
+        "twist": [0.5, 0.25, 0.0], "seed": 7, "ops_per_n": 4, "modn_N": 12}
     assert cfg.out == "out" and cfg.format == "json"
 
 
@@ -132,6 +130,20 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys, text):
     assert code == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ("[tolerances]\neta_tol = 1e-3\n", "unknown section [tolerances]"),
+    ("[run]\nperturbations = 5\n", "unknown key 'perturbations' in [run]"),
+])
+def test_cli_names_a_retired_setting(tmp_path, capsys, text, named):
+    # the tolerances are constants and perturbations is gone: a file that
+    # still sets them is refused by name, never silently ignored
+    ini = tmp_path / "old.ini"
+    ini.write_text(text)
+    code = main(["eta", "--config", str(ini), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert named in capsys.readouterr().err
 
 
 _INI_LINES = st.text(st.characters(min_codepoint=32, max_codepoint=126),
@@ -235,12 +247,15 @@ def test_cli_bad_value_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_reports_failing_rows(tmp_path, capsys):
-    # an absurdly strict tolerance turns real checks into failures
-    ini = tmp_path / "strict.ini"
-    ini.write_text("[run]\nout = %s\n[tolerances]\neta_tol = 1e-30\n"
-                   % (tmp_path / "out"))
-    code = main(["eta", "--config", str(ini)])
+def test_cli_reports_failing_rows(tmp_path, capsys, monkeypatch):
+    # a numeric eta off its closed form turns real checks into failures
+    def shifted(model):
+        res = eta_numeric(model)
+        return EtaResult(res.value + 1.0, res.method, res.error_estimate,
+                         res.kernel_dim)
+
+    monkeypatch.setattr("etaforge.report.eta_numeric", shifted)
+    code = main(["eta", "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert "FAIL eta.ap_theta_0.1" in err
@@ -281,6 +296,19 @@ def test_index_raises_n_to_fit_a_high_degree_operator(tmp_path, capsys):
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
     row, = [r for r in rows if r["check"] == "residual_conjugated_line"]
     assert row["lhs"] == "0" and row["pass"]
+
+
+def test_modn_raises_n_to_fit_the_suite(tmp_path):
+    # modn_N = 2 is below every suite element's degree bound; the run
+    # raises N per element (as the index report does) and reads the same
+    rows = {}
+    for N in (2, 12):
+        ini = tmp_path / f"modn{N}.ini"
+        ini.write_text(f"[run]\nmodn_N = {N}\nmoduli = 2\nops_per_n = 1\n")
+        out = tmp_path / f"out{N}"
+        assert main(["modn", "--config", str(ini), "--out", str(out)]) == 0
+        rows[N] = json.loads((out / "report.json").read_text())["rows"]
+    assert rows[2] == rows[12]
 
 
 def test_console_script_wired():

@@ -181,9 +181,9 @@ def test_ellipticity_check_full_space():
     from etaforge.subspaces import full_subspace
     g = full_subspace(1).symbol
     z = TrigPolyMatrix({1: np.eye(1)})
-    assert ellipticity_check(CircleSymbol(0, z, z), g, g, 1e-8)
+    assert ellipticity_check(CircleSymbol(0, z, z), g, g)
     zero = CircleSymbol(0, np.zeros((1, 1)), np.zeros((1, 1)))
-    assert not ellipticity_check(zero, g, g, 1e-8)
+    assert not ellipticity_check(zero, g, g)
 
 
 def test_ellipticity_check_rank_mismatch_is_false():
