@@ -6,7 +6,8 @@ The operator d*delta - delta*d on 1-forms, twisted by a character theta
 of the lattice, has symbol spectrum +|k+theta|^2 (once) and -|k+theta|^2
 (twice) per Fourier mode.  Its eta is 4 at the trivial twist (a 1 from
 the lattice zeta plus a 3-dimensional kernel) and 0 otherwise -- always
-an integer, so the fractional part vanishes identically.
+an integer (gilkey_eta refuses a closed form that is not one), so the
+fractional part vanishes identically.
 """
 
 import numpy as np
@@ -28,8 +29,7 @@ print("first modes k:", sp.points[:4].tolist(),
       " q:", sp.values[:4].tolist())
 
 # eta across twists: numeric heat route vs the lattice closed form
-print("\ntwist                   eta   numeric         fractional")
+print("\ntwist                   eta   numeric")
 for tw in [(0.0, 0.0, 0.0), (1.0 / 3.0, 0.0, 0.0), (0.5, 0.5, 0.5)]:
     g = gilkey_eta(TwistCharacter(tw), R=20)
-    print(f"{str(tw):22s}  {g.value:+d}   {g.numeric.value:+.8f}   "
-          f"{g.fractional}")
+    print(f"{str(tw):22s}  {g.value:+d}   {g.numeric.value:+.8f}")

@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .core import (EllipticityViolation, TrigFitError, TrigPolyMatrix,
                    constant_trig, fit_trig_poly, polar_unitary, stable_rank,
-                   trig_block, trig_blockdiag, winding_number)
+                   trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
 from .symbols import (CircleSymbol, FullSymbol, TruncatedOperator,
                       antipodal_pullback, classify_parity, dump_symbol,
@@ -26,8 +26,7 @@ from .indexing import (SubspaceOperator, analytic_index, antipodal_subspace,
                        index_formula_report)
 from .eta import (EtaConvergenceError, EtaResult, SpectrumModel,
                   UnsupportedSpectrumError, dump_spectrum_csv, eta_closed_form,
-                  eta_numeric, eta_result_json, fractional_part,
-                  mode_zero_crossing_family)
+                  eta_numeric, eta_result_json, mode_zero_crossing_family)
 from .kzn import (EllZnElement, KClassZn, antipodal_element, beta_symbol,
                   bockstein, difference_construction_zn, direct_image_s1,
                   fractional_eta_topological, gamma_trivialization,
@@ -35,5 +34,4 @@ from .kzn import (EllZnElement, KClassZn, antipodal_element, beta_symbol,
                   normal_form, reduction_mod_n, shift_element,
                   winding_datum)
 from .torus import (FormSpectrum, TwistCharacter, gilkey_eta, gilkey_symbol,
-                    orientability_halfinteger_check, symbol_projection,
-                    t3_spectrum)
+                    symbol_projection, t3_spectrum)

@@ -16,7 +16,6 @@ __all__ = [
     "TrigFitError",
     "fit_trig_poly",
     "polar_unitary",
-    "trig_block",
     "trig_blockdiag",
 ]
 
@@ -176,31 +175,6 @@ def polar_unitary(M):
     """Unitary polar factor (columns re-orthonormalized, nearest in Frobenius)."""
     u, _, vh = np.linalg.svd(np.asarray(M, dtype=complex), full_matrices=False)
     return u @ vh
-
-
-def trig_block(grid):
-    """Assemble a trig-poly matrix from a 2-D grid of blocks.
-
-    Row/column sizes must be consistent across the grid; scalar/ndarray
-    entries are promoted to constant polynomials.
-    """
-    grid = [[b if isinstance(b, TrigPolyMatrix) else constant_trig(b)
-             for b in row] for row in grid]
-    d = max(b.degree for row in grid for b in row)
-    row_sizes = [row[0].shape[0] for row in grid]
-    col_sizes = [b.shape[1] for b in grid[0]]
-    out = np.zeros((2 * d + 1, sum(row_sizes), sum(col_sizes)), dtype=complex)
-    r0 = 0
-    for i, row in enumerate(grid):
-        c0 = 0
-        for j, b in enumerate(row):
-            if b.shape != (row_sizes[i], col_sizes[j]):
-                raise ValueError("inconsistent block sizes")
-            out[d - b.degree:d + b.degree + 1,
-                r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b.coeff_table()
-            c0 += col_sizes[j]
-        r0 += row_sizes[i]
-    return TrigPolyMatrix(out)
 
 
 def trig_blockdiag(blocks):

@@ -20,7 +20,6 @@ import json
 
 import numpy as np
 
-from .dyadic import DyadicRational
 # d(L) lives in indexing; eta.dimension_functional stays importable
 from .indexing import dimension_functional  # noqa: F401
 
@@ -31,7 +30,6 @@ __all__ = [
     "SpectrumModel",
     "eta_closed_form",
     "eta_numeric",
-    "fractional_part",
     "mode_zero_crossing_family",
     "eta_result_json",
     "dump_spectrum_csv",
@@ -160,10 +158,6 @@ class SpectrumModel:
         # as slow at lattice sizes
         return tuple(list(zip(self.lam.tolist(), self.mult.tolist())))
 
-    @property
-    def pairs(self):
-        return self.eigenvalues()
-
     def __repr__(self):
         return (f"SpectrumModel({self.kind}, {self.lam.size} levels, "
                 f"kernel_dim={self.kernel_dim})")
@@ -273,13 +267,6 @@ def eta_numeric(model):
             f"eta not converged: plateau spread {spreads[j]:.2e}")
     return EtaResult(value + model.kernel_dim, "HeatExtrapolated", err,
                      model.kernel_dim)
-
-
-def fractional_part(d):
-    """Representative in [0, 1) of a dyadic class mod Z."""
-    if not isinstance(d, DyadicRational):
-        d = DyadicRational.from_fraction(d)
-    return d.fractional_part()
 
 
 def mode_zero_crossing_family(c_values=None, n_max=40):

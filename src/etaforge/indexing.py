@@ -76,9 +76,6 @@ class SubspaceOperator:
     def principal(self):
         return self.symbol.principal
 
-    def full_matrix(self, N):
-        return quantize(self.symbol, N).matrix
-
     def is_elliptic(self):
         return ellipticity_check(self.principal, self.source.symbol,
                                  self.target.symbol)
@@ -333,7 +330,7 @@ def _filtered_index_once(op, N):
         inner1, inner2 = np.abs(m1 - N) <= N // 2, np.abs(m2 - N) <= N // 2
         if m1.size == 0 or m2.size == 0:
             return int(inner1.sum()) - int(inner2.sum())
-        A = op.full_matrix(N)
+        A = quantize(op.symbol, N).matrix
         d = max(t.degree for t in op.symbol.terms)
         if src.select is not None and tgt.select is not None:
             c1, c2 = src.select[o1], tgt.select[o2]
@@ -350,7 +347,9 @@ def _filtered_index_once(op, N):
         inner2 = mode_labels(N, op.target.fiber) <= N // 2
         if B1.shape[1] == 0 or B2.shape[1] == 0:
             return _bulk_count(B1, inner1) - _bulk_count(B2, inner2)
-        ker, coker = _dense_near_null(B2.conj().T @ op.full_matrix(N) @ B1)
+        # no name for the quantized matrix: it is freed before the SVD
+        ker, coker = _dense_near_null(
+            B2.conj().T @ quantize(op.symbol, N).matrix @ B1)
         ker, coker = B1 @ ker, B2 @ coker
     return _bulk_count(ker, inner1) - _bulk_count(coker, inner2)
 
@@ -406,25 +405,19 @@ def build_parity_double(op):
     pointwise splitting C^r = Im p1_+ (+) Im p1_-.
     """
     parity = op.source.symbol.parity
-    if parity == "Even":
-        if op.target.symbol.parity != "Even":
-            raise ValueError("parity double needs matching parities")
-        plus = _double_face(op, +1, _even_double_sample)
-        minus = _double_face(op, -1, _even_double_sample)
-        r1 = op.source.fiber
-        sym = CircleSymbol(0, plus, minus, name=f"double({op.name})")
-        return SubspaceOperator(sym, full_subspace(r1), full_subspace(r1),
-                                name=f"double({op.name})")
-    if parity == "Odd":
-        if op.target.symbol.parity != "Odd":
-            raise ValueError("parity double needs matching parities")
-        plus = _double_face(op, +1, _odd_double_sample)
-        minus = _double_face(op, -1, _odd_double_sample)
-        sym = CircleSymbol(op.order, plus, minus, name=f"double({op.name})")
-        target = op.target.direct_sum(antipodal_subspace(op.target))
-        return SubspaceOperator(sym, full_subspace(op.source.fiber), target,
-                                name=f"double({op.name})")
-    raise ValueError("source subspace has no parity; no double exists")
+    if parity not in ("Even", "Odd"):
+        raise ValueError("source subspace has no parity; no double exists")
+    if op.target.symbol.parity != parity:
+        raise ValueError("parity double needs matching parities")
+    even = parity == "Even"
+    sample = _even_double_sample if even else _odd_double_sample
+    name = f"double({op.name})"
+    sym = CircleSymbol(0 if even else op.order, _double_face(op, +1, sample),
+                       _double_face(op, -1, sample), name=name)
+    source = full_subspace(op.source.fiber)
+    target = source if even else \
+        op.target.direct_sum(antipodal_subspace(op.target))
+    return SubspaceOperator(sym, source, target, name=name)
 
 
 def _twist_symbol(q):
@@ -471,14 +464,14 @@ def _dimension(L, N, lift_order):
     if L.symbol.parity != "Even":
         raise ParityError("dimension functional needs an even subspace")
     lift = lift_symbol(L)
-    if lift.f_rank == 0:
+    if lift.sigma.rows == 0:
         return DyadicRational.from_integer(0)
     # the twisted lift adds one degree
     N = _fitting_n(N, lift.sigma.degree + L.symbol.degree + 1)
     d = _d_once(lift.sigma, L, N, lift_order)
     if d.exponent > lift_order + 1:
         raise ArithmeticError("dyadic exponent exceeds the lift-order bound")
-    twisted = _twist_symbol(lift.f_rank) @ lift.sigma
+    twisted = _twist_symbol(lift.sigma.rows) @ lift.sigma
     d2 = _d_once(twisted, L, N, lift_order)
     if d2 != d:
         raise ArithmeticError(

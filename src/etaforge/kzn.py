@@ -19,10 +19,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (TrigPolyMatrix, constant_trig, fit_trig_poly, trig_block,
+from .core import (TrigPolyMatrix, constant_trig, fit_trig_poly,
                    trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
-from .indexing import SubspaceOperator, analytic_index, antipodal_subspace
+from .indexing import (SubspaceOperator, _fitting_n, analytic_index,
+                       antipodal_subspace)
 from .subspaces import (face_frames, full_subspace, lift_symbol,
                         orthocomplement, zero_subspace)
 from .symbols import (CircleSymbol, _symbols_agree, antipodal_pullback,
@@ -234,7 +235,12 @@ def difference_construction_zn(el):
 
 
 def mod_n_analytic_index(el, N=12):
-    return analytic_index(el.operator, N=N) % el.n
+    """The analytic index mod n, at the smallest truncation >= N that
+    quantizes the operator's terms and its source and target symbols."""
+    op = el.operator
+    symbols = (*op.symbol.terms, op.source.symbol, op.target.symbol)
+    N = _fitting_n(N, max(s.degree for s in symbols))
+    return analytic_index(op, N=N) % el.n
 
 
 @lru_cache(maxsize=None)
@@ -282,8 +288,11 @@ def _identity_on(space):
 
 def _pair_rotation(p_face):
     # V at quarter turn: [[P, Q], [-Q, P]] rotates diag(P, Q) to diag(I, 0)
-    q_face = constant_trig(np.eye(p_face.shape[0])) - p_face
-    return trig_block([[p_face, q_face], [-1.0 * q_face, p_face]])
+    r = p_face.shape[0]
+    q_face = constant_trig(np.eye(r)) - p_face
+    swap = constant_trig(np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(r)))
+    return trig_blockdiag([p_face, p_face]) \
+        + swap @ trig_blockdiag([q_face, q_face])
 
 
 def normal_form(el, N=None):
@@ -348,10 +357,15 @@ def normal_form(el, N=None):
 
 def fractional_eta_topological(L):
     """Fractional part of the eta-type defect of an even subspace, read off
-    the symbol: the winding datum of sigma (+) alpha* sigma in the lift
-    frames, reduced at modulus 2^{k+1} for a lift of order k."""
+    the symbol: half the winding datum of tau = sigma (+) alpha* sigma in
+    the face frames, mod Z.
+
+    Over the circle this is 0 for every even subspace: the lift sigma has
+    equal faces, so tau does too, and its two face windings agree.  A
+    check of it against d(L).fractional_part() therefore tests that d(L)
+    is an integer, which is what the paper asserts over the circle."""
     lift = lift_symbol(L)
-    if lift.f_rank == 0:
+    if lift.sigma.rows == 0:
         return DyadicRational.from_integer(0)
     sigma = lift.sigma
     tau = sigma.direct_sum(antipodal_pullback(sigma))
@@ -360,7 +374,7 @@ def fractional_eta_topological(L):
     for sign in (+1, -1):
         f2 = trig_blockdiag([ff[sign].frame] * 2)
         v[sign] = winding_number(tau.face(sign) @ f2)
-    return DyadicRational(v[+1] - v[-1], lift.order + 1).fractional_part()
+    return DyadicRational(v[+1] - v[-1], 1).fractional_part()
 
 
 @dataclass(frozen=True)
@@ -403,9 +417,7 @@ def inverse_row_decomposition(L):
                             slice_cols(inv_minus, 0, q1))
     sigma_c2 = CircleSymbol(0, slice_cols(inv_plus, q1, r),
                             slice_cols(inv_minus, q1, r))
-    rows = (CircleSymbol(0, s1.plus, s1.minus),
-            CircleSymbol(0, s2.plus, s2.minus))
-    cols = (sigma_c1, sigma_c2)
+    rows, cols = (s1, s2), (sigma_c1, sigma_c2)
 
     xs = np.linspace(0.0, 2 * np.pi, 50, endpoint=False)
     for sign in (+1, -1):

@@ -20,7 +20,7 @@ from .core import winding_number
 from .dyadic import DyadicRational
 from .eta import (SpectrumModel, eta_closed_form, eta_numeric,
                   mode_zero_crossing_family)
-from .indexing import (_fitting_n, _fitting_truncation, analytic_index,
+from .indexing import (_fitting_truncation, analytic_index,
                        dimension_functional, index_formula_report)
 from .kzn import (difference_construction_zn, direct_image_s1,
                   fractional_eta_topological, gamma_trivialization,
@@ -161,8 +161,6 @@ def _eta_rows(cfg):
             1e-2, 3 * g.numeric.error_estimate)
         rows.append(_row("eta", "gilkey_twist", "eta.lattice",
                          g.numeric.value, g.closed.value, ok))
-        rows.append(_row("eta", "gilkey_fractional", "eta.lattice",
-                         str(g.fractional), "0", str(g.fractional) == "0"))
         return rows
     for theta in (0.1, 0.25, 0.5, 0.9):
         model = SpectrumModel.arithmetic_progression(theta)
@@ -208,15 +206,6 @@ def _index_rows(cfg):
     return rows
 
 
-def _modn_index(el, N):
-    """The mod-n index at N, raised to fit the operator's terms and its
-    source and target subspace symbols (as _index_rows raises its N)."""
-    op = el.operator
-    symbols = (*op.symbol.terms, op.source.symbol, op.target.symbol)
-    return mod_n_analytic_index(
-        el, N=_fitting_n(N, max(s.degree for s in symbols)))
-
-
 def _modn_rows(cfg):
     rows = []
     for n in cfg.moduli:
@@ -225,20 +214,25 @@ def _modn_rows(cfg):
         rows.append(_row("modn", f"gamma_windings_n{n}", "kzn.moore",
                          str(winds), str([n]), winds == [n]))
         suite = suites.modn_element_suite(cfg.seed, n, count=cfg.ops_per_n)
-        indices = [_modn_index(el, cfg.modn_N) for _, el in suite]
+        indices = [mod_n_analytic_index(el, N=cfg.modn_N)
+                   for _, el in suite]
         for (example_id, el), ind in zip(suite, indices):
             rhs = direct_image_s1(difference_construction_zn(el))
             rows.append(_row("modn", f"theorem_{example_id}", "kzn.theorem",
                              ind, rhs, ind == rhs))
         # before is the theorem row's lhs of suite[0]; only after is new
         before = indices[0]
-        after = _modn_index(normal_form(suite[0][1]), cfg.modn_N)
+        after = mod_n_analytic_index(normal_form(suite[0][1]),
+                                     N=cfg.modn_N)
         rows.append(_row("modn", f"normal_form_n{n}", "kzn.normal-form",
                          after, before, after == before))
     return rows
 
 
 def _fractional_rows(cfg):
+    # match_*: over the circle the topological side is 0 (the faces of
+    # sigma (+) alpha* sigma agree), so the row tests that d(L) is an
+    # integer, as the paper asserts for even subspaces over the circle
     rows = []
     for name, L in suites.even_subspace_suite(cfg.seed):
         d = dimension_functional(L, N=cfg.N)

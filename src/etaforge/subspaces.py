@@ -14,7 +14,7 @@ keep no memo.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -85,14 +85,6 @@ class SubspaceSymbol(CircleSymbol):
     def parity(self):
         return classify_parity(self)
 
-    def face_rank(self, sign):
-        """Pointwise rank of the chosen face (must be x-independent)."""
-        xs = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-        B = _range_basis(self.face(sign)(xs))
-        if B is None:
-            raise ValueError("face rank is not constant in x")
-        return B.shape[-1]
-
     def complement(self):
         eye = np.eye(self.rank)
         out = SubspaceSymbol(constant_trig(eye) - self.plus,
@@ -154,10 +146,6 @@ class SubspaceRealization:
     def rank(self):
         return self.basis.shape[1] if self.select is None else self.select.size
 
-    @property
-    def projection(self):
-        return self.basis @ self.basis.conj().T
-
 
 class PdoSubspace:
     """A subspace together with its per-N exact projections.
@@ -191,9 +179,6 @@ class PdoSubspace:
 
     def basis(self, N):
         return self.realize(N).basis
-
-    def projection(self, N):
-        return self.realize(N).projection
 
     def rank(self, N):
         return self.realize(N).rank
@@ -377,12 +362,9 @@ class FaceFrame:
 
 @dataclass(frozen=True)
 class LiftResult:
-    order: int
     sigma: CircleSymbol
-    f_rank: int
     closure_residual: float
     fit_residual: float
-    frames: dict = field(compare=False, default=None)
 
 
 def _transport_states(p, G):
@@ -465,9 +447,9 @@ def face_frames(symbol):
 def lift_symbol(L):
     """Trivialization of an even subspace symbol over the circle.
 
-    Returns a LiftResult with order N = 0 (no doubling is ever needed over
-    the circle) and sigma an order-zero symbol restricting to an
-    isomorphism Im p -> trivial rank-q fiber.
+    Returns a LiftResult whose sigma is an order-zero symbol restricting
+    to an isomorphism Im p -> trivial rank-q fiber; over the circle no
+    doubling is ever needed, so the lift has order 0.
     """
     sym = L.symbol
     if sym.parity != "Even":
@@ -479,9 +461,8 @@ def lift_symbol(L):
         full = SubspaceSymbol(np.eye(q), name="target", validate=False)
         if not ellipticity_check(sigma, sym, full):
             raise ArithmeticError("lift symbol failed its ellipticity check")
-    return LiftResult(order=0, sigma=sigma, f_rank=q,
-                      closure_residual=ff.closure_residual,
-                      fit_residual=ff.fit_residual, frames={+1: ff, -1: ff})
+    return LiftResult(sigma=sigma, closure_residual=ff.closure_residual,
+                      fit_residual=ff.fit_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +507,7 @@ def hardy_subspace(shift=0):
                          validate=False)
 
     def realizer(N):
-        if shift > N:
+        if abs(shift) > N:
             raise ValueError("shift outside the truncation window")
         return _modewise(N, np.eye(1), np.zeros((1, 0)), cut=shift)
 
@@ -626,10 +607,16 @@ def conjugate_subspace(L, W, name=""):
 
 def puncture(L, mode=0, coord=0):
     """Same symbol, realization one dimension smaller: the direction of the
-    (mode, coord) ambient basis vector is removed from the range."""
+    (mode, coord) ambient basis vector is removed from the range.  A coord
+    outside [0, fiber) raises ValueError here, a mode outside [-N, N] at
+    realization."""
     fiber = L.fiber
+    if not 0 <= coord < fiber:
+        raise ValueError(f"coord {coord} outside the fiber [0, {fiber})")
 
     def realizer(N):
+        if abs(mode) > N:
+            raise ValueError(f"mode {mode} outside the truncation window")
         base = L.realize(N)
         B = base.basis
         idx = (mode + N) * fiber + coord
@@ -653,7 +640,8 @@ def face_residual(L, N):
     matrix blocks in the bulk columns of modes +-N//2 against the face
     Fourier coefficients."""
     r = L.fiber
-    P = L.projection(N)
+    B = L.basis(N)
+    P = B @ B.conj().T
     d = L.symbol.degree
     resid = 0.0
     for sign in (+1, -1):

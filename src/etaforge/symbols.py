@@ -83,9 +83,6 @@ class CircleSymbol:
         return CircleSymbol(self.order, trig_blockdiag([self.plus, other.plus]),
                             trig_blockdiag([self.minus, other.minus]))
 
-    def is_even(self):
-        return (self.plus - self.minus).max_abs() <= 1e-8
-
 
 def _symbols_agree(a, b):
     """Whether two symbols have the same faces, to 1e-8 in coefficient sum

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicRational
 from .eta import SpectrumModel, _lattice3, eta_closed_form, eta_numeric
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "symbol_projection",
     "t3_spectrum",
     "gilkey_eta",
-    "orientability_halfinteger_check",
 ]
 
 
@@ -45,10 +43,6 @@ class TwistCharacter:
     @classmethod
     def trivial(cls):
         return cls((0.0, 0.0, 0.0))
-
-    @property
-    def is_trivial(self):
-        return all(t == 0.0 for t in self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,14 +63,6 @@ class FormSpectrum:
     def __post_init__(self):
         if self.kernel_dim not in (0, 3):
             raise ValueError("kernel dimension on the 3-torus is 0 or 3")
-
-    def spectrum_model(self):
-        # heat traces of this family diverge like t^{-3/4}; tag the model
-        # so the extrapolation uses the lattice ladder, not the generic one
-        q = self.values
-        return SpectrumModel("Lattice3Quadratic", np.concatenate([q, -q]),
-                             np.repeat([1, 2], q.size), self.kernel_dim,
-                             {"theta": self.twist.components, "R": self.R})
 
 
 def gilkey_symbol(xi):
@@ -116,10 +102,6 @@ class GilkeyEta:
     numeric: object
     closed: object
 
-    @property
-    def fractional(self):
-        return DyadicRational.from_integer(self.value).fractional_part()
-
 
 def gilkey_eta(twist=None, R=10):
     """eta of the twisted signature family, computed two ways.
@@ -127,7 +109,8 @@ def gilkey_eta(twist=None, R=10):
     The closed form comes from the lattice zeta value, and the result is
     that integer; the heat numeric rides along as its witness.  Callers
     judge the band: the numeric should land within max(1e-2, 3 * its own
-    error bar) of the closed form.  The fractional part is always zero.
+    error bar) of the closed form.  A closed form that is not an integer
+    raises ArithmeticError, so eta mod Z is 0 by construction.
     """
     twist = TwistCharacter.trivial() if twist is None else twist
     model = SpectrumModel.lattice3_quadratic(twist.components, cutoff=R)
@@ -137,10 +120,3 @@ def gilkey_eta(twist=None, R=10):
     if value != closed.value:
         raise ArithmeticError("closed-form eta is not an integer")
     return GilkeyEta(value=value, numeric=numeric, closed=closed)
-
-
-def orientability_halfinteger_check(v):
-    """True iff 2v is an integer (the orientable-case constraint)."""
-    if isinstance(v, DyadicRational):
-        return v.exponent <= 1
-    return abs(2.0 * v - round(2.0 * v)) <= 1e-12

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from etaforge.core import (TrigFitError, TrigPolyMatrix, constant_trig,
                            fit_trig_poly, polar_unitary, stable_rank,
-                           trig_block, trig_blockdiag, winding_number)
+                           trig_blockdiag, winding_number)
 
 RNG = np.random.default_rng(42)
 
@@ -118,7 +118,7 @@ def test_winding_of_product_adds():
     assert winding_number(a @ b) == wa + wb
 
 
-def test_trig_block_and_blockdiag():
+def test_trig_blockdiag():
     a = random_trig(RNG, 2, 2, 1)
     blk = trig_blockdiag([a, constant_trig(np.eye(1))])
     xs = np.linspace(0, 2 * np.pi, 7)
@@ -127,6 +127,3 @@ def test_trig_block_and_blockdiag():
     np.testing.assert_allclose(v[:, :2, :2], a(xs), atol=1e-13)
     np.testing.assert_allclose(v[:, 2, 2], 1.0, atol=1e-13)
     np.testing.assert_allclose(v[:, :2, 2], 0.0, atol=1e-13)
-
-    blk2 = trig_block([[a, a], [a, a]])
-    np.testing.assert_allclose(blk2(xs)[:, 2:, :2], a(xs), atol=1e-13)

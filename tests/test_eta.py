@@ -12,8 +12,7 @@ from etaforge.dyadic import DyadicRational
 from etaforge.eta import (EtaConvergenceError, EtaResult, SpectrumModel,
                           UnsupportedSpectrumError, dimension_functional,
                           dump_spectrum_csv, eta_closed_form, eta_numeric,
-                          eta_result_json, fractional_part,
-                          mode_zero_crossing_family)
+                          eta_result_json, mode_zero_crossing_family)
 from etaforge.subspaces import (ParityError, hardy_subspace, orthocomplement,
                                 puncture, trivial_subspace)
 from etaforge.torus import TwistCharacter, gilkey_eta, t3_spectrum
@@ -32,7 +31,7 @@ def hurwitz_eta_at_zero(theta):
 
 def test_explicit_list_sorted_by_magnitude():
     m = SpectrumModel.explicit_list([(3.0, 1), (-1.0, 2), (2.0, 1), (1.0, 1)])
-    assert m.pairs == ((-1.0, 2), (1.0, 1), (2.0, 1), (3.0, 1))
+    assert m.eigenvalues() == ((-1.0, 2), (1.0, 1), (2.0, 1), (3.0, 1))
 
 
 def test_zero_eigenvalue_rejected():
@@ -43,7 +42,7 @@ def test_zero_eigenvalue_rejected():
 def test_from_eigenvalues_splits_kernel():
     m = SpectrumModel.from_eigenvalues([2.0, -2.0, 1e-14, 3e-13])
     assert m.kernel_dim == 2
-    assert m.pairs == ((-2.0, 1), (2.0, 1))
+    assert m.eigenvalues() == ((-2.0, 1), (2.0, 1))
 
 
 def test_lattice_cutoff_floor():
@@ -55,7 +54,7 @@ def test_lattice_multiplicity_split():
     m = SpectrumModel.lattice3_quadratic()
     assert m.kernel_dim == 3
     # |k|^2 = 1 occurs for 6 lattice vectors: weight 6 upstairs, 12 down
-    ones = [(l, mu) for l, mu in m.pairs if abs(l) == 1.0]
+    ones = [(l, mu) for l, mu in m.eigenvalues() if abs(l) == 1.0]
     up = sum(mu for l, mu in ones if l > 0)
     down = sum(mu for l, mu in ones if l < 0)
     assert (up, down) == (6, 12)
@@ -100,7 +99,7 @@ def test_spectrum_input_rejected_at_construction(build):
 def test_ap_integer_theta_has_kernel():
     m = SpectrumModel.arithmetic_progression(0.0, mult=2)
     assert m.kernel_dim == 2
-    assert all(l != 0.0 for l, _ in m.pairs)
+    assert all(l != 0.0 for l, _ in m.eigenvalues())
 
 
 # ----------------------------------------------------------- closed form
@@ -270,7 +269,7 @@ def test_spectrum_csv_roundtrip(tmp_path):
     assert lines[1] == "0.0,1"
     got = [(float(a), int(b)) for a, b in
            (ln.split(",") for ln in lines[2:])]
-    assert tuple(got) == m.pairs
+    assert tuple(got) == m.eigenvalues()
 
 
 # -------------------------------------------------- dimension functional
@@ -295,8 +294,8 @@ def test_dimension_functional_needs_even_parity():
 
 
 def test_fractional_part_of_dyadic():
-    assert str(fractional_part(DyadicRational(-3, 1))) == "1/2"
-    assert str(fractional_part(DyadicRational(4, 1))) == "0"
+    assert str(DyadicRational(-3, 1).fractional_part()) == "1/2"
+    assert str(DyadicRational(4, 1).fractional_part()) == "0"
 
 
 # ------------------------------------------ array path vs the tuple path
@@ -403,7 +402,7 @@ def _tuple_eta_numeric(pairs, kernel_dim, kind):
 
 
 def _assert_same_model(model, pairs, kernel_dim):
-    got = model.pairs
+    got = model.eigenvalues()
     assert got == pairs
     # the pairs come from tolist(): Python numbers throughout, or none
     assert all(type(l) is float and type(m) is int for l, m in got[:1])
@@ -446,12 +445,11 @@ def test_explicit_ties_keep_input_order_and_match_the_tuple_model():
     pairs = [(1.0, 2), (-1.0, 1), (1.0, 1), (-1.0, 3), (2.0, 1), (-2.0, 5),
              (2.0, 4), (0.5, 1), (-0.5, 2), (0.5, 7)]
     m = SpectrumModel.explicit_list(pairs, kernel_dim=2)
-    assert m.pairs[:3] == ((-0.5, 2), (0.5, 1), (0.5, 7))
-    assert m.eigenvalues() == m.pairs
+    assert m.eigenvalues()[:3] == ((-0.5, 2), (0.5, 1), (0.5, 7))
     _assert_same_model(m, _tuple_sorted(pairs), 2)
     # input already in order, ties included, comes back unchanged; the
     # model keeps read-only copies, never the caller's arrays
-    lam = np.array([l for l, _ in m.pairs])
+    lam = np.array([l for l, _ in m.eigenvalues()])
     again = SpectrumModel("ExplicitList", lam, m.mult, 2, {})
     _assert_same_model(again, _tuple_sorted(pairs), 2)
     assert lam.flags.writeable and not again.lam.flags.writeable
@@ -495,10 +493,11 @@ def test_t3_points_are_the_lexsorted_tuple_points(theta, R):
     assert [(k, q.hex()) for k, q in got] == [(k, q.hex()) for k, q in ref]
     # the perfbench t3 check reads the point count as len(points)
     assert len(sp.points) == len(ref)
-    m = sp.spectrum_model()
-    _assert_same_model(m, _tuple_sorted(
-        [(q, 1) for _, q in ref] + [(-q, 2) for _, q in ref]),
-        sp.kernel_dim)
+    if R >= 8:  # the lattice model's cutoff floor
+        m = SpectrumModel.lattice3_quadratic(theta, cutoff=R)
+        _assert_same_model(m, _tuple_sorted(
+            [(q, 1) for _, q in ref] + [(-q, 2) for _, q in ref]),
+            sp.kernel_dim)
 
 
 def test_spectrum_csv_bytes_are_the_tuple_bytes(tmp_path):

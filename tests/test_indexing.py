@@ -27,7 +27,8 @@ from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
                              haar_unitary, index_formula_suite,
                              modn_element_suite, perturbation_terms,
                              phase_diag_loop, rng_for, toeplitz_operator)
-from etaforge.symbols import CircleSymbol, identity_symbol, mode_labels
+from etaforge.symbols import (CircleSymbol, identity_symbol, mode_labels,
+                              quantize)
 
 
 @pytest.mark.parametrize("k", range(-3, 4))
@@ -442,7 +443,7 @@ def test_kernel_cases_cover_selection_shapes():
     sel = cases["unsorted_n_fold"][0].source.realize(24).select
     assert np.any(np.diff(sel) < 0)
     op, N = cases["exactly_null_columns"]
-    A = op.full_matrix(N)
+    A = quantize(op.symbol, N).matrix
     assert not np.any(A[:, 2 * N:2 * N + 2])
 
 
@@ -452,7 +453,7 @@ def test_local_section_is_the_dense_compression():
     assert real.select is None and real.modes is not None
     o = np.argsort(real.modes, kind="stable")
     B, m = real.basis[:, o], real.modes[o]
-    A = op.full_matrix(N)
+    A = quantize(op.symbol, N).matrix
     T = indexing._local_section(A, B, m, op.source.fiber, B, m,
                                 op.target.fiber, op.symbol.principal.degree)
     np.testing.assert_allclose(T, B.conj().T @ A @ B, rtol=0, atol=1e-13)
@@ -465,7 +466,7 @@ def test_thin_margin_hands_off_to_the_dense_svd(monkeypatch):
     op = modn_element_suite(2972224970, 4, count=3)[0][1].operator
     term = perturbation_terms(rng_for(839723689, "pert_n4_op0"), op, 2)[0]
     op = op.with_lower_order(term)
-    s = np.linalg.svd(op.full_matrix(24), compute_uv=False)
+    s = np.linalg.svd(quantize(op.symbol, 24).matrix, compute_uv=False)
     cut = _RANK_TOL * s[0]
     assert np.any((s > cut / 2) & (s < cut))
     want = _oracle_index(op, 24, monkeypatch)
@@ -499,7 +500,8 @@ def test_each_refusal_hands_off_to_the_dense_svd(owner, name, value,
 def _unfiltered_dense_index(op, N):
     # the dense path on the full bases, without the empty-side return
     B1, B2 = op.source.basis(N), op.target.basis(N)
-    ker, coker = indexing._dense_near_null(B2.conj().T @ op.full_matrix(N) @ B1)
+    A = quantize(op.symbol, N).matrix
+    ker, coker = indexing._dense_near_null(B2.conj().T @ A @ B1)
     inner1 = mode_labels(N, op.source.fiber) <= N // 2
     inner2 = mode_labels(N, op.target.fiber) <= N // 2
     return indexing._bulk_count(B1 @ ker, inner1) \

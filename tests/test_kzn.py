@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from etaforge.core import TrigPolyMatrix, winding_number
 from etaforge.dyadic import DyadicRational
 from etaforge.eta import dimension_functional
-from etaforge.kzn import (EllZnElement, KClassZn, antipodal_action_check,
-                          antipodal_element, beta_symbol, bockstein,
+from etaforge.kzn import (EllZnElement, KClassZn, _pair_rotation,
+                          antipodal_action_check, antipodal_element,
+                          beta_symbol, bockstein,
                           difference_construction_zn, direct_image_s1,
                           fractional_eta_topological, gamma_trivialization,
                           inverse_row_decomposition, mod_n_analytic_index,
@@ -135,6 +136,15 @@ def test_index_equals_direct_image_of_symbol_class(n):
         assert lhs == rhs, name
 
 
+def test_mod_n_index_raises_n_to_fit_the_element():
+    # N=2 quantizes no degree-1 symbol; the index is taken at the smallest
+    # N that fits the operator and its subspaces, and reads as at N=12
+    for n in (2, 3):
+        for name, el in modn_element_suite(1914, n, count=2):
+            assert mod_n_analytic_index(el, N=2) == \
+                mod_n_analytic_index(el, N=12), name
+
+
 def test_direct_image_calibration():
     # the sign convention is pinned to the shift generator
     for n in MODULI:
@@ -159,6 +169,18 @@ def test_normal_form_preserves_index_and_datum():
     assert mod_n_analytic_index(nf) == mod_n_analytic_index(el)
     # target is rebuilt from constant standard pieces
     assert all(b.symbol.degree == 0 for b in nf.target_bases)
+
+
+def test_pair_rotation_is_the_quarter_turn_block():
+    # [[P, Q], [-Q, P]] with Q = 1 - P, for a nonconstant face P
+    P = mobius_subspace().symbol.plus
+    xs = np.linspace(0.0, 2 * np.pi, 11, endpoint=False)
+    p = P(xs)
+    q = np.eye(2) - p
+    want = np.block([[p, q], [-q, p]])
+    rot = _pair_rotation(P)
+    assert rot.degree == P.degree
+    np.testing.assert_allclose(rot(xs), want, atol=1e-14)
 
 
 def test_normal_form_computes_no_index(monkeypatch):

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import etaforge
 from etaforge.cli import main
+from etaforge.dyadic import DyadicRational
 from etaforge.eta import EtaResult, eta_numeric
-from etaforge.indexing import _fitting_truncation
+from etaforge.indexing import _fitting_truncation, dimension_functional
 from etaforge.report import (RunConfig, Report, emit_report, parse_config,
                              run)
 from etaforge.suites import index_formula_suite
@@ -284,6 +285,19 @@ def test_t3_eta_mismatch_is_a_failed_row(monkeypatch):
     rows = run(RunConfig(command="eta", model="t3")).rows
     row, = [r for r in rows if r["check"] == "gilkey_twist"]
     assert row["pass"] is False
+
+
+def test_fractional_rows_catch_a_half_shift_of_d(monkeypatch):
+    # d(L) + 1/2 is no integer, so a match_* row must fail.  The
+    # index.residual_* rows cannot see such a shift: a shift of every d
+    # cancels in -d(L1) + d(L2)
+    def shifted(L, **kw):
+        return dimension_functional(L, **kw) + DyadicRational(1, 1)
+
+    monkeypatch.setattr("etaforge.report.dimension_functional", shifted)
+    rows = run(RunConfig(command="fractional")).rows
+    failed = {r["check"] for r in rows if not r["pass"]}
+    assert any(c.startswith("match_") for c in failed)
 
 
 def test_index_raises_n_to_fit_a_high_degree_operator(tmp_path, capsys):

@@ -28,7 +28,7 @@ def test_mobius_symbol_is_rotating_line():
     expect = np.einsum("ga,gb->gab", v, v)
     np.testing.assert_allclose(p.face(+1)(xs), expect, atol=1e-13)
     assert p.parity == "Even"
-    assert p.face_rank(+1) == 1
+    assert _range_basis(p.face(+1)(xs)).shape[-1] == 1
 
 
 def test_hardy_realization_is_nonnegative_modes():
@@ -58,7 +58,8 @@ def test_full_and_zero():
 
 def test_trivial_subspace_projection():
     L = trivial_subspace(3, 2)
-    P = L.projection(4)
+    B = L.basis(4)
+    P = B @ B.conj().T
     np.testing.assert_allclose(P @ P, P, atol=1e-13)
     assert L.rank(4) == 2 * 9
     assert np.array_equal(L.basis(4), np.kron(np.eye(9), np.eye(3)[:, :2]))
@@ -219,7 +220,7 @@ def test_face_frames_shared_for_even():
 
 def test_lift_reuses_the_memoized_face_frame():
     L = mobius_subspace()
-    assert lift_symbol(L).frames[+1] is face_frames(L.symbol)[+1]
+    assert lift_symbol(L).sigma.plus is face_frames(L.symbol)[+1].sigma
 
 
 def test_equal_faces_of_separately_built_symbols_share_a_frame():
@@ -248,8 +249,7 @@ def test_constant_face_frame_is_its_range_basis(monkeypatch):
 
 def test_lift_symbol_trivial_line():
     lift = lift_symbol(full_subspace(1))
-    assert lift.order == 0
-    assert lift.f_rank == 1
+    assert lift.sigma.rows == 1
     xs = np.linspace(0, 2 * np.pi, 9)
     np.testing.assert_allclose(lift.sigma.plus(xs),
                                np.ones((9, 1, 1)), atol=1e-8)
@@ -288,6 +288,27 @@ def test_puncture_rejects_orthogonal_direction():
     # hardy contains no negative modes, so puncturing one cannot work
     with pytest.raises(ValueError):
         puncture(hardy_subspace(), mode=-3).realize(8)
+
+
+@pytest.mark.parametrize("mode", [-9, 9])
+def test_puncture_rejects_a_mode_outside_the_window(mode):
+    # -9 used to wrap around to mode 8, and 9 ran off the basis
+    with pytest.raises(ValueError, match="outside the truncation window"):
+        puncture(trivial_subspace(2, 1), mode=mode).realize(8)
+
+
+@pytest.mark.parametrize("coord", [-1, 2])
+def test_puncture_rejects_a_coord_outside_the_fiber(coord):
+    # coord 2 of a rank-2 fiber used to puncture the next mode's coord 0
+    with pytest.raises(ValueError, match="outside the fiber"):
+        puncture(trivial_subspace(2, 1), coord=coord)
+
+
+@pytest.mark.parametrize("shift", [-17, 17])
+def test_relative_index_rejects_a_shift_outside_the_window(shift):
+    # -17 used to raise UnstableIndexError [-16, -17, -17] at N=16
+    with pytest.raises(ValueError, match="outside the truncation window"):
+        relative_index(hardy_subspace(), hardy_subspace(shift), N=16)
 
 
 def test_face_residual_small_for_consistent_realization():

@@ -23,7 +23,7 @@ def test_identity_symbol():
     assert s.order == 0
     xs = np.linspace(0, 2 * np.pi, 4)
     np.testing.assert_allclose(s.plus(xs)[2], np.eye(3), atol=1e-14)
-    assert s.is_even()
+    assert s.plus == s.minus
 
 
 def test_composition_orders_add():
