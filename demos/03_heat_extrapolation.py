@@ -9,8 +9,6 @@ numeric route: evaluate h(t) = sum sign(lambda) exp(-t lambda^2) on a
 dyadic t-ladder and extrapolate t -> 0.
 """
 
-import numpy as np
-
 from etaforge import (SpectrumModel, eta_closed_form, eta_numeric,
                       mode_zero_crossing_family)
 from etaforge.eta import dump_spectrum_csv, eta_result_json

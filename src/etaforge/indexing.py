@@ -10,14 +10,17 @@ The dimension functional d(L) combines two such indices: a lift's and its
 parity double's.
 
 Structure.  When both realizations are mode-local (every basis column
-lives on one mode: full, trivial, zero, Hardy and two-face subspaces,
-complements of coordinates, and direct sums of these), the section T with
-rows and columns sorted by mode keeps the block band of the quantized
-matrix A: T[i, j] vanishes when the modes of row i and column j differ by
-more than the symbol degree.  Two coordinate subspaces give a slice of A;
-other mode-local pairs are assembled mode by mode.  Any other realization
-(gap, conjugated, punctured, antipodal) has a dense basis B, and the
-section is B2* A B1.
+lives on a few consecutive modes: full, trivial, zero, Hardy and two-face
+subspaces and complements of coordinates, one mode per column; frame
+realizations such as the Mobius line's, whose columns reach band + 1
+modes; and direct sums of these), the section T with rows and columns
+sorted by lowest mode keeps the block band of the quantized matrix A:
+T[i, j] vanishes when those modes differ by more than the symbol degree
+plus the wider band.  Two coordinate subspaces give a slice of A; other
+mode-local pairs are assembled mode by mode.  A side of band 0 counts its
+bulk by column mode, a wider one in ambient coordinates.  Any other
+realization (gap, conjugated, punctured, antipodal) has a dense basis B,
+and the section is B2* A B1.
 
 Near-null vectors.  A dense section goes through a full SVD, and the rank
 cut is _RANK_TOL * smax.  A sliced section is solved banded instead: the
@@ -295,16 +298,19 @@ def _banded_near_null(T, row_modes, col_modes, d):
     return ker, coker.conj()
 
 
-def _local_section(A, B1, m1, r1, B2, m2, r2, d):
-    """B2* A B1 for mode-local bases with columns sorted by mode (m1, m2):
-    the columns of mode m meet only the rows of modes m - d .. m + d, so
-    the section is assembled from one pair of small products per mode."""
+def _local_section(A, B1, m1, r1, b1, B2, m2, r2, b2, d):
+    """B2* A B1 for mode-local bases with columns sorted by lowest mode
+    (m1, m2) and bands b1, b2: the columns of lowest mode m reach the modes
+    m .. m + b1, A takes those to the rows of modes m - d .. m + b1 + d,
+    and only the target columns of lowest mode m - d - b2 .. m + b1 + d
+    meet them, so the section is assembled from one pair of small products
+    per mode."""
     T = np.zeros((B2.shape[1], B1.shape[1]), dtype=complex)
     for m in np.unique(m1):
         c = slice(*np.searchsorted(m1, [m, m + 1]))
-        t = slice(*np.searchsorted(m2, [m - d, m + d + 1]))
-        rows = slice(max(m - d, 0) * r2, (m + d + 1) * r2)
-        own = slice(m * r1, (m + 1) * r1)
+        t = slice(*np.searchsorted(m2, [m - d - b2, m + b1 + d + 1]))
+        rows = slice(max(m - d, 0) * r2, (m + b1 + d + 1) * r2)
+        own = slice(m * r1, (m + b1 + 1) * r1)
         T[t, c] = B2[rows, t].conj().T @ (A[rows, own] @ B1[own, c])
     return T
 
@@ -314,6 +320,25 @@ def _mode_order(real):
     # modes too
     return np.argsort(real.modes if real.select is None else real.select,
                       kind="stable")
+
+
+def _local_bulk(real, order, N, fiber):
+    """The bulk count of a mode-local side, as a function of near-null
+    vectors in its sorted column coordinates (None: all its columns).  A
+    column on one mode is in the bulk or not, so at band 0 the columns are
+    counted; a column that reaches several modes is counted in ambient
+    coordinates, as in the dense branch."""
+    if real.band == 0:
+        inner = np.abs(real.modes[order] - N) <= N // 2
+        return lambda V: int(inner.sum()) if V is None \
+            else _bulk_count(V, inner)
+    inner = mode_labels(N, fiber) <= N // 2
+
+    def count(V):
+        B = real.basis[:, order]  # a sorted copy, not kept through the solve
+        return _bulk_count(B if V is None else B @ V, inner)
+
+    return count
 
 
 def _filtered_index_once(op, N):
@@ -327,9 +352,10 @@ def _filtered_index_once(op, N):
         # the bulk counts); a coordinate pair is a slice of A
         o1, o2 = _mode_order(src), _mode_order(tgt)
         m1, m2 = src.modes[o1], tgt.modes[o2]
-        inner1, inner2 = np.abs(m1 - N) <= N // 2, np.abs(m2 - N) <= N // 2
+        count1 = _local_bulk(src, o1, N, op.source.fiber)
+        count2 = _local_bulk(tgt, o2, N, op.target.fiber)
         if m1.size == 0 or m2.size == 0:
-            return int(inner1.sum()) - int(inner2.sum())
+            return count1(None) - count2(None)
         A = quantize(op.symbol, N).matrix
         d = max(t.degree for t in op.symbol.terms)
         if src.select is not None and tgt.select is not None:
@@ -337,21 +363,21 @@ def _filtered_index_once(op, N):
             # sorted distinct coordinates, all of them: the identity
             T = A if (c2.size, c1.size) == A.shape else A[np.ix_(c2, c1)]
         else:
-            T = _local_section(A, src.basis[:, o1], m1, op.source.fiber,
-                               tgt.basis[:, o2], m2, op.target.fiber, d)
-        near = _banded_near_null(T, m2, m1, d)
+            T = _local_section(
+                A, src.basis[:, o1], m1, op.source.fiber, src.band,
+                tgt.basis[:, o2], m2, op.target.fiber, tgt.band, d)
+        near = _banded_near_null(T, m2, m1, d + max(src.band, tgt.band))
         ker, coker = near if near is not None else _dense_near_null(T)
-    else:
-        B1, B2 = src.basis, tgt.basis
-        inner1 = mode_labels(N, op.source.fiber) <= N // 2
-        inner2 = mode_labels(N, op.target.fiber) <= N // 2
-        if B1.shape[1] == 0 or B2.shape[1] == 0:
-            return _bulk_count(B1, inner1) - _bulk_count(B2, inner2)
-        # no name for the quantized matrix: it is freed before the SVD
-        ker, coker = _dense_near_null(
-            B2.conj().T @ quantize(op.symbol, N).matrix @ B1)
-        ker, coker = B1 @ ker, B2 @ coker
-    return _bulk_count(ker, inner1) - _bulk_count(coker, inner2)
+        return count1(ker) - count2(coker)
+    B1, B2 = src.basis, tgt.basis
+    inner1 = mode_labels(N, op.source.fiber) <= N // 2
+    inner2 = mode_labels(N, op.target.fiber) <= N // 2
+    if B1.shape[1] == 0 or B2.shape[1] == 0:
+        return _bulk_count(B1, inner1) - _bulk_count(B2, inner2)
+    # no name for the quantized matrix: it is freed before the SVD
+    ker, coker = _dense_near_null(
+        B2.conj().T @ quantize(op.symbol, N).matrix @ B1)
+    return _bulk_count(B1 @ ker, inner1) - _bulk_count(B2 @ coker, inner2)
 
 
 def analytic_index(op, N=16, scales=_SCALES):

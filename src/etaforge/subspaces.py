@@ -112,19 +112,24 @@ class SubspaceRealization:
     """Exact finite projection at one truncation, stored via an orthonormal
     basis of its range.
 
-    A mode-local realization, each of whose basis columns lives on the
-    fiber coordinates of a single mode, records that mode (0 .. 2N) per
-    column in `modes`; the index kernel then keeps the band of the
-    quantized symbol.  A coordinate subspace, whose basis columns are
-    ambient coordinate vectors, is stored as `select`: those coordinates,
-    in column order.  Its basis eye(dim)[:, select] is built only when
-    asked for; the index kernel slices with `select` and never builds it.
+    A mode-local realization, each of whose basis columns lives on a few
+    consecutive modes, records the lowest mode (0 .. 2N) of each column in
+    `modes` and one `band` for all of them: a column of lowest mode m
+    reaches the modes m .. m + band.  The index kernel then keeps the band
+    of the quantized symbol.  Coordinate and two-face realizations have
+    band 0 (each column on one mode); the shifts F e^{ikx} of a
+    trigonometric frame F have band deg F, 1 for the Mobius line.  A
+    coordinate subspace, whose basis columns are ambient coordinate
+    vectors, is stored as `select`: those coordinates, in column order.
+    Its basis eye(dim)[:, select] is built only when asked for; the index
+    kernel slices with `select` and never builds it.
     """
 
     def __init__(self, N, basis=None, warnings=(), select=None, dim=None,
-                 modes=None):
+                 modes=None, band=0):
         self.N = N
         self.warnings = warnings
+        self.band = band
         self.select = None
         if select is not None:
             self.select = _readonly(np.asarray(select, dtype=np.intp))
@@ -202,7 +207,8 @@ class PdoSubspace:
                 _embed_basis(b.basis, N, f2, f1 + f2, f1)], axis=1)
             modes = None if a.modes is None or b.modes is None else \
                 np.concatenate([a.modes, b.modes])
-            return SubspaceRealization(N, B, warnings, modes=modes)
+            return SubspaceRealization(N, B, warnings, modes=modes,
+                                       band=max(a.band, b.band))
 
         return PdoSubspace(sym, realizer, name=f"{self.name}+{other.name}")
 
@@ -525,8 +531,26 @@ def mobius_symbol():
     return SubspaceSymbol(face, face, name="mobius")
 
 
+# s(x) = ((1 + e^{ix})/2, -i(e^{ix} - 1)/2) = e^{ix/2} (cos x/2, sin x/2):
+# |s| = 1 and s s* is the Mobius face; its Fourier coefficients at 0 and 1
+_MOBIUS_FRAME = (np.array([0.5, 0.5j]), np.array([0.5, -0.5j]))
+
+
+def _mobius_realization(N):
+    """The shifts s e^{ikx}, k = -N .. N-1, of the Mobius frame: column k
+    holds s_0 on mode k and s_1 on mode k + 1, a mode-local basis of band
+    1, exactly orthonormal because its entries are +-1/2 and +-i/2."""
+    B = np.zeros((2 * N + 1, 2, 2 * N), dtype=complex)
+    m = np.arange(2 * N)
+    B[m, :, m], B[m + 1, :, m] = _MOBIUS_FRAME
+    return SubspaceRealization(N, B.reshape(-1, 2 * N), modes=m, band=1)
+
+
 def mobius_subspace():
-    return PdoSubspace(mobius_symbol(), name="mobius")
+    """The Mobius line, realized by its frame's shifts s e^{ikx},
+    k = -N .. N-1: the subspace the spectral cut of the quantized face
+    gives (rank 2N), in an exactly orthonormal basis of band 1."""
+    return PdoSubspace(mobius_symbol(), _mobius_realization, name="mobius")
 
 
 def trivial_subspace(rank, q, name=""):

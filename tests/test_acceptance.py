@@ -9,8 +9,7 @@ import pytest
 
 from etaforge.core import winding_number
 from etaforge.dyadic import DyadicRational
-from etaforge.eta import (SpectrumModel, dimension_functional,
-                          eta_closed_form, eta_numeric,
+from etaforge.eta import (SpectrumModel, dimension_functional, eta_numeric,
                           mode_zero_crossing_family)
 from etaforge.indexing import (analytic_index, build_parity_double,
                                index_formula_report)

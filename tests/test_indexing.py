@@ -342,29 +342,38 @@ def test_no_function_level_imports():
     assert sorted(hits) == []
 
 
-def test_no_unused_module_imports():
-    # a module-level import that the module never reads is dead weight;
-    # "# noqa: F401" marks a deliberate re-export
-    paths = sorted(pathlib.Path(etaforge.__file__).parent.glob("*.py"))
+def _unused_imports(path):
+    """The names a file imports and never reads; "# noqa: F401" marks a
+    deliberate re-export."""
+    text = path.read_text()
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     hits = []
-    for path in paths:
-        if path.name == "__init__.py":
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__" or \
+                "# noqa: F401" in lines[node.end_lineno - 1]:
             continue
-        text = path.read_text()
-        tree = ast.parse(text)
-        lines = text.splitlines()
-        read = {node.id for node in ast.walk(tree)
-                if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
-                    getattr(node, "module", None) == "__future__" or \
-                    "# noqa: F401" in lines[node.end_lineno - 1]:
-                continue
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                if name not in read:
-                    hits.append(f"{path.name}:{name}")
-    assert hits == []
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                hits.append(f"{path.parent.name}/{path.name}:{name}")
+    return hits
+
+
+def test_no_unused_module_imports():
+    # a module-level import that the module never reads is dead weight
+    paths = sorted(pathlib.Path(etaforge.__file__).parent.glob("*.py"))
+    assert [hit for path in paths if path.name != "__init__.py"
+            for hit in _unused_imports(path)] == []
+
+
+def test_no_unused_imports_in_tests_and_demos():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("tests/*.py")) + sorted(root.glob("demos/*.py"))
+    assert len(paths) > 15
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
 
 
 # ---------------------------------------------------- structured kernel
@@ -424,6 +433,9 @@ def _banded_cases():
         # a mode-local dense basis, compressed mode by mode
         "two_face_n_fold": (
             modn_element_suite(1901, 4, count=3)[2][1].operator, 48),
+        # framed over the 4-fold Mobius sum: frame realizations of band 1
+        "mobius_n_fold": (
+            modn_element_suite(1890, 4, count=3)[2][1].operator, 48),
     }
 
 
@@ -454,9 +466,78 @@ def test_local_section_is_the_dense_compression():
     o = np.argsort(real.modes, kind="stable")
     B, m = real.basis[:, o], real.modes[o]
     A = quantize(op.symbol, N).matrix
-    T = indexing._local_section(A, B, m, op.source.fiber, B, m,
-                                op.target.fiber, op.symbol.principal.degree)
+    T = indexing._local_section(A, B, m, op.source.fiber, 0, B, m,
+                                op.target.fiber, 0, op.symbol.principal.degree)
     np.testing.assert_allclose(T, B.conj().T @ A @ B, rtol=0, atol=1e-13)
+
+
+def _sorted_side(L, N):
+    real = L.realize(N)
+    o = np.argsort(real.modes, kind="stable")
+    return real.basis[:, o], real.modes[o], L.fiber, real.band
+
+
+@pytest.mark.parametrize("case", ["n_fold", "into_full", "from_full"])
+def test_local_section_of_a_band_one_basis_is_the_dense_compression(case):
+    # the windows widen by each side's band: frame columns reach two modes
+    N = 24
+    if case == "n_fold":
+        op = _banded_cases()["mobius_n_fold"][0]
+    else:
+        mob = mobius_subspace()
+        rng = rng_for(7, "band_one")
+        sym = CircleSymbol(0, *(TrigPolyMatrix(
+            {k: rng.standard_normal((2, 2)) for k in range(-2, 3)})
+            for _ in range(2)))
+        op = SubspaceOperator(sym, mob, full_subspace(2)) \
+            if case == "into_full" else \
+            SubspaceOperator(sym, full_subspace(2), mob)
+    B1, m1, r1, b1 = _sorted_side(op.source, N)
+    B2, m2, r2, b2 = _sorted_side(op.target, N)
+    assert max(b1, b2) == 1
+    A = quantize(op.symbol, N).matrix
+    T = indexing._local_section(A, B1, m1, r1, b1, B2, m2, r2, b2,
+                                op.symbol.principal.degree)
+    np.testing.assert_allclose(T, B2.conj().T @ A @ B1, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("N", [12, 24, 48])
+def test_frame_and_gap_mobius_have_relative_index_zero(N):
+    # the identity from the frame realization to the spectral cut of the
+    # quantized face: a realizer that shifted d would show here
+    gap = PdoSubspace(mobius_symbol())
+    op = SubspaceOperator(identity_symbol(2), mobius_subspace(), gap)
+    assert op.source.realize(N).band == 1 and gap.realize(N).modes is None
+    assert analytic_index(op, N=N) == 0
+
+
+def test_the_banded_solve_is_given_the_frame_band(monkeypatch):
+    # frame columns reach two modes, so between band-1 sides a degree-1
+    # symbol makes a section of band 2: M restricted to the Mobius line is
+    # tr(M p(x)), of degree 1 where M is constant.  With that band the
+    # block tridiagonal Gram matrix is T*T.
+    mob4 = n_fold(mobius_subspace(), 4)
+    loop = TrigPolyMatrix({1: np.diag([2.0, 1.0] * 4)})
+    op = SubspaceOperator(CircleSymbol(0, loop, loop), mob4, mob4)
+    seen = []
+    banded = indexing._banded_near_null
+
+    def recorded(T, row_modes, col_modes, d):
+        seen.append((T, row_modes, col_modes, d))
+        return banded(T, row_modes, col_modes, d)
+
+    monkeypatch.setattr(indexing, "_banded_near_null", recorded)
+    calls = _count_dense(monkeypatch)
+    assert indexing._filtered_index_once(op, 48) == 0 and calls == []
+    (T, row_modes, col_modes, d), = seen
+    assert d == 2
+    G = indexing._BandedGram(T, row_modes, col_modes, d)
+    TT = T.conj().T @ T
+    for J, c in enumerate(G.cols):
+        np.testing.assert_allclose(G.diag[J], TT[c, c], rtol=0, atol=1e-13)
+        if J:
+            np.testing.assert_allclose(G.low[J - 1], TT[c, G.cols[J - 1]],
+                                       rtol=0, atol=1e-13)
 
 
 def test_thin_margin_hands_off_to_the_dense_svd(monkeypatch):
@@ -511,15 +592,35 @@ def _unfiltered_dense_index(op, N):
 @pytest.mark.parametrize("source, target, fiber", [
     (zero_subspace(1), hardy_subspace(), 1),     # mode-local, empty source
     (hardy_subspace(), zero_subspace(1), 1),     # mode-local, empty target
-    (zero_subspace(2), mobius_subspace(), 2),    # dense, empty source
-    (mobius_subspace(), zero_subspace(2), 2),    # dense, empty target
-], ids=["local_source", "local_target", "dense_source", "dense_target"])
+    (zero_subspace(2), mobius_subspace(), 2),    # band 1, empty source
+    (mobius_subspace(), zero_subspace(2), 2),    # band 1, empty target
+    (zero_subspace(2), PdoSubspace(mobius_symbol()), 2),  # dense, empty source
+    (PdoSubspace(mobius_symbol()), zero_subspace(2), 2),  # dense, empty target
+], ids=["local_source", "local_target", "dense_source", "dense_target",
+        "gap_source", "gap_target"])
 def test_an_empty_side_counts_the_other_sides_bulk(source, target, fiber):
     op = SubspaceOperator(identity_symbol(fiber), source, target)
     got = indexing._filtered_index_once(op, 16)
     assert got == _unfiltered_dense_index(op, 16)
     if "hardy" in source.name + target.name:  # modes 0 .. N//2
         assert abs(got) == 16 // 2 + 1
+    else:  # 16 frame columns inside modes -8 .. 8, two half inside
+        assert abs(got) == 18
+
+
+@pytest.mark.parametrize("name", ["half_spin_row", "mobius_twist"])
+@pytest.mark.parametrize("N", [16, 32])
+def test_small_frame_sections_match_the_ambient_dense_index(name, N,
+                                                            monkeypatch):
+    # below the banded solve's size a frame section goes to the dense SVD,
+    # and its kernel is counted in ambient coordinates; the plain B2* A B1
+    # route must give the same index
+    op = dict(index_formula_suite())[name]
+    assert op.source.realize(N).band == 1
+    calls = _count_dense(monkeypatch)
+    got = indexing._filtered_index_once(op, N)
+    assert len(calls) == 1 and min(calls[0]) < indexing._DENSE_BELOW
+    assert got == _unfiltered_dense_index(op, N)
 
 
 def test_wide_margins_make_no_large_svd(monkeypatch):

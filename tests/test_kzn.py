@@ -3,10 +3,9 @@ data, the direct image, and symbol-side decompositions."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from etaforge.core import TrigPolyMatrix, winding_number
-from etaforge.dyadic import DyadicRational
 from etaforge.eta import dimension_functional
 from etaforge.kzn import (EllZnElement, KClassZn, _pair_rotation,
                           antipodal_action_check, antipodal_element,

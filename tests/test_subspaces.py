@@ -116,6 +116,36 @@ def test_mobius_realization_rank_deficit():
         assert orthocomplement(mob).rank(N) == (2 * N + 1) + 1
 
 
+@pytest.mark.parametrize("N", [8, 24, 144])
+def test_mobius_frame_realization_is_the_spectral_cut(N):
+    # the shifts s e^{ikx} of the frame s = e^{ix/2} (cos x/2, sin x/2) span
+    # the range of the gap realization, in an exactly orthonormal basis
+    real = mobius_subspace().realize(N)
+    B = real.basis
+    assert np.array_equal(B.conj().T @ B, np.eye(2 * N))
+    G = subspaces._gap_realization(mobius_symbol(), N).basis
+    np.testing.assert_allclose(B @ B.conj().T, G @ G.conj().T,
+                               rtol=0, atol=1e-14)
+    # column k sits on the lowest mode k and the next one
+    assert real.band == 1
+    np.testing.assert_array_equal(real.modes, np.arange(2 * N))
+    mask = np.abs(B) > 0
+    assert all(set(np.flatnonzero(mask[:, j]) // 2) == {m, m + 1}
+               for j, m in enumerate(real.modes))
+
+
+def test_direct_sums_carry_the_widest_band():
+    N = 6
+    mob = mobius_subspace()
+    for L, band in ((mob.direct_sum(full_subspace(1)), 1),
+                    (trivial_subspace(3, 1).direct_sum(mob), 1),
+                    (mob.direct_sum(mob).direct_sum(mob), 1),
+                    (full_subspace(1).direct_sum(hardy_subspace()), 0)):
+        real = L.realize(N)
+        assert real.modes is not None and real.band == band
+    assert orthocomplement(mob).realize(N).modes is None
+
+
 def test_realization_is_cached():
     mob = mobius_subspace()
     assert mob.realize(8) is mob.realize(8)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from etaforge.eta import SpectrumModel, eta_closed_form
 from etaforge.torus import (FormSpectrum, TwistCharacter, gilkey_eta,
