@@ -24,18 +24,20 @@ and the section is B2* A B1.
 
 Near-null vectors.  A dense section goes through a full SVD, and the rank
 cut is _RANK_TOL * smax.  A sliced section is solved banded instead: the
-shifted Gram matrix T*T + mu^2 I (mu = 1e-6 smax) is block tridiagonal
-and is factored by block Cholesky, and block inverse iteration finds the
-singular vectors below 100 mu.  The cut is made on the singular values of
-T X for the iterated block X (its Ritz values), never on the squared Gram
-matrix; the cokernel comes from the same solve on T^t.
+shifted Gram matrix G = T*T + mu^2 I (mu = 1e-6 smax) is block tridiagonal
+and is factored once by block Cholesky, and block inverse iteration finds
+the singular vectors below 100 mu: X -> G^-1 X for the kernel, and for the
+cokernel Y -> Y - T G^-1 T* Y, which is mu^2 (TT* + mu^2 I)^-1 Y (push-
+through identity).  The cut is made on the singular values of T X and
+T* Y (the Ritz values), never on the squared Gram matrix.
 
 Hand-off.  The banded solve only brackets smax (a power-iteration lower
-bound, a Gershgorin upper bound), so its cut is a bracket.  It hands the
-call to the dense SVD when a Ritz value lies within 2x of that bracket,
-when the section is small or its band wide against it, when a block does
-not settle, or when kernel and cokernel disagree on the rank.  The dense
-SVD is also the oracle the tests compare the banded solve against.
+bound, the Gershgorin upper bound of T*T), so its cut is a bracket.  It
+hands the call to the dense SVD when a Ritz value lies within 2x of that
+bracket, when the section is small or G has few blocks, when G is not
+numerically positive definite, when a block does not settle, or when
+kernel and cokernel disagree on the rank.  The dense SVD is also the
+oracle the tests compare the banded solve against, basis for basis.
 """
 from __future__ import annotations
 
@@ -59,7 +61,10 @@ __all__ = [
 
 
 class SubspaceOperator:
-    """An operator D : L1 -> L2 given by a symbol and two subspaces."""
+    """An operator D : L1 -> L2 given by a symbol and two subspaces.  It
+    keeps its is_elliptic() verdict, which with_lower_order passes on, and
+    its bulk-filtered index by N (`_indices`, filled by analytic_index),
+    which it does not: that invariance is what the stability checks test."""
 
     def __init__(self, symbol, source, target, name=""):
         self.symbol = symbol if isinstance(symbol, FullSymbol) \
@@ -70,6 +75,8 @@ class SubspaceOperator:
         self.source = source
         self.target = target
         self.name = name
+        self._elliptic = None
+        self._indices = {}
 
     @property
     def order(self):
@@ -80,13 +87,17 @@ class SubspaceOperator:
         return self.symbol.principal
 
     def is_elliptic(self):
-        return ellipticity_check(self.principal, self.source.symbol,
-                                 self.target.symbol)
+        if self._elliptic is None:
+            self._elliptic = ellipticity_check(
+                self.principal, self.source.symbol, self.target.symbol)
+        return self._elliptic
 
     def with_lower_order(self, *terms):
         """Same operator with extra asymptotic terms appended."""
-        return SubspaceOperator(FullSymbol.of(*self.symbol.terms, *terms),
-                                self.source, self.target, name=self.name)
+        op = SubspaceOperator(FullSymbol.of(*self.symbol.terms, *terms),
+                              self.source, self.target, name=self.name)
+        op._elliptic = self._elliptic
+        return op
 
     def compose(self, other):
         """self after other (principal symbols compose; expansions drop)."""
@@ -161,7 +172,8 @@ class _BandedGram:
     of row i and column j differ by at most d.  Columns more than 2d modes
     apart are then orthogonal, so in column blocks spanning at least 2d
     modes G is block tridiagonal.  It is built block by block inside the
-    band, never as a dense product, and factored by a block Cholesky."""
+    band, never as a dense product, and factored by a block Cholesky that
+    serves both sides of M: MM* is never formed."""
 
     def __init__(self, M, row_modes, col_modes, d):
         self.shape = M.shape
@@ -186,6 +198,11 @@ class _BandedGram:
             out[r] += P @ X[c]
         return out
 
+    def rmatvec(self, Y):
+        """M* Y, block by block."""
+        return np.concatenate([P.conj().T @ Y[r]
+                               for r, P in zip(self.rows, self.panels)])
+
     def upper_bound(self):
         """Gershgorin bound on the largest eigenvalue of G."""
         sums = [np.abs(D).sum(axis=1) for D in self.diag]
@@ -199,9 +216,7 @@ class _BandedGram:
         v = np.random.default_rng(0).standard_normal((self.shape[1], 1))
         for _ in range(_POWER_STEPS):
             v = v / np.linalg.norm(v)
-            Mv = self.matvec(v)
-            v = np.concatenate([P.conj().T @ Mv[r]
-                                for r, P in zip(self.rows, self.panels)])
+            v = self.rmatvec(self.matvec(v))
         return float(np.linalg.norm(self.matvec(v / np.linalg.norm(v))))
 
     def factor(self, mu):
@@ -230,20 +245,19 @@ class _BandedGram:
             x[J] = self.inv[J][1] @ r
         return np.concatenate(x)
 
-    def near_null(self, mu, cut_lo, cut_hi):
-        """Orthonormal right singular vectors of M below the cut, from
-        block inverse iteration with G + mu^2 I; None when the block does
-        not settle or a Ritz value lies within _MARGIN of [cut_lo, cut_hi].
-        The Ritz values are the singular values of M X, never those of G."""
-        n = self.shape[1]
+    def near_null(self, n, step, ritz, mu, cut_lo, cut_hi):
+        """Orthonormal n-vectors X with ritz(X) below the cut, from block
+        inverse iteration X <- qr(step(X)); None when the block does not
+        settle or a Ritz value lies within _MARGIN of [cut_lo, cut_hi].
+        The Ritz values are the singular values of ritz(X), never G's."""
         rng = np.random.default_rng(0)
         p = _START_BLOCK
         while 2 * p <= n:
             X = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
             prev = None
             for _ in range(_STEPS):
-                X = np.linalg.qr(self.solve(X))[0]
-                R = np.linalg.qr(self.matvec(X), mode="r")
+                X = np.linalg.qr(step(X))[0]
+                R = np.linalg.qr(ritz(X), mode="r")
                 _, s, vh = np.linalg.svd(R)
                 low = s < _CLEAR * mu
                 if prev is not None and np.array_equal(low, prev < _CLEAR * mu) \
@@ -267,35 +281,35 @@ def _banded_near_null(T, row_modes, col_modes, d):
     """Kernel and cokernel of a sliced section T, or None to hand the call
     to the dense SVD.
 
-    smax lies between a power-iteration lower bound and a Gershgorin upper
-    bound, so the rank cut _RANK_TOL * smax lies in [cut_lo, cut_hi].  The
-    count below it is certain when no Ritz value of T or T* lies within
-    _MARGIN of that bracket and both sides agree on the rank.
+    smax lies between a power-iteration lower bound and the Gershgorin
+    upper bound of T*T, so the rank cut _RANK_TOL * smax lies in
+    [cut_lo, cut_hi].  The count below it is certain when no Ritz value of
+    T or T* lies within _MARGIN of that bracket and both sides agree on the
+    rank.  One factorization of T*T + mu^2 I serves both sides.
     """
     if min(T.shape) < _DENSE_BELOW:
         return None
-    cols = _BandedGram(T, row_modes, col_modes, d)
-    # T* y = 0 iff (T^t) conj(y) = 0, and T^t is a view where T* is a copy
-    rows = _BandedGram(T.T, col_modes, row_modes, d)
-    if min(len(cols.cols), len(rows.cols)) < _MIN_BLOCKS:
+    G = _BandedGram(T, row_modes, col_modes, d)
+    if len(G.cols) < _MIN_BLOCKS:
         return None
-    lo = cols.lower_bound()
-    hi = np.sqrt(min(cols.upper_bound(), rows.upper_bound()))
+    lo = G.lower_bound()
     mu = _SHIFT * lo
-    cut_lo, cut_hi = _RANK_TOL * lo, _RANK_TOL * hi
+    cut_lo, cut_hi = _RANK_TOL * lo, _RANK_TOL * np.sqrt(G.upper_bound())
     if _MARGIN * cut_hi > mu:  # bracket too wide for the shift
         return None
     try:
-        cols.factor(mu)
-        rows.factor(mu)
+        G.factor(mu)
     except np.linalg.LinAlgError:
         return None
-    ker = cols.near_null(mu, cut_lo, cut_hi)
-    coker = rows.near_null(mu, cut_lo, cut_hi)
+    m, n = T.shape
+    ker = G.near_null(n, G.solve, G.matvec, mu, cut_lo, cut_hi)
+    # push-through: mu^2 (TT* + mu^2 I)^-1 Y = Y - T (T*T + mu^2 I)^-1 T* Y
+    coker = G.near_null(m, lambda Y: Y - G.matvec(G.solve(G.rmatvec(Y))),
+                        G.rmatvec, mu, cut_lo, cut_hi)
     if ker is None or coker is None or \
-            T.shape[1] - ker.shape[1] != T.shape[0] - coker.shape[1]:
+            n - ker.shape[1] != m - coker.shape[1]:
         return None
-    return ker, coker.conj()
+    return ker, coker
 
 
 def _local_section(A, B1, m1, r1, b1, B2, m2, r2, b2, d):
@@ -390,7 +404,10 @@ def analytic_index(op, N=16, scales=_SCALES):
     if not op.is_elliptic():
         raise EllipticityViolation(
             "symbol does not restrict to an isomorphism of the subspaces")
-    vals = [_filtered_index_once(op, N * s) for s in scales]
+    kept = op._indices
+    vals = [kept[n] if n in kept else
+            kept.setdefault(n, _filtered_index_once(op, n))
+            for n in (N * s for s in scales)]
     if len(set(vals)) != 1:
         raise UnstableIndexError(f"analytic index did not stabilize: {vals}")
     return vals[0]

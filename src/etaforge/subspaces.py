@@ -3,13 +3,14 @@
 A subspace is the range of an order-zero projection.  It carries a
 projection-valued symbol (two faces) and a family of exact finite
 projections indexed by the Fourier truncation N.  One cache policy: what
-a subspace computes is kept on the subspace, append-only and idempotent.
-Realizations are cached per N, and the dimension functional d(L) per
-(N, lift_order) in a memo of its own that indexing.dimension_functional
-fills.  Concurrent calls are safe: dict.setdefault is atomic, so every
-caller gets the one stored value.  Face frames are cached by face value
-(lru_cache on _face_frame), so equal faces share one transport; symbols
-keep no memo.
+a subspace (or an indexing.SubspaceOperator) computes is kept on it,
+append-only and idempotent; a call that raises keeps nothing.
+Realizations are cached per N, d(L) per (N, lift_order) in a memo that
+indexing.dimension_functional fills, and an operator keeps its ellipticity
+verdict and its index per N.  Concurrent calls are safe: dict.setdefault
+is atomic, so every caller gets the one stored value.  Face frames are
+cached by face value (lru_cache on _face_frame), so equal faces share one
+transport; symbols keep no memo.
 """
 from __future__ import annotations
 

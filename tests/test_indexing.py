@@ -17,7 +17,7 @@ from etaforge.core import (_RANK_TOL, EllipticityViolation, TrigPolyMatrix,
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
                                dimension_functional, index_formula_report)
-from etaforge.kzn import n_fold
+from etaforge.kzn import mod_n_analytic_index, n_fold
 from etaforge.subspaces import (ParityError, PdoSubspace, SubspaceSymbol,
                                 UnstableIndexError, full_subspace,
                                 hardy_subspace, mobius_subspace, mobius_symbol,
@@ -90,13 +90,20 @@ def test_underresolved_perturbation_is_refused():
         analytic_index(pert, N=8)
 
 
-def test_noninvertible_symbol_is_rejected():
+def test_noninvertible_symbol_is_rejected(monkeypatch):
     loop = TrigPolyMatrix({0: -np.eye(1), 1: np.eye(1)})  # z - 1, zero at x=0
     op = SubspaceOperator(CircleSymbol(0, loop, loop),
                           full_subspace(1), full_subspace(1))
+    calls = _counted(monkeypatch, "ellipticity_check")
     assert not op.is_elliptic()
+    # the kept verdict refuses every call, and a perturbed copy's too
+    for _ in range(2):
+        with pytest.raises(EllipticityViolation):
+            analytic_index(op, N=8)
     with pytest.raises(EllipticityViolation):
-        analytic_index(op, N=8)
+        analytic_index(op.with_lower_order(*perturbation_terms(
+            rng_for(3, "perturb"), op, 1)), N=8)
+    assert len(calls) == 1 and op._indices == {}
 
 
 def test_symbol_shape_must_match_subspaces():
@@ -379,6 +386,98 @@ def test_no_unused_imports_in_tests_and_demos():
 # ---------------------------------------------------- structured kernel
 
 
+# ------------------------------------------------ the operator's memo
+
+
+def _counted(monkeypatch, name):
+    # records every call of an indexing module function
+    calls = []
+    fn = getattr(indexing, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(indexing, name, counted)
+    return calls
+
+
+def _theorem_element():
+    # a full-space element of the mod-2 suite: small, stable sections
+    return modn_element_suite(1914, 2, count=2)[1][1]
+
+
+def test_ellipticity_is_checked_once_per_principal_symbol(monkeypatch):
+    el = _theorem_element()
+    terms = perturbation_terms(rng_for(1914, "memo"), el.operator, 2)
+    calls = _counted(monkeypatch, "ellipticity_check")
+    mod_n_analytic_index(el)
+    analytic_index(el.operator, N=24, scales=(1, 2))
+    for term in terms:  # lower-order terms keep the principal symbol
+        analytic_index(el.operator.with_lower_order(term), N=24,
+                       scales=(1, 2))
+    assert len(calls) == 1
+
+
+def test_compose_and_direct_sum_check_their_own_symbol(monkeypatch):
+    a, b = toeplitz_operator(1), toeplitz_operator(-2)
+    assert a.is_elliptic() and b.is_elliptic()
+    calls = _counted(monkeypatch, "ellipticity_check")
+    assert a.compose(b).is_elliptic()
+    assert a.direct_sum(b).is_elliptic()
+    assert len(calls) == 2
+
+
+def test_theorem_and_ladder_share_the_n24_section(monkeypatch):
+    # the theorem runs N = 12, 24, 36 and the ladder's first rung 24, 48
+    el = _theorem_element()
+    calls = _counted(monkeypatch, "_filtered_index_once")
+    mod_n_analytic_index(el, N=12)
+    analytic_index(el.operator, N=24, scales=(1, 2))
+    assert [N for _, N in calls] == [12, 24, 36, 48]
+
+
+def test_a_perturbed_operator_inherits_no_indices(monkeypatch):
+    op = toeplitz_operator(2)
+    assert analytic_index(op, N=24, scales=(1, 2)) == -2
+    pert = op.with_lower_order(*perturbation_terms(rng_for(3, "perturb"),
+                                                   op, 1))
+    assert pert._indices == {}
+    calls = _counted(monkeypatch, "_filtered_index_once")
+    assert analytic_index(pert, N=24, scales=(1, 2)) == -2
+    assert [N for _, N in calls] == [24, 48]
+
+
+def test_disagreeing_scales_are_refused_on_every_call(monkeypatch):
+    rng = rng_for(11, "unstable")
+    op = toeplitz_operator(1)
+    pert = op.with_lower_order(*perturbation_terms(rng, op, 1, scale=1.0))
+    with pytest.raises(UnstableIndexError):
+        analytic_index(pert, N=8)
+    calls = _counted(monkeypatch, "_filtered_index_once")
+    with pytest.raises(UnstableIndexError):
+        analytic_index(pert, N=8)
+    assert calls == []  # the kept indices still disagree
+
+
+def test_an_index_that_raises_stores_nothing(monkeypatch):
+    op = toeplitz_operator(1)
+    once = indexing._filtered_index_once
+
+    def refused_at_32(op, N):
+        if N == 32:
+            raise ArithmeticError("section refused")
+        return once(op, N)
+
+    monkeypatch.setattr(indexing, "_filtered_index_once", refused_at_32)
+    with pytest.raises(ArithmeticError):
+        analytic_index(op, N=16)
+    assert list(op._indices) == [16]
+    monkeypatch.setattr(indexing, "_filtered_index_once", once)
+    assert analytic_index(op, N=16) == -1
+    assert sorted(op._indices) == [16, 32, 48]
+
+
 def _count_dense(monkeypatch):
     # records every call the structured kernel hands to the dense SVD
     calls = []
@@ -421,6 +520,14 @@ def _banded_cases():
         "hardy_into_shifted_hardy": (SubspaceOperator(
             CircleSymbol(0, _loop(-1), _loop(-1)), hardy,
             hardy_subspace(shift=3)), 200),
+        # one side has 20 near-null directions and one none: only that
+        # side's Ritz block grows past _START_BLOCK
+        "hardy_into_hardy_below": (SubspaceOperator(
+            CircleSymbol(0, _loop(-20), _loop(-20)), hardy,
+            hardy_subspace(shift=-20)), 200),
+        "hardy_into_hardy_above": (SubspaceOperator(
+            CircleSymbol(0, _loop(20), _loop(20)), hardy,
+            hardy_subspace(shift=20)), 200),
         # order 1: the weight |n| vanishes on the mode-0 columns
         "exactly_null_columns": (SubspaceOperator(
             CircleSymbol(1, phase_diag_loop([1, -2]), -np.eye(2)),
@@ -439,13 +546,69 @@ def _banded_cases():
     }
 
 
+def _banded_sections(monkeypatch):
+    # records each section the banded solve is given, with its answer
+    seen = []
+    banded = indexing._banded_near_null
+
+    def recorded(T, *args):
+        seen.append((T, banded(T, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(indexing, "_banded_near_null", recorded)
+    return seen
+
+
+def _projector(V):
+    return V @ V.conj().T
+
+
 @pytest.mark.parametrize("case", sorted(_banded_cases()))
 def test_banded_kernel_matches_the_dense_svd(case, monkeypatch):
     op, N = _banded_cases()[case]
     want = _oracle_index(op, N, monkeypatch)
+    dense = indexing._dense_near_null
+    seen = _banded_sections(monkeypatch)
     calls = _count_dense(monkeypatch)
     assert indexing._filtered_index_once(op, N) == want
     assert calls == []  # the margins are wide: no hand-off
+    # the bases too, not only their counts: a wrong cokernel of the right
+    # size would leave the index right
+    (T, near), = seen
+    for got, ref in zip(near, dense(T)):
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(_projector(got), _projector(ref),
+                                   rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("case, shape, ker, coker", [
+    ("hardy_into_hardy_below", (221, 201), 0, 20),
+    ("hardy_into_hardy_above", (181, 201), 20, 0),
+], ids=["below", "above"])
+def test_one_sided_cases_grow_one_ritz_block(case, shape, ker, coker,
+                                             monkeypatch):
+    op, N = _banded_cases()[case]
+    seen = _banded_sections(monkeypatch)
+    indexing._filtered_index_once(op, N)
+    (T, near), = seen
+    assert T.shape == shape
+    assert [V.shape[1] for V in near] == [ker, coker]
+    assert max(ker, coker) > indexing._START_BLOCK
+
+
+def test_one_factorization_serves_both_sides(monkeypatch):
+    op, N = _banded_cases()["square_fiber4"]
+    factored = []
+    factor = indexing._BandedGram.factor
+
+    def counted(self, mu):
+        factored.append(mu)
+        return factor(self, mu)
+
+    monkeypatch.setattr(indexing._BandedGram, "factor", counted)
+    calls = _count_dense(monkeypatch)
+    indexing._filtered_index_once(op, N)
+    assert calls == [] and len(factored) == 1
 
 
 def test_kernel_cases_cover_selection_shapes():
