@@ -18,11 +18,17 @@ sorted by lowest mode keeps the block band of the quantized matrix A:
 T[i, j] vanishes when those modes differ by more than the symbol degree
 plus the wider band.  Two coordinate subspaces give a slice of A; other
 mode-local pairs are assembled mode by mode.  A side of band 0 counts its
-bulk by column mode, a wider one in ambient coordinates.  Any other
-realization (gap, conjugated, punctured, antipodal) has a dense basis B,
-and the section is B2* A B1.
+bulk by column mode, a wider one in ambient coordinates.  A symbol of
+degree 0 between two sides of band 0 (a parity double that is the
+identity, say) makes T block diagonal by mode, and no section is built:
+see below.  Any other realization (gap, conjugated, punctured, antipodal)
+has a dense basis B, and the section is B2* A B1.
 
-Near-null vectors.  A dense section goes through a full SVD, and the rank
+Near-null vectors.  A block-diagonal T needs none.  Mode k has
+cols_k - rank_k kernel and rows_k - rank_k cokernel directions, and both
+sides count the same bulk modes, so rank_k cancels and the index is the
+source's bulk column count less the target's, the count an empty side
+already gets.  A dense section goes through a full SVD, and the rank
 cut is _RANK_TOL * smax.  A sliced section is solved banded instead: the
 shifted Gram matrix G = T*T + mu^2 I (mu = 1e-6 smax) is block tridiagonal
 and is factored once by block Cholesky, and block inverse iteration finds
@@ -63,8 +69,9 @@ __all__ = [
 class SubspaceOperator:
     """An operator D : L1 -> L2 given by a symbol and two subspaces.  It
     keeps its is_elliptic() verdict, which with_lower_order passes on, and
-    its bulk-filtered index by N (`_indices`, filled by analytic_index),
-    which it does not: that invariance is what the stability checks test."""
+    its bulk-filtered index by N (`_indices`, filled by analytic_index)
+    and its parity double (`_double`, built by build_parity_double), which
+    it does not: that invariance is what the stability checks test."""
 
     def __init__(self, symbol, source, target, name=""):
         self.symbol = symbol if isinstance(symbol, FullSymbol) \
@@ -77,6 +84,7 @@ class SubspaceOperator:
         self.name = name
         self._elliptic = None
         self._indices = {}
+        self._double = None
 
     @property
     def order(self):
@@ -358,7 +366,8 @@ def _local_bulk(real, order, N, fiber):
 def _filtered_index_once(op, N):
     """The bulk-filtered index at one truncation: compress, take the
     near-null vectors on both sides (banded solve or dense SVD), count
-    those in the bulk."""
+    those in the bulk.  A section that is block diagonal by mode (symbol
+    degree 0, both sides of band 0) is counted by mode, with no solve."""
     src, tgt = op.source.realize(N), op.target.realize(N)
     if src.modes is not None and tgt.modes is not None:
         # mode-local bases: with rows and columns sorted by mode the section
@@ -368,10 +377,12 @@ def _filtered_index_once(op, N):
         m1, m2 = src.modes[o1], tgt.modes[o2]
         count1 = _local_bulk(src, o1, N, op.source.fiber)
         count2 = _local_bulk(tgt, o2, N, op.target.fiber)
-        if m1.size == 0 or m2.size == 0:
+        d = max(t.degree for t in op.symbol.terms)
+        if m1.size == 0 or m2.size == 0 or d == src.band == tgt.band == 0:
+            # an empty side, or a section that is block diagonal by mode: a
+            # mode's rank enters its kernel and its cokernel count alike
             return count1(None) - count2(None)
         A = quantize(op.symbol, N).matrix
-        d = max(t.degree for t in op.symbol.terms)
         if src.select is not None and tgt.select is not None:
             c1, c2 = src.select[o1], tgt.select[o2]
             # sorted distinct coordinates, all of them: the identity
@@ -446,7 +457,11 @@ def build_parity_double(op):
     the complement -- an endomorphism of the full bundle.  Odd subspaces:
     sigma oplus alpha* sigma, with the source trivialized through the
     pointwise splitting C^r = Im p1_+ (+) Im p1_-.
+
+    Built once per operator: the double is kept on op.
     """
+    if op._double is not None:
+        return op._double
     parity = op.source.symbol.parity
     if parity not in ("Even", "Odd"):
         raise ValueError("source subspace has no parity; no double exists")
@@ -460,7 +475,8 @@ def build_parity_double(op):
     source = full_subspace(op.source.fiber)
     target = source if even else \
         op.target.direct_sum(antipodal_subspace(op.target))
-    return SubspaceOperator(sym, source, target, name=name)
+    op._double = SubspaceOperator(sym, source, target, name=name)
+    return op._double
 
 
 def _twist_symbol(q):

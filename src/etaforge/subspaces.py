@@ -7,10 +7,10 @@ a subspace (or an indexing.SubspaceOperator) computes is kept on it,
 append-only and idempotent; a call that raises keeps nothing.
 Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
-verdict and its index per N.  Concurrent calls are safe: dict.setdefault
-is atomic, so every caller gets the one stored value.  Face frames are
-cached by face value (lru_cache on _face_frame), so equal faces share one
-transport; symbols keep no memo.
+verdict, its index per N and its parity double.  Concurrent calls are
+safe: dict.setdefault is atomic, so every caller gets the one stored
+value.  Face frames are cached by face value (lru_cache on _face_frame),
+so equal faces share one transport; symbols keep no memo.
 """
 from __future__ import annotations
 

@@ -20,9 +20,10 @@ from etaforge.indexing import (SubspaceOperator, analytic_index,
 from etaforge.kzn import mod_n_analytic_index, n_fold
 from etaforge.subspaces import (ParityError, PdoSubspace, SubspaceSymbol,
                                 UnstableIndexError, full_subspace,
-                                hardy_subspace, mobius_subspace, mobius_symbol,
-                                orthocomplement, puncture, trivial_subspace,
-                                two_face_subspace, zero_subspace)
+                                hardy_subspace, lift_symbol, mobius_subspace,
+                                mobius_symbol, orthocomplement, puncture,
+                                trivial_subspace, two_face_subspace,
+                                zero_subspace)
 from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
                              haar_unitary, index_formula_suite,
                              modn_element_suite, perturbation_terms,
@@ -478,6 +479,16 @@ def test_an_index_that_raises_stores_nothing(monkeypatch):
     assert sorted(op._indices) == [16, 32, 48]
 
 
+def test_an_operator_keeps_its_parity_double_and_passes_none_on():
+    op = toeplitz_operator(1)
+    dbl = build_parity_double(op)
+    assert build_parity_double(op) is dbl
+    pert = op.with_lower_order(*perturbation_terms(rng_for(3, "perturb"),
+                                                   op, 1))
+    for other in (pert, op.compose(toeplitz_operator(2)), op.direct_sum(op)):
+        assert other._double is None
+
+
 def _count_dense(monkeypatch):
     # records every call the structured kernel hands to the dense SVD
     calls = []
@@ -511,6 +522,7 @@ def _banded_cases():
     hardy = hardy_subspace()
     sym8 = _rand0(8).symbol
     nfold = n_fold(full_subspace(1), 8)
+    U = haar_unitary(np.random.default_rng(0), 3)
     return {
         "square_fiber4": (_rand0(4), 24),
         "square_fiber4_perturbed": (_rand0(4).with_lower_order(
@@ -532,9 +544,10 @@ def _banded_cases():
         "exactly_null_columns": (SubspaceOperator(
             CircleSymbol(1, phase_diag_loop([1, -2]), -np.eye(2)),
             full_subspace(2), full_subspace(2)), 48),
+        # degree 1: a constant symbol would take the per-mode count
         "no_near_null": (SubspaceOperator(
-            CircleSymbol(0, haar_unitary(np.random.default_rng(0), 3),
-                         np.eye(3)), full_subspace(3), full_subspace(3)), 64),
+            CircleSymbol(0, TrigPolyMatrix({0: U, 1: 0.3 * U}), np.eye(3)),
+            full_subspace(3), full_subspace(3)), 64),
         "unsorted_n_fold": (SubspaceOperator(sym8, nfold, nfold), 24),
         # framed over the 4-fold sum of a rank-1 two-face subspace of C^3:
         # a mode-local dense basis, compressed mode by mode
@@ -769,6 +782,131 @@ def test_an_empty_side_counts_the_other_sides_bulk(source, target, fiber):
         assert abs(got) == 16 // 2 + 1
     else:  # 16 frame columns inside modes -8 .. 8, two half inside
         assert abs(got) == 18
+
+
+def _no_solver(*args):
+    raise AssertionError("a block-diagonal section reached a solver")
+
+
+def _random_projection(rng, r, q):
+    Q = haar_unitary(rng, r)[:, :q]
+    return Q @ Q.conj().T
+
+
+def _per_mode_cases():
+    # degree-0 sections between band-0 sides: block diagonal by mode
+    rng = np.random.default_rng(3)
+    U, V = haar_unitary(rng, 3), haar_unitary(rng, 3)
+    full, plane = full_subspace(3), trivial_subspace(3, 2)
+    Pp, Pm = _random_projection(rng, 3, 2), _random_projection(rng, 3, 1)
+    # per-mode bases that are not coordinate columns, and their image
+    twoface = two_face_subspace(Pp, Pm)
+    image = two_face_subspace(U @ Pp @ U.conj().T, V @ Pm @ V.conj().T)
+    lower = CircleSymbol(-1, rng.standard_normal((3, 3)), np.eye(3))
+    return {
+        "constant_unitary": SubspaceOperator(CircleSymbol(
+            0, haar_unitary(np.random.default_rng(0), 3), np.eye(3)),
+            full, full),
+        "rectangular_lift": SubspaceOperator(
+            lift_symbol(plane).sigma, plane, full_subspace(2)),
+        "two_face_bases": SubspaceOperator(CircleSymbol(0, U, V), twoface,
+                                           image),
+        # the weight |n| vanishes on the mode-0 columns
+        "order_one": SubspaceOperator(CircleSymbol(1, U, -V), full, full),
+        "lower_order_term": SubspaceOperator(
+            CircleSymbol(0, U, V), full, full).with_lower_order(lower),
+        "hardy_shifts": SubspaceOperator(identity_symbol(1), hardy_subspace(2),
+                                         hardy_subspace(-3)),
+        "zero_source": SubspaceOperator(CircleSymbol(0, U, V),
+                                        zero_subspace(3), image),
+        "zero_target": SubspaceOperator(CircleSymbol(0, U, V), twoface,
+                                        zero_subspace(3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_per_mode_cases()))
+def test_block_diagonal_sections_are_counted_per_mode(case, monkeypatch):
+    # each mode's rank enters its kernel and its cokernel count alike, so
+    # the index is the bulk column count of the source less the target's
+    op = _per_mode_cases()[case]
+    assert max(t.degree for t in op.symbol.terms) == 0
+    want = _unfiltered_dense_index(op, 16)
+    monkeypatch.setattr(indexing, "_banded_near_null", _no_solver)
+    monkeypatch.setattr(indexing, "_dense_near_null", _no_solver)
+    monkeypatch.setattr(indexing, "quantize", _no_solver)
+    assert indexing._filtered_index_once(op, 16) == want
+    if case == "hardy_shifts":  # modes -3 .. 1 are the cokernel
+        assert want == -5
+
+
+@pytest.mark.parametrize("case", ["degree_one", "band_one"])
+def test_a_degree_or_band_above_zero_still_reaches_a_solver(case,
+                                                            monkeypatch):
+    if case == "degree_one":
+        op, N = _banded_cases()["no_near_null"]
+    else:  # a constant symbol between frame realizations
+        mob = mobius_subspace()
+        op, N = SubspaceOperator(identity_symbol(2), mob, mob), 16
+    calls = _count_dense(monkeypatch)
+    seen = _banded_sections(monkeypatch)
+    assert indexing._filtered_index_once(op, N) == 0
+    assert len(calls) + len(seen) >= 1
+
+
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=1),
+       st.integers(min_value=4, max_value=12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_random_degree_zero_sections_match_the_dense_index(r1, r2, order, N,
+                                                           seed):
+    # arbitrary face ranks on either side and a generic (not elliptic)
+    # symbol: the count must still be the dense index, mode by mode
+    rng = np.random.default_rng(seed)
+
+    def side(r):
+        return two_face_subspace(*(
+            _random_projection(rng, r, int(rng.integers(0, r + 1)))
+            for _ in range(2)))
+
+    def face():
+        return rng.standard_normal((r2, r1)) \
+            + 1j * rng.standard_normal((r2, r1))
+
+    op = SubspaceOperator(CircleSymbol(order, face(), face()), side(r1),
+                          side(r2))
+    want = _unfiltered_dense_index(op, N)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(indexing, "_banded_near_null", _no_solver)
+        m.setattr(indexing, "_dense_near_null", _no_solver)
+        assert indexing._filtered_index_once(op, N) == want
+
+
+def test_lift_doubles_are_degree_zero_and_counted_per_mode(monkeypatch):
+    # d(L) takes half the index of each lift's parity double; on these even
+    # subspaces the double (alpha* sigma)^-1 sigma (+) (1 - p) is the
+    # identity, which the fit trims to degree 0
+    suite = dict(even_subspace_suite(1914))
+    spaces = [suite["trivial_plane"], suite["conjugated_0"]]
+    spaces += [orthocomplement(L) for L in spaces]
+    doubles = []
+    build = indexing.build_parity_double
+
+    def recorded(op):
+        doubles.append(build(op))
+        return doubles[-1]
+
+    monkeypatch.setattr(indexing, "build_parity_double", recorded)
+    for L in spaces:
+        dimension_functional(L)
+    assert len(doubles) == 2 * len(spaces)  # the lift and its twist
+    want = [_unfiltered_dense_index(dbl, 16) for dbl in doubles]
+    monkeypatch.setattr(indexing, "_banded_near_null", _no_solver)
+    monkeypatch.setattr(indexing, "_dense_near_null", _no_solver)
+    for dbl, ind in zip(doubles, want):
+        assert dbl.symbol.principal.degree == 0
+        assert indexing._filtered_index_once(dbl, 16) == ind
 
 
 @pytest.mark.parametrize("name", ["half_spin_row", "mobius_twist"])

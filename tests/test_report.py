@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import etaforge
+from etaforge import indexing
 from etaforge.cli import main
 from etaforge.dyadic import DyadicRational
 from etaforge.eta import EtaResult, eta_numeric
@@ -310,6 +311,22 @@ def test_index_raises_n_to_fit_a_high_degree_operator(tmp_path, capsys):
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
     row, = [r for r in rows if r["check"] == "residual_conjugated_line"]
     assert row["lhs"] == "0" and row["pass"]
+
+
+def test_index_run_fits_each_parity_double_once(monkeypatch):
+    # _fitting_truncation and index_formula_report share the double that
+    # the operator keeps: one fit per face
+    fitted = []
+    face = indexing._double_face
+
+    def counted(op, sign, sample):
+        fitted.append(op.name)
+        return face(op, sign, sample)
+
+    monkeypatch.setattr(indexing, "_double_face", counted)
+    assert all(r["pass"] for r in run(RunConfig(command="index")).rows)
+    for name, _ in index_formula_suite():
+        assert fitted.count(name) == 2
 
 
 def test_modn_raises_n_to_fit_the_suite(tmp_path):
