@@ -5,8 +5,8 @@ Index theory with mod-n coefficients
 An operator between n-fold copies of a subspace has an index that is
 only well defined as a residue mod n.  The symbol side computes the same
 residue from determinant windings in transport frames, pushed forward
-through a calibration fixed once per modulus.  The two routes must agree
-operator by operator.
+with the sign of ind T_a = -wind a, a closed form that reads nothing off
+the analytic side.  The two routes must agree operator by operator.
 """
 
 from etaforge.core import winding_number
@@ -22,7 +22,7 @@ for n in (2, 3, 4):
     winds = sorted({winding_number(g) for g in gamma_trivialization(n)})
     print(f"gamma path windings, n={n}:", winds)
 
-# the shift generator calibrates the direct image ...
+# the shift generator: datum 1, analytic residue -1 mod 3 ...
 el = shift_element(3)
 print("\nshift generator datum:", winding_datum(el),
       " analytic residue:", mod_n_analytic_index(el))

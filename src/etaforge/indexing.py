@@ -6,8 +6,10 @@ take the near-null singular vectors on both sides, and count only those
 localized in the bulk half of the mode window (the boundary of the
 truncation sheds spurious null directions that an unfiltered rank count
 would absorb).  The count must agree across three truncation scales.
-The dimension functional d(L) combines two such indices: a lift's and its
-parity double's.
+In general the dimension functional d(L) combines two such indices, a
+lift's and its parity double's (Savin-Sternin, Elliptic operators in even
+subspaces, 1999); over the circle it is one, the lift's (see
+dimension_functional).
 
 Structure.  When both realizations are mode-local (every basis column
 lives on a few consecutive modes: full, trivial, zero, Hardy and two-face
@@ -54,7 +56,8 @@ from .dyadic import DyadicRational
 from .subspaces import (_SCALES, ParityError, PdoSubspace, SubspaceRealization,
                         UnstableIndexError, full_subspace, lift_symbol)
 from .symbols import (CircleSymbol, FullSymbol, _range_basis, _symbols_agree,
-                      ellipticity_check, mode_labels, quantize)
+                      antipodal_pullback, ellipticity_check, mode_labels,
+                      quantize)
 
 __all__ = [
     "SubspaceOperator",
@@ -491,18 +494,26 @@ def _twist_symbol(q):
 
 
 def _d_once(sigma, L, N, lift_order):
+    """2^-k ind of the lift sigma : L -> C^q, doubled k = lift_order times.
+    A lift with unequal faces, whose double is not the identity, is
+    refused."""
+    if not _symbols_agree(sigma, antipodal_pullback(sigma)):
+        raise ParityError("a lift over the circle has equal faces; this one "
+                          "needs its parity double")
     op = SubspaceOperator(sigma, L, full_subspace(sigma.rows))
     for _ in range(lift_order):
         op = op.direct_sum(op)
-    ind = analytic_index(op, N=N)
-    ind_dbl = analytic_index(build_parity_double(op), N=N)
-    return DyadicRational(ind, lift_order) \
-        - DyadicRational(ind_dbl, lift_order + 1)
+    return DyadicRational(analytic_index(op, N=N), lift_order)
 
 
 def dimension_functional(L, N=16, lift_order=0):
-    """d(L) = 2^{-k}(ind of the lifted trivializer - half the index of its
-    parity double), an exact dyadic rational.
+    """d(L), an exact dyadic rational.
+
+    In general d(L) = 2^{-k}(ind of the lifted trivializer - half the
+    index of its parity double) (Savin-Sternin).  Over the circle the
+    lift sigma has equal faces, so alpha* sigma = sigma and the double
+    (alpha* sigma)^{-1} sigma (+) (1 - p) is the identity, of index 0:
+    d(L) = 2^{-k} ind sigma, and no double is built.
 
     Defined for even subspaces whose symbol lifts; the result must not
     depend on the lift, which is verified against a twisted second lift.
@@ -528,8 +539,6 @@ def _dimension(L, N, lift_order):
     # the twisted lift adds one degree
     N = _fitting_n(N, lift.sigma.degree + L.symbol.degree + 1)
     d = _d_once(lift.sigma, L, N, lift_order)
-    if d.exponent > lift_order + 1:
-        raise ArithmeticError("dyadic exponent exceeds the lift-order bound")
     twisted = _twist_symbol(lift.sigma.rows) @ lift.sigma
     d2 = _d_once(twisted, L, N, lift_order)
     if d2 != d:

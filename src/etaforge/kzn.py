@@ -5,17 +5,16 @@ subspaces.  Trivializing each base subspace face by a transport frame
 turns the symbol into an invertible matrix loop per face; the difference
 of the two determinant windings is well defined mod n because a change of
 base frame shifts both windings by a multiple of n.  The direct image to
-a point multiplies that datum by a sign fixed once per modulus against
-the shift generator, whose analytic index is computed independently.
+a point is minus that datum mod n: the sign of ind T_a = -wind a for a
+Toeplitz operator (Gohberg-Krein), a closed-form constant, so the
+topological side reads nothing off the analytic index it is compared to.
 The normal form pads and rotates an element onto a standard constant
 target; it computes no index, and its callers compare the mod-n indices
 of the element and of its normal form.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -243,20 +242,10 @@ def mod_n_analytic_index(el, N=12):
     return analytic_index(op, N=N) % el.n
 
 
-@lru_cache(maxsize=None)
-def _direct_image_sign(n):
-    # fix the sign convention once per modulus against the shift generator
-    el = shift_element(n)
-    ind = mod_n_analytic_index(el)
-    t = winding_datum(el)
-    if math.gcd(t, n) != 1:
-        raise ArithmeticError("calibration datum is not a unit mod n")
-    return (ind * pow(t, -1, n)) % n if n > 1 else 0
-
-
 def direct_image_s1(c):
-    """Push-forward along S^1 -> pt of a mod-n symbol class, in Z/n."""
-    return (_direct_image_sign(c.n) * c.torsion_part) % c.n
+    """Push-forward along S^1 -> pt of a mod-n symbol class, in Z/n: minus
+    the winding datum, as ind T_a = -wind a."""
+    return (-c.torsion_part) % c.n
 
 
 def antipodal_element(el):
@@ -358,7 +347,8 @@ def normal_form(el, N=None):
 def fractional_eta_topological(L):
     """Fractional part of the eta-type defect of an even subspace, read off
     the symbol: half the winding datum of tau = sigma (+) alpha* sigma in
-    the face frames, mod Z.
+    the face frames, mod Z.  The frame of each face is the one the lift
+    was built on, sigma*: no second frame is fitted.
 
     Over the circle this is 0 for every even subspace: the lift sigma has
     equal faces, so tau does too, and its two face windings agree.  A
@@ -369,10 +359,9 @@ def fractional_eta_topological(L):
         return DyadicRational.from_integer(0)
     sigma = lift.sigma
     tau = sigma.direct_sum(antipodal_pullback(sigma))
-    ff = face_frames(L.symbol)
     v = {}
     for sign in (+1, -1):
-        f2 = trig_blockdiag([ff[sign].frame] * 2)
+        f2 = trig_blockdiag([sigma.face(sign).conj_transpose()] * 2)
         v[sign] = winding_number(tau.face(sign) @ f2)
     return DyadicRational(v[+1] - v[-1], 1).fractional_part()
 

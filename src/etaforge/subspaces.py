@@ -9,8 +9,14 @@ Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
 verdict, its index per N and its parity double.  Concurrent calls are
 safe: dict.setdefault is atomic, so every caller gets the one stored
-value.  Face frames are cached by face value (lru_cache on _face_frame),
-so equal faces share one transport; symbols keep no memo.
+value.  A face frame is either recorded or cached by value.  Recorded:
+conjugate_subspace by a unitary loop W of a subspace with a constant
+face records the frame W E of its + face (E a basis of that face's
+range) on its symbol, and the complement symbol records W E-perp; the
+frame is built at the first lift and kept on the symbol, the one memo a
+symbol has.  Any other face is transported (Kato) and its frame cached
+by face value (lru_cache on _face_frame), so equal faces share one
+transport.
 """
 from __future__ import annotations
 
@@ -81,6 +87,9 @@ class SubspaceSymbol(CircleSymbol):
         if validate:
             _check_projection_faces(
                 self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
+        # (W, p): the + face projects onto W(x) Im p for a loop W and a
+        # projection face p; set by conjugate_subspace, read by _exact_frame
+        self._conj = None
 
     @property
     def parity(self):
@@ -92,7 +101,25 @@ class SubspaceSymbol(CircleSymbol):
                              constant_trig(eye) - self.minus,
                              name=f"({self.name})^perp" if self.name else "",
                              validate=False)
+        if self._conj is not None:  # W (Im p)-perp = (W Im p)-perp, W unitary
+            W, p = self._conj
+            out._conj = (W, constant_trig(eye) - p)
         return out
+
+    @cached_property
+    def _exact_frame(self):
+        """The exact frame W E of the + face, E an orthonormal basis of
+        Im p, when a conjugation recorded (W, p), p is constant and W is a
+        unitary loop (W*W = I to 1e-12 in max_abs on the coefficient
+        table); else None.  Built on first use and kept."""
+        if self._conj is None:
+            return None
+        W, p = self._conj
+        if p.trimmed().degree != 0 or W.shape[0] != W.shape[1] or \
+                (W.conj_transpose() @ W - np.eye(W.shape[0])).max_abs() > 1e-12:
+            return None
+        F = W @ constant_trig(_range_basis(p.coeff(0)))
+        return FaceFrame(F, F.conj_transpose(), (0.0,) * F.shape[1], 0.0, 0.0)
 
     def antipodal(self):
         return SubspaceSymbol(self.minus, self.plus, name=self.name,
@@ -446,22 +473,28 @@ def _face_frame(p):
 
 
 def face_frames(symbol):
-    """Per-face periodic frames for a SubspaceSymbol; each is cached by the
-    face's value, so equal faces (of this or any symbol) share a frame."""
+    """Per-face periodic frames for a SubspaceSymbol, by Kato transport
+    (or the range basis of a constant face); each is cached by the face's
+    value, so equal faces (of this or any symbol) share a frame.  It never
+    reads a recorded frame: the suite generators build their symbols on
+    these frames, so a frame in another gauge would change those symbols."""
     return {s: _face_frame(symbol.face(s)) for s in (+1, -1)}
 
 
 def lift_symbol(L):
     """Trivialization of an even subspace symbol over the circle.
 
-    Returns a LiftResult whose sigma is an order-zero symbol restricting
-    to an isomorphism Im p -> trivial rank-q fiber; over the circle no
-    doubling is ever needed, so the lift has order 0.
+    Returns a LiftResult whose sigma = F* is an order-zero symbol with
+    equal faces restricting to an isomorphism Im p -> trivial rank-q
+    fiber, for F the frame of the + face: the exact frame the symbol
+    recorded (a unitary conjugate or its complement; residuals 0), else
+    the transported one of face_frames.  Over the circle no doubling is
+    ever needed, so the lift has order 0.
     """
     sym = L.symbol
     if sym.parity != "Even":
         raise ParityError("lift over the circle needs an even subspace")
-    ff = face_frames(sym)[+1]
+    ff = sym._exact_frame or face_frames(sym)[+1]
     sigma = CircleSymbol(0, ff.sigma, ff.sigma, name="lift")
     q = sigma.rows
     if q:
@@ -584,7 +617,9 @@ def two_face_subspace(p_plus, p_minus, name="twoface"):
 def conjugate_subspace(L, W, name=""):
     """Image of L under an invertible operator W: the subspace with
     pointwise symbol = orthogonal projection onto W(x) Im p(x), realized as
-    the exact orthogonal projection onto W_N (Im P_N)."""
+    the exact orthogonal projection onto W_N (Im P_N).  The symbol records
+    (W, p) for its + face, so a unitary W and a constant p give it the
+    exact frame W E (see SubspaceSymbol._exact_frame)."""
     if isinstance(W, TrigPolyMatrix):
         W = CircleSymbol(0, W, W, name="conj")
     sym0 = L.symbol
@@ -608,6 +643,7 @@ def conjugate_subspace(L, W, name=""):
     minus = plus if even_shortcut else proj_face(-1)
     sym = SubspaceSymbol(plus, minus, name=name or f"W({L.name})",
                          validate=False)
+    sym._conj = (W.plus, sym0.plus)
 
     def realizer(N):
         base = L.realize(N)

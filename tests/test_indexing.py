@@ -14,16 +14,17 @@ import etaforge
 from etaforge import indexing
 from etaforge.core import (_RANK_TOL, EllipticityViolation, TrigPolyMatrix,
                            constant_trig, winding_number)
+from etaforge.dyadic import DyadicRational
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
                                dimension_functional, index_formula_report)
 from etaforge.kzn import mod_n_analytic_index, n_fold
-from etaforge.subspaces import (ParityError, PdoSubspace, SubspaceSymbol,
-                                UnstableIndexError, full_subspace,
-                                hardy_subspace, lift_symbol, mobius_subspace,
-                                mobius_symbol, orthocomplement, puncture,
-                                trivial_subspace, two_face_subspace,
-                                zero_subspace)
+from etaforge.subspaces import (LiftResult, ParityError, PdoSubspace,
+                                SubspaceSymbol, UnstableIndexError,
+                                full_subspace, hardy_subspace, lift_symbol,
+                                mobius_subspace, mobius_symbol,
+                                orthocomplement, puncture, trivial_subspace,
+                                two_face_subspace, zero_subspace)
 from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
                              haar_unitary, index_formula_suite,
                              modn_element_suite, perturbation_terms,
@@ -883,30 +884,58 @@ def test_random_degree_zero_sections_match_the_dense_index(r1, r2, order, N,
         assert indexing._filtered_index_once(op, N) == want
 
 
+def _lift_operators(L):
+    # the lift sigma : L -> C^q and the twisted second lift, as d(L) takes
+    # them, with the truncation it takes them at
+    sigma = lift_symbol(L).sigma
+    N = indexing._fitting_n(16, sigma.degree + L.symbol.degree + 1)
+    target = full_subspace(sigma.rows)
+    return N, [SubspaceOperator(s, L, target) for s in
+               (sigma, indexing._twist_symbol(sigma.rows) @ sigma)]
+
+
 def test_lift_doubles_are_degree_zero_and_counted_per_mode(monkeypatch):
-    # d(L) takes half the index of each lift's parity double; on these even
-    # subspaces the double (alpha* sigma)^-1 sigma (+) (1 - p) is the
-    # identity, which the fit trims to degree 0
+    # a lift over the circle has equal faces, so its parity double
+    # (alpha* sigma)^-1 sigma (+) (1 - p) is the identity, which the fit
+    # trims to degree 0 and the kernel counts per mode: index 0
     suite = dict(even_subspace_suite(1914))
     spaces = [suite["trivial_plane"], suite["conjugated_0"]]
     spaces += [orthocomplement(L) for L in spaces]
-    doubles = []
-    build = indexing.build_parity_double
-
-    def recorded(op):
-        doubles.append(build(op))
-        return doubles[-1]
-
-    monkeypatch.setattr(indexing, "build_parity_double", recorded)
-    for L in spaces:
-        dimension_functional(L)
-    assert len(doubles) == 2 * len(spaces)  # the lift and its twist
+    doubles = [build_parity_double(op) for L in spaces
+               for op in _lift_operators(L)[1]]
     want = [_unfiltered_dense_index(dbl, 16) for dbl in doubles]
     monkeypatch.setattr(indexing, "_banded_near_null", _no_solver)
     monkeypatch.setattr(indexing, "_dense_near_null", _no_solver)
     for dbl, ind in zip(doubles, want):
         assert dbl.symbol.principal.degree == 0
-        assert indexing._filtered_index_once(dbl, 16) == ind
+        assert indexing._filtered_index_once(dbl, 16) == ind == 0
+
+
+@pytest.mark.parametrize("seed", [1914, 2718])
+def test_d_is_the_general_formula_on_the_suite_lifts(seed):
+    # the general formula ind sigma - (1/2) ind double(sigma), on the lift
+    # and on its twist, is the d(L) that takes the lift's index alone
+    half = DyadicRational(1, 1)
+    suite = [L for _, L in even_subspace_suite(seed)]
+    for L in suite + [orthocomplement(L) for L in suite]:
+        d = dimension_functional(L)
+        N, ops = _lift_operators(L)
+        for op in ops:
+            general = DyadicRational.from_integer(analytic_index(op, N=N)) \
+                - half * DyadicRational.from_integer(
+                    analytic_index(build_parity_double(op), N=N))
+            assert general == d, L.name
+
+
+def test_a_lift_with_unequal_faces_is_refused(monkeypatch):
+    # its parity double is no longer the identity, and d(L) would need it
+    L = full_subspace(1)
+    one = constant_trig(np.eye(1))
+    skewed = LiftResult(CircleSymbol(0, one, _loop(1)), 0.0, 0.0)
+    monkeypatch.setattr(indexing, "lift_symbol", lambda L: skewed)
+    with pytest.raises(ParityError, match="equal faces"):
+        dimension_functional(L)
+    assert L._dims == {}
 
 
 @pytest.mark.parametrize("name", ["half_spin_row", "mobius_twist"])

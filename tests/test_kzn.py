@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from etaforge import kzn
 from etaforge.core import TrigPolyMatrix, winding_number
 from etaforge.eta import dimension_functional
 from etaforge.kzn import (EllZnElement, KClassZn, _pair_rotation,
@@ -145,11 +146,30 @@ def test_mod_n_index_raises_n_to_fit_the_element():
 
 
 def test_direct_image_calibration():
-    # the sign convention is pinned to the shift generator
+    # the closed-form sign (ind T_a = -wind a) agrees with the analytic
+    # index of the shift generator, computed independently
     for n in MODULI:
         el = shift_element(n)
         c = difference_construction_zn(el)
         assert direct_image_s1(c) == mod_n_analytic_index(el)
+
+
+def test_a_negated_analytic_index_fails_the_mod_n_theorem(monkeypatch):
+    # the topological side takes no sign from the analytic side, so a sign
+    # error confined to the mod-n path fails a theorem comparison for some
+    # n > 2 (for n = 2 a sign is invisible)
+    index = kzn.analytic_index
+
+    def theorem_misses():
+        return [name for n in (3, 4)
+                for name, el in modn_element_suite(1914, n, count=4)
+                if mod_n_analytic_index(el)
+                != direct_image_s1(difference_construction_zn(el))]
+
+    with monkeypatch.context() as m:
+        m.setattr(kzn, "analytic_index", lambda op, N: -index(op, N=N))
+        assert theorem_misses()
+    assert theorem_misses() == []
 
 
 def test_direct_image_is_linear():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from etaforge import subspaces
+from etaforge import indexing, subspaces
 from etaforge.core import TrigPolyMatrix, constant_trig
+from etaforge.indexing import dimension_functional
+from etaforge.kzn import fractional_eta_topological
 from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
                                 SubspaceSymbol, conjugate_subspace,
                                 dump_subspace_csv, face_frames, face_residual,
@@ -12,6 +14,7 @@ from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
                                 rotation_homotopy, rotation_unitary,
                                 spectral_subspace, trivial_subspace,
                                 two_face_subspace, zero_subspace)
+from etaforge.suites import even_subspace_suite, haar_unitary, phase_diag_loop
 from etaforge.symbols import CircleSymbol, _range_basis, quantize
 
 
@@ -290,6 +293,89 @@ def test_lift_rejects_odd_parity():
     pm = np.diag([0.0, 1.0])
     with pytest.raises(ParityError):
         lift_symbol(two_face_subspace(pp, pm))
+
+
+def _suite_conjugates():
+    # every conjugated subspace of the even suite at three seeds, and its
+    # complement
+    out = []
+    for seed in (1914, 2718, 5):
+        for name, L in even_subspace_suite(seed):
+            if name.startswith("conjugated"):
+                out += [L, orthocomplement(L)]
+    return out
+
+
+def _no_transport(monkeypatch):
+    # a face frame cached by value would hide a transport: clear them
+    def refused(p, G):
+        raise AssertionError("a recorded frame needs no transport")
+
+    subspaces._face_frame.cache_clear()
+    monkeypatch.setattr(subspaces, "_transport_states", refused)
+
+
+def test_unitary_conjugates_record_an_exact_frame(monkeypatch):
+    # F = W E for the conjugate, W E-perp for its complement: F*F = I and
+    # FF* is the face, and the lift reads F with no transport
+    _no_transport(monkeypatch)
+    xs = np.linspace(0, 2 * np.pi, 37, endpoint=False)
+    for L in _suite_conjugates():
+        F = L.symbol._exact_frame.frame(xs)
+        Fh = np.conj(np.swapaxes(F, 1, 2))
+        q = F.shape[-1]
+        assert np.abs(Fh @ F - np.eye(q)).max() <= 1e-10, L.name
+        for sign in (+1, -1):
+            assert np.abs(F @ Fh - L.symbol.face(sign)(xs)).max() <= 1e-10
+        lift = lift_symbol(L)
+        assert lift.sigma.plus is L.symbol._exact_frame.sigma
+        assert lift.closure_residual == lift.fit_residual == 0.0
+
+
+def test_a_non_unitary_conjugation_still_transports_and_lifts(monkeypatch):
+    rng = np.random.default_rng(7)
+    W = phase_diag_loop([1, -1], haar_unitary(rng, 2), haar_unitary(rng, 2))
+    L = trivial_subspace(2, 1)
+    Lu, L2 = conjugate_subspace(L, W), conjugate_subspace(L, 2.0 * W)
+    assert L2.symbol.plus.trimmed().degree > 0  # a face that needs a frame
+    assert Lu.symbol._exact_frame is not None
+    assert L2.symbol._exact_frame is None
+    assert L2.symbol.complement()._exact_frame is None
+    transports = []
+    states = subspaces._transport_states
+
+    def counted(p, G):
+        transports.append(G)
+        return states(p, G)
+
+    subspaces._face_frame.cache_clear()  # a cached face would skip it
+    monkeypatch.setattr(subspaces, "_transport_states", counted)
+    lift = lift_symbol(L2)
+    assert transports and lift.sigma.rows == 1
+    assert dimension_functional(L2) == dimension_functional(Lu)
+
+
+def test_d_from_the_exact_lift_equals_d_from_the_kato_lift():
+    for L in _suite_conjugates():
+        ff = face_frames(L.symbol)[+1]
+        kato = CircleSymbol(0, ff.sigma, ff.sigma)
+        N = indexing._fitting_n(16, kato.degree + L.symbol.degree + 1)
+        assert indexing._d_once(kato, L, N, 0) == dimension_functional(L), \
+            L.name
+
+
+def test_d_and_fractional_eta_of_conjugates_take_no_transport_or_double(
+        monkeypatch):
+    # what the d(L) path saves on a unitary conjugate and its complement:
+    # the lift is read off the recorded frame, and d is one lift's index
+    def refused(op):
+        raise AssertionError("d(L) over the circle builds no parity double")
+
+    _no_transport(monkeypatch)
+    monkeypatch.setattr(indexing, "build_parity_double", refused)
+    for L in _suite_conjugates():
+        dimension_functional(L)
+        fractional_eta_topological(L)
 
 
 def test_conjugate_by_constant_unitary():
