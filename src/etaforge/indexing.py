@@ -15,7 +15,9 @@ Structure.  When both realizations are mode-local (every basis column
 lives on a few consecutive modes: full, trivial, zero, Hardy and two-face
 subspaces and complements of coordinates, one mode per column; frame
 realizations such as the Mobius line's, whose columns reach band + 1
-modes; and direct sums of these), the section T with rows and columns
+modes; and what the stock constructors make of these: unitary
+conjugates, punctures, complements, antipodal subspaces and direct
+sums), the section T with rows and columns
 sorted by lowest mode keeps the block band of the quantized matrix A:
 T[i, j] vanishes when those modes differ by more than the symbol degree
 plus the wider band.  Two coordinate subspaces give a slice of A; other
@@ -23,8 +25,9 @@ mode-local pairs are assembled mode by mode.  A side of band 0 counts its
 bulk by column mode, a wider one in ambient coordinates.  A symbol of
 degree 0 between two sides of band 0 (a parity double that is the
 identity, say) makes T block diagonal by mode, and no section is built:
-see below.  Any other realization (gap, conjugated, punctured, antipodal)
-has a dense basis B, and the section is B2* A B1.
+see below.  Any other realization (the gap realizer, spectral_subspace,
+a non-unitary conjugate, and what is built on those) has a dense basis
+B, and the section is B2* A B1.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
 cols_k - rank_k kernel and rows_k - rank_k cokernel directions, and both
@@ -133,17 +136,34 @@ class SubspaceOperator:
 
 def antipodal_subspace(L):
     """Pullback of a subspace under xi -> -xi: faces swap, and the finite
-    realization is the mode reflection n -> -n of the original one."""
+    realization is the mode reflection n -> -n of the original one, as is
+    the recorded complement (see _reflected)."""
     sym = L.symbol.antipodal()
     fiber = L.fiber
+    out = PdoSubspace(sym, lambda N: _reflected(L.realize(N), N, fiber),
+                      name=f"alpha*{L.name}" if L.name else "")
+    perp = L._perp
+    if perp is not None:
+        out._perp = lambda N: _reflected(perp(N), N, fiber)
+    return out
 
-    def realizer(N):
-        base = L.realize(N)
-        q = base.basis.shape[1]
-        flipped = base.basis.reshape(2 * N + 1, fiber, q)[::-1]
-        return SubspaceRealization(N, flipped.reshape(-1, q), base.warnings)
 
-    return PdoSubspace(sym, realizer, name=f"alpha*{L.name}" if L.name else "")
+def _reflected(real, N, fiber):
+    """A realization under the mode reflection n -> -n (mode index
+    i -> 2N - i): a selection is reflected, and a mode-local column of
+    lowest mode m and band b gets lowest mode 2N - m - b."""
+    if real is None:
+        return None
+    if real.select is not None:
+        sel = real.select
+        return SubspaceRealization(
+            N, warnings=real.warnings, dim=(2 * N + 1) * fiber,
+            select=(2 * N - sel // fiber) * fiber + sel % fiber)
+    q = real.rank
+    flipped = real.basis.reshape(2 * N + 1, fiber, q)[::-1]
+    modes = None if real.modes is None else 2 * N - real.modes - real.band
+    return SubspaceRealization(N, flipped.reshape(-1, q), real.warnings,
+                               modes=modes, band=real.band)
 
 
 def _bulk_count(V, inner):
@@ -184,7 +204,8 @@ class _BandedGram:
     apart are then orthogonal, so in column blocks spanning at least 2d
     modes G is block tridiagonal.  It is built block by block inside the
     band, never as a dense product, and factored by a block Cholesky that
-    serves both sides of M: MM* is never formed."""
+    serves both sides of M: MM* is never formed.  Each panel's adjoint is
+    formed once and serves M* and the Gram blocks."""
 
     def __init__(self, M, row_modes, col_modes, d):
         self.shape = M.shape
@@ -199,9 +220,13 @@ class _BandedGram:
                            np.searchsorted(row_modes, col_modes[c.stop - 1] + d,
                                            "right")) for c in self.cols]
         self.panels = [M[r, c] for r, c in zip(self.rows, self.cols)]
-        self.diag = [P.conj().T @ P for P in self.panels]
-        self.low = [M[r, c].conj().T @ P  # G[J, J-1]
-                    for r, c, P in zip(self.rows, self.cols[1:], self.panels)]
+        self.adj = [P.conj().T for P in self.panels]  # each panel's adjoint
+        self.diag = [H @ P for H, P in zip(self.adj, self.panels)]
+        # G[J, J-1]: block J's columns meet block J-1's rows from row
+        # rows[J].start on, where they are panel J's leading rows
+        self.low = [H[:, :max(r.stop - s.start, 0)] @ P[s.start - r.start:]
+                    for H, s, r, P in zip(self.adj[1:], self.rows[1:],
+                                          self.rows, self.panels)]
 
     def matvec(self, X):
         out = np.zeros((self.shape[0], X.shape[1]), dtype=complex)
@@ -211,8 +236,7 @@ class _BandedGram:
 
     def rmatvec(self, Y):
         """M* Y, block by block."""
-        return np.concatenate([P.conj().T @ Y[r]
-                               for r, P in zip(self.rows, self.panels)])
+        return np.concatenate([H @ Y[r] for r, H in zip(self.rows, self.adj)])
 
     def upper_bound(self):
         """Gershgorin bound on the largest eigenvalue of G."""

@@ -17,12 +17,17 @@ frame is built at the first lift and kept on the symbol, the one memo a
 symbol has.  Any other face is transported (Kato) and its frame cached
 by face value (lru_cache on _face_frame), so equal faces share one
 transport.
+
+Every stock constructor keeps a mode-local parent's realization
+mode-local (see SubspaceRealization, PdoSubspace and orthocomplement);
+only dense parents (the gap realizer, spectral_subspace) and a
+non-unitary conjugation take SVD realizations.
 """
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -71,7 +76,8 @@ class ParityError(ValueError):
 
 
 class RealizationGapError(RuntimeError):
-    """Quantized projection symbol has no spectral gap at this truncation."""
+    """Quantized projection symbol has no spectral gap at this truncation,
+    or a recorded complement cannot be completed at it."""
 
 
 class UnstableIndexError(RuntimeError):
@@ -115,8 +121,7 @@ class SubspaceSymbol(CircleSymbol):
         if self._conj is None:
             return None
         W, p = self._conj
-        if p.trimmed().degree != 0 or W.shape[0] != W.shape[1] or \
-                (W.conj_transpose() @ W - np.eye(W.shape[0])).max_abs() > 1e-12:
+        if p.trimmed().degree != 0 or not _unitary_loop(W):
             return None
         F = W @ constant_trig(_range_basis(p.coeff(0)))
         return FaceFrame(F, F.conj_transpose(), (0.0,) * F.shape[1], 0.0, 0.0)
@@ -129,6 +134,16 @@ class SubspaceSymbol(CircleSymbol):
         s = super().direct_sum(other)
         return SubspaceSymbol(s.plus, s.minus, validate=False,
                               name=f"{self.name}+{other.name}")
+
+
+@lru_cache(maxsize=256)
+def _unitary_loop(W):
+    """W is a square loop with W*W = I to 1e-12 in max_abs on the
+    coefficient table.  A pure function of W's value, cached by it, so the
+    test runs once per loop for a symbol, its complement and their
+    realizations."""
+    return W.shape[0] == W.shape[1] and \
+        (W.conj_transpose() @ W - np.eye(W.shape[0])).max_abs() <= 1e-12
 
 
 def _readonly(a):
@@ -146,7 +161,8 @@ class SubspaceRealization:
     reaches the modes m .. m + band.  The index kernel then keeps the band
     of the quantized symbol.  Coordinate and two-face realizations have
     band 0 (each column on one mode); the shifts F e^{ikx} of a
-    trigonometric frame F have band deg F, 1 for the Mobius line.  A
+    trigonometric frame F have band deg F, 1 for the Mobius line; a
+    conjugate by a loop W widens its parent's band by W's spread.  A
     coordinate subspace, whose basis columns are ambient coordinate
     vectors, is stored as `select`: those coordinates, in column order.
     Its basis eye(dim)[:, select] is built only when asked for; the index
@@ -180,12 +196,26 @@ class SubspaceRealization:
         return self.basis.shape[1] if self.select is None else self.select.size
 
 
+def _join(N, parts, warnings=()):
+    """One mode-local realization from mode-local ones of the same window
+    whose columns are mutually orthonormal."""
+    return SubspaceRealization(
+        N, np.concatenate([p.basis for p in parts], axis=1), warnings,
+        modes=np.concatenate([p.modes for p in parts]),
+        band=max(p.band for p in parts))
+
+
 class PdoSubspace:
     """A subspace together with its per-N exact projections.
 
     `realizer` maps N to a SubspaceRealization; the default cuts the
     spectrum of the symmetrized quantization of the symbol.  `_dims` holds
     d(L) by (N, lift_order), apart from the realizations.
+
+    A stock constructor records in `_perp` how to realize the complement:
+    N -> mode-local columns orthogonal to the realization that span its
+    complement but for a few vectors at the window edges (None: cannot).
+    A recipe reads the parents, never its own subspace: no cycle.
     """
 
     def __init__(self, symbol, realizer=None, name=""):
@@ -193,6 +223,7 @@ class PdoSubspace:
         self.name = name or symbol.name
         self._realizer = realizer if realizer is not None else \
             (lambda N: _gap_realization(symbol, N))
+        self._perp = None
         self._cache = {}
         self._dims = {}
 
@@ -219,29 +250,39 @@ class PdoSubspace:
     def direct_sum(self, other):
         sym = self.symbol.direct_sum(other.symbol)
         f1, f2 = self.fiber, other.fiber
-
-        def realizer(N):
-            a, b = self.realize(N), other.realize(N)
-            warnings = a.warnings + b.warnings
-            if a.select is not None and b.select is not None:
-                # coordinate (mode m, c) of a summand is m * (f1 + f2) + c
-                sel = np.concatenate([
-                    a.select // f1 * (f1 + f2) + a.select % f1,
-                    b.select // f2 * (f1 + f2) + f1 + b.select % f2])
-                return SubspaceRealization(N, warnings=warnings, select=sel,
-                                           dim=(2 * N + 1) * (f1 + f2))
-            B = np.concatenate([
-                _embed_basis(a.basis, N, f1, f1 + f2, 0),
-                _embed_basis(b.basis, N, f2, f1 + f2, f1)], axis=1)
-            modes = None if a.modes is None or b.modes is None else \
-                np.concatenate([a.modes, b.modes])
-            return SubspaceRealization(N, B, warnings, modes=modes,
-                                       band=max(a.band, b.band))
-
-        return PdoSubspace(sym, realizer, name=f"{self.name}+{other.name}")
+        out = PdoSubspace(
+            sym, lambda N: _sum_realization(self.realize(N), other.realize(N),
+                                            N, f1, f2),
+            name=f"{self.name}+{other.name}")
+        p1, p2 = self._perp, other._perp
+        if p1 is not None and p2 is not None:
+            out._perp = lambda N: _sum_realization(p1(N), p2(N), N, f1, f2)
+        return out
 
     def __repr__(self):
         return f"PdoSubspace({self.name or self.symbol.parity}, fiber={self.fiber})"
+
+
+def _sum_realization(a, b, N, f1, f2):
+    """The realization of a direct sum from its summands' (None if one
+    is None): coordinates when both are, mode-local when both are."""
+    if a is None or b is None:
+        return None
+    warnings = a.warnings + b.warnings
+    if a.select is not None and b.select is not None:
+        # coordinate (mode m, c) of a summand is m * (f1 + f2) + c
+        sel = np.concatenate([
+            a.select // f1 * (f1 + f2) + a.select % f1,
+            b.select // f2 * (f1 + f2) + f1 + b.select % f2])
+        return SubspaceRealization(N, warnings=warnings, select=sel,
+                                   dim=(2 * N + 1) * (f1 + f2))
+    B = np.concatenate([
+        _embed_basis(a.basis, N, f1, f1 + f2, 0),
+        _embed_basis(b.basis, N, f2, f1 + f2, f1)], axis=1)
+    modes = None if a.modes is None or b.modes is None else \
+        np.concatenate([a.modes, b.modes])
+    return SubspaceRealization(N, B, warnings, modes=modes,
+                               band=max(a.band, b.band))
 
 
 def _embed_basis(B, N, fiber, total, offset):
@@ -331,7 +372,13 @@ def relative_index(L1, L2, N=16):
 
 
 def orthocomplement(L):
+    """The complement of L: of a coordinate realization, the other
+    coordinates; of a mode-local one whose constructor recorded its
+    complement (`_perp`), that recipe completed at the window's edges
+    (see _completed); else the trailing left singular vectors of the
+    basis."""
     sym = L.symbol.complement()
+    perp = L._perp
 
     def realizer(N):
         base = L.realize(N)
@@ -340,12 +387,53 @@ def orthocomplement(L):
             return SubspaceRealization(
                 N, warnings=base.warnings, dim=dim,
                 select=np.setdiff1d(np.arange(dim), base.select))
+        part = perp(N) if perp is not None and base.modes is not None \
+            else None
+        if part is not None:
+            return _completed(N, base, part, L.fiber)
         u, _, _ = np.linalg.svd(base.basis, full_matrices=True) \
             if base.basis.shape[1] else (np.eye(base.basis.shape[0]), None, None)
         comp = u[:, base.basis.shape[1]:]
         return SubspaceRealization(N, comp, base.warnings)
 
-    return PdoSubspace(sym, realizer, name=f"{L.name}^perp" if L.name else "")
+    out = PdoSubspace(sym, realizer, name=f"{L.name}^perp" if L.name else "")
+    out._perp = L.realize  # the complement's complement is L
+    return out
+
+
+def _completed(N, real, part, fiber):
+    """real's complement: the recorded columns `part` and the vectors both
+    miss, which lie at the window edges.  An edge block reaches band + 1
+    modes past the outermost column; the vectors on it orthogonal to all
+    columns are the left singular vectors of their rows there past the
+    rank, one small SVD per edge.  RealizationGapError when the edges do
+    not hold every missing dimension."""
+    dim = (2 * N + 1) * fiber
+    missing = dim - real.rank - part.rank
+    if missing == 0:
+        return _join(N, [part], real.warnings)
+    band = max(real.band, part.band)
+    B = np.concatenate([real.basis, part.basis], axis=1)
+    modes = np.concatenate([real.modes, part.modes])
+    w_lo = min(N, modes.min() + band + 1)
+    w_hi = min(N, max(2 * N - modes.max() - band, 0) + band + 1)
+    edges = []
+    for low, w, meets in ((0, w_lo, modes < w_lo),
+                          (2 * N + 1 - w_hi, w_hi,
+                           modes + band >= 2 * N + 1 - w_hi)):
+        rows = slice(low * fiber, (low + w) * fiber)
+        u, s, _ = np.linalg.svd(B[rows][:, meets])
+        u = u[:, int((s > _RANK_TOL).sum()):]
+        E = np.zeros((dim, u.shape[1]), dtype=complex)
+        E[rows] = u
+        edges.append(SubspaceRealization(
+            N, E, modes=np.full(u.shape[1], low), band=w - 1))
+    found = sum(e.rank for e in edges)
+    if found != missing:
+        raise RealizationGapError(
+            f"complement at N={N}: the window edges hold {found} of the "
+            f"{missing} directions the recorded complement misses")
+    return _join(N, [part, *edges], real.warnings)
 
 
 def _check_projection_matrix(P):
@@ -551,7 +639,9 @@ def hardy_subspace(shift=0):
             raise ValueError("shift outside the truncation window")
         return _modewise(N, np.eye(1), np.zeros((1, 0)), cut=shift)
 
-    return PdoSubspace(sym, realizer, name=f"hardy+{shift}" if shift else "hardy")
+    L = PdoSubspace(sym, realizer, name=f"hardy+{shift}" if shift else "hardy")
+    L._perp = lambda N: _modewise(N, np.zeros((1, 0)), np.eye(1), cut=shift)
+    return L
 
 
 def mobius_symbol():
@@ -568,31 +658,44 @@ def mobius_symbol():
 # s(x) = ((1 + e^{ix})/2, -i(e^{ix} - 1)/2) = e^{ix/2} (cos x/2, sin x/2):
 # |s| = 1 and s s* is the Mobius face; its Fourier coefficients at 0 and 1
 _MOBIUS_FRAME = (np.array([0.5, 0.5j]), np.array([0.5, -0.5j]))
+# t(x) = e^{ix/2} (-sin x/2, cos x/2), pointwise orthogonal to s: t t* is
+# the complement face 1 - s s*
+_MOBIUS_PERP = (np.array([-0.5j, 0.5]), np.array([0.5j, 0.5]))
 
 
-def _mobius_realization(N):
-    """The shifts s e^{ikx}, k = -N .. N-1, of the Mobius frame: column k
-    holds s_0 on mode k and s_1 on mode k + 1, a mode-local basis of band
-    1, exactly orthonormal because its entries are +-1/2 and +-i/2."""
+def _frame_shifts(frame, N):
+    """The shifts f e^{ikx}, k = -N .. N-1, of a band-1 line frame f with
+    coefficients f_0, f_1: column k holds f_0 on mode k and f_1 on mode
+    k + 1, a mode-local basis of band 1.  For s and t it is exactly
+    orthonormal because the entries are +-1/2 and +-i/2, and the shifts
+    of t are exactly orthogonal to those of s, as s*t = 0."""
     B = np.zeros((2 * N + 1, 2, 2 * N), dtype=complex)
     m = np.arange(2 * N)
-    B[m, :, m], B[m + 1, :, m] = _MOBIUS_FRAME
+    B[m, :, m], B[m + 1, :, m] = frame
     return SubspaceRealization(N, B.reshape(-1, 2 * N), modes=m, band=1)
 
 
 def mobius_subspace():
     """The Mobius line, realized by its frame's shifts s e^{ikx},
     k = -N .. N-1: the subspace the spectral cut of the quantized face
-    gives (rank 2N), in an exactly orthonormal basis of band 1."""
-    return PdoSubspace(mobius_symbol(), _mobius_realization, name="mobius")
+    gives (rank 2N), in an exactly orthonormal basis of band 1.  Its
+    complement is recorded as the shifts of t, which miss one vector at
+    each window edge."""
+    L = PdoSubspace(mobius_symbol(), partial(_frame_shifts, _MOBIUS_FRAME),
+                    name="mobius")
+    L._perp = partial(_frame_shifts, _MOBIUS_PERP)
+    return L
 
 
 def trivial_subspace(rank, q, name=""):
     """Constant subspace spanned by the first q fiber coordinates."""
-    E = np.eye(rank)[:, :q]
+    eye = np.eye(rank)
+    E, perp = eye[:, :q], eye[:, q:]
     sym = SubspaceSymbol(E @ E.T, E @ E.T, name=name or f"trivial{q}of{rank}",
                          validate=False)
-    return PdoSubspace(sym, lambda N: _modewise(N, E, E), name=sym.name)
+    L = PdoSubspace(sym, lambda N: _modewise(N, E, E), name=sym.name)
+    L._perp = lambda N: _modewise(N, perp, perp)
+    return L
 
 
 def full_subspace(rank, name=""):
@@ -605,21 +708,55 @@ def zero_subspace(rank):
 
 def two_face_subspace(p_plus, p_minus, name="twoface"):
     """Subspace whose symbol has constant (x-independent) but different
-    faces; realized exactly mode by mode (no gap condition needed)."""
+    faces; realized exactly mode by mode (no gap condition needed), and so
+    is its complement, from the complement faces."""
     p_plus = np.asarray(p_plus, dtype=complex)
     p_minus = np.asarray(p_minus, dtype=complex)
     sym = SubspaceSymbol(p_plus, p_minus, name=name)
     Bp, Bm = _range_basis(p_plus), _range_basis(p_minus)
     # the zero mode sits on the + face
-    return PdoSubspace(sym, lambda N: _modewise(N, Bp, Bm), name=name)
+    L = PdoSubspace(sym, lambda N: _modewise(N, Bp, Bm), name=name)
+    eye = np.eye(len(p_plus))
+    L._perp = lambda N: _modewise(N, _range_basis(eye - p_plus),
+                                  _range_basis(eye - p_minus))
+    return L
+
+
+def _conjugated(W, real, N):
+    """quantize(W) applied to the columns of a mode-local realization
+    whose image fits the window, for a unitary loop W with first and last
+    nonzero Fourier coefficients k0 and k1: a column of lowest mode m and
+    band b goes to lowest mode m + k0 and band b + k1 - k0.  The kept
+    columns are orthonormal, as W*W = I; the others are dropped."""
+    table = W.coeff_table()
+    nz = np.flatnonzero(table.reshape(len(table), -1).any(axis=1)) - W.degree
+    band = real.band + nz[-1] - nz[0]
+    modes = real.modes + nz[0]
+    keep = (modes >= 0) & (modes + band <= 2 * N)
+    q, n = int(keep.sum()), 2 * N + 1
+    B = real.basis[:, keep].reshape(n, W.shape[1], q)
+    out = np.zeros((n, W.shape[0], q), dtype=complex)
+    for k in nz:  # mode i feeds mode i + k through W_k
+        out[max(k, 0):n + min(k, 0)] += np.einsum(
+            "rf,mfq->mrq", table[k + W.degree], B[max(-k, 0):n - max(k, 0)])
+    warnings = real.warnings
+    if q < real.rank:
+        warnings = warnings + (
+            f"conjugation dropped {real.rank - q} boundary directions",)
+    return SubspaceRealization(N, out.reshape(-1, q), warnings,
+                               modes=modes[keep], band=band)
 
 
 def conjugate_subspace(L, W, name=""):
     """Image of L under an invertible operator W: the subspace with
-    pointwise symbol = orthogonal projection onto W(x) Im p(x), realized as
-    the exact orthogonal projection onto W_N (Im P_N).  The symbol records
-    (W, p) for its + face, so a unitary W and a constant p give it the
-    exact frame W E (see SubspaceSymbol._exact_frame)."""
+    pointwise symbol = orthogonal projection onto W(x) Im p(x).  Of a
+    mode-local realization of L, a unitary loop W (equal faces, W*W = I,
+    tested once, at the first realization) keeps the columns whose image
+    fits the window (see _conjugated), and the complement is recorded as W
+    applied to L's; else the realization is the exact orthogonal
+    projection onto W_N (Im P_N), from an SVD.  The symbol records (W, p)
+    for its + face, so a unitary W and a constant p give it the exact
+    frame W E (see SubspaceSymbol._exact_frame)."""
     if isinstance(W, TrigPolyMatrix):
         W = CircleSymbol(0, W, W, name="conj")
     sym0 = L.symbol
@@ -644,11 +781,23 @@ def conjugate_subspace(L, W, name=""):
     sym = SubspaceSymbol(plus, minus, name=name or f"W({L.name})",
                          validate=False)
     sym._conj = (W.plus, sym0.plus)
+    loop = W.plus if W.plus == W.minus else None  # quantize(W) multiplies
+
+    def local(N, real):
+        if real is None or real.modes is None or loop is None or \
+                not _unitary_loop(loop):
+            return None
+        return _conjugated(loop, real, N)
 
     def realizer(N):
         base = L.realize(N)
-        M = quantize(W, N).matrix @ base.basis
         q = base.rank
+        out = local(N, base)
+        if out is not None:
+            if q and not out.rank:
+                raise ArithmeticError("conjugation collapsed the subspace")
+            return out
+        M = quantize(W, N).matrix @ base.basis
         if q == 0:
             return SubspaceRealization(N, M, base.warnings)
         u, s, _ = np.linalg.svd(M, full_matrices=False)
@@ -663,37 +812,78 @@ def conjugate_subspace(L, W, name=""):
                 f"conjugation dropped {q - keep} boundary directions",)
         return SubspaceRealization(N, u[:, :keep], warnings)
 
-    return PdoSubspace(sym, realizer, name=sym.name)
+    out = PdoSubspace(sym, realizer, name=sym.name)
+    perp = L._perp
+    if perp is not None:
+        out._perp = lambda N: local(N, perp(N))
+    return out
+
+
+def _punctured(base, N, idx, fiber):
+    """base less v, the direction of its projection of e_idx, and v as a
+    one-column realization (None for a dense base, which takes an SVD).
+    A selection drops idx.  In a mode-local base only the columns C that
+    meet idx change: v = C a, a = conj(C[idx]) / |C[idx]|, so C Q, for Q
+    an orthonormal basis of the complement of a, is orthonormal and local."""
+    warnings = base.warnings + (f"punctured at mode {idx // fiber - N}",)
+    far = ValueError("puncture direction nearly orthogonal to the "
+                     "subspace; pick another (mode, coord)")
+    if base.select is not None:
+        if idx not in base.select:
+            raise far
+        dim = (2 * N + 1) * fiber
+        return (SubspaceRealization(N, warnings=warnings, dim=dim,
+                                    select=base.select[base.select != idx]),
+                SubspaceRealization(N, dim=dim, select=[idx]))
+    B = base.basis
+    row = B[idx]
+    nv = np.linalg.norm(row)
+    if nv < 0.1:
+        raise far
+    if base.modes is None:
+        v = B @ np.conj(row) / nv
+        u = np.linalg.svd(B - np.outer(v, v.conj() @ B),
+                          full_matrices=False)[0]
+        return SubspaceRealization(N, u[:, :base.rank - 1], warnings), None
+    J = np.flatnonzero(row)
+    Q = np.linalg.qr(np.conj(row[J])[:, None] / nv, mode="complete")[0]
+    C = B[:, J] @ Q  # column 0 is v, up to a phase
+    lo = base.modes[J].min()
+    width = base.modes[J].max() + base.band - lo
+    rest = np.ones(base.rank, dtype=bool)
+    rest[J] = False
+    real = SubspaceRealization(
+        N, np.concatenate([B[:, rest], C[:, 1:]], axis=1), warnings,
+        modes=np.concatenate([base.modes[rest], np.full(J.size - 1, lo)]),
+        band=max(base.band, width))
+    return real, SubspaceRealization(N, C[:, :1], modes=[lo], band=width)
 
 
 def puncture(L, mode=0, coord=0):
     """Same symbol, realization one dimension smaller: the direction of the
-    (mode, coord) ambient basis vector is removed from the range.  A coord
-    outside [0, fiber) raises ValueError here, a mode outside [-N, N] at
-    realization."""
+    (mode, coord) ambient basis vector is removed from the range (see
+    _punctured), and the complement is recorded as L's plus that
+    direction.  A coord outside [0, fiber) raises ValueError here, a mode
+    outside [-N, N] at realization."""
     fiber = L.fiber
     if not 0 <= coord < fiber:
         raise ValueError(f"coord {coord} outside the fiber [0, {fiber})")
 
-    def realizer(N):
+    def punctured(N):
         if abs(mode) > N:
             raise ValueError(f"mode {mode} outside the truncation window")
-        base = L.realize(N)
-        B = base.basis
-        idx = (mode + N) * fiber + coord
-        v = B @ np.conj(B[idx])
-        nv = np.linalg.norm(v)
-        if nv < 0.1:
-            raise ValueError("puncture direction nearly orthogonal to the "
-                             "subspace; pick another (mode, coord)")
-        v = v / nv
-        C = B - np.outer(v, v.conj() @ B)
-        u, s, _ = np.linalg.svd(C, full_matrices=False)
-        keep = u[:, :base.rank - 1]
-        return SubspaceRealization(N, keep, base.warnings +
-                                   (f"punctured at mode {mode}",))
+        return _punctured(L.realize(N), N, (mode + N) * fiber + coord, fiber)
 
-    return PdoSubspace(L.symbol, realizer, name=f"{L.name}-e({mode},{coord})")
+    def perp(N):
+        part, (_, v) = parent(N), punctured(N)
+        return None if part is None or v is None else _join(N, [part, v])
+
+    out = PdoSubspace(L.symbol, lambda N: punctured(N)[0],
+                      name=f"{L.name}-e({mode},{coord})")
+    parent = L._perp
+    if parent is not None:
+        out._perp = perp
+    return out
 
 
 def face_residual(L, N):

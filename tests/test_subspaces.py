@@ -1,9 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from etaforge import indexing, subspaces
+from etaforge import indexing, subspaces, suites
 from etaforge.core import TrigPolyMatrix, constant_trig
-from etaforge.indexing import dimension_functional
+from etaforge.indexing import (SubspaceOperator, analytic_index,
+                               dimension_functional)
 from etaforge.kzn import fractional_eta_topological
 from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
                                 SubspaceSymbol, conjugate_subspace,
@@ -14,8 +18,10 @@ from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
                                 rotation_homotopy, rotation_unitary,
                                 spectral_subspace, trivial_subspace,
                                 two_face_subspace, zero_subspace)
-from etaforge.suites import even_subspace_suite, haar_unitary, phase_diag_loop
-from etaforge.symbols import CircleSymbol, _range_basis, quantize
+from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
+                             haar_unitary, phase_diag_loop, rng_for)
+from etaforge.symbols import (CircleSymbol, _range_basis, identity_symbol,
+                              quantize)
 
 
 def test_subspace_symbol_validates_projection():
@@ -146,7 +152,10 @@ def test_direct_sums_carry_the_widest_band():
                     (full_subspace(1).direct_sum(hardy_subspace()), 0)):
         real = L.realize(N)
         assert real.modes is not None and real.band == band
-    assert orthocomplement(mob).realize(N).modes is None
+    # the Mobius complement is mode-local too: the shifts of the frame t
+    # and one vector at each window edge
+    comp = orthocomplement(mob).realize(N)
+    assert comp.modes is not None and comp.band == 1
 
 
 def test_realization_is_cached():
@@ -440,3 +449,127 @@ def test_dump_subspace_csv(tmp_path):
     # one row per ambient eigenvalue: 2(2N+1) for each truncation
     assert len(lines) == 1 + 26 + 34
     assert lines[1].startswith("6,0,")
+
+
+# ---------------------------------------------------------------------------
+# Mode-local realizations of conjugates, complements and punctures
+# ---------------------------------------------------------------------------
+
+_WINDOWS = (8, 16, 24, 48)
+
+
+def _puncture_at_every_window(L, Ns=_WINDOWS):
+    # the first (mode, coord) whose direction overlaps L at every N
+    for mode in (0, 1, -1, 2):
+        for coord in range(L.fiber):
+            try:
+                P = puncture(L, mode=mode, coord=coord)
+                for N in Ns:
+                    P.realize(N)
+                return mode, coord
+            except ValueError:
+                continue
+    raise AssertionError(f"no usable puncture of {L.name}")
+
+
+def _family(seed):
+    # every suite subspace, its complement, a puncture and a unitary
+    # conjugate
+    rng = rng_for(seed, "realization_family")
+    out = []
+    for name, L in even_subspace_suite(seed):
+        W = even_invertible_symbol(rng, L.fiber).plus
+        out += [L, orthocomplement(L),
+                puncture(L, *_puncture_at_every_window(L)),
+                conjugate_subspace(L, W)]
+    return out
+
+
+def _check_local(real, fiber, N):
+    # orthonormal, mode-local, and every nonzero entry of a column on its
+    # modes m .. m + band
+    B = real.basis
+    assert np.abs(B.conj().T @ B - np.eye(B.shape[1])).max() <= 1e-12
+    assert real.modes is not None
+    rows, cols = np.nonzero(B)
+    mode = rows // fiber
+    assert np.all(mode >= real.modes[cols])
+    assert np.all(mode <= real.modes[cols] + real.band)
+    assert np.all(real.modes >= 0) and np.all(real.modes <= 2 * N)
+
+
+@pytest.mark.parametrize("seed", [1914, 2718, 5])
+def test_realizations_stay_mode_local_and_complete(seed, monkeypatch):
+    family = _family(seed)  # symbols are fit with SVDs: before recording
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kw):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for X in family:
+        C = orthocomplement(X)
+        f = X.fiber
+        for N in _WINDOWS:
+            for Y in (X, C):
+                del shapes[:]
+                real = Y.realize(N)
+                _check_local(real, f, N)
+                # one edge block of band + 1 modes at most
+                assert all(sh[0] <= (real.band + 1) * f for sh in shapes), \
+                    (Y.name, N, shapes)
+            B, Bc = X.basis(N), C.basis(N)
+            assert np.abs(B.conj().T @ Bc).max() <= 1e-10, (X.name, N)
+            assert X.rank(N) + C.rank(N) == (2 * N + 1) * f, (X.name, N)
+
+
+def _densified(L):
+    # the same subspace with its realization as a dense basis: what a
+    # constructor of it takes is the SVD path
+    return PdoSubspace(
+        L.symbol, lambda N: subspaces.SubspaceRealization(
+            N, L.basis(N), L.realize(N).warnings), name=L.name)
+
+
+@pytest.mark.parametrize("seed", [1914, 2718, 5])
+def test_mode_local_realizations_agree_with_the_svd_realizations(
+        seed, monkeypatch):
+    # the suite built once from its stock parents, once from densified
+    # copies of them: the identity between the two realizations of every
+    # subspace, complement and puncture has index 0, and d agrees
+    new = even_subspace_suite(seed)
+    for stock in ("trivial_subspace", "mobius_subspace"):
+        made = getattr(suites, stock)
+        monkeypatch.setattr(suites, stock,
+                            lambda *a, made=made: _densified(made(*a)))
+    old = even_subspace_suite(seed)
+    for (name, Ln), (_, Lo) in zip(new, old):
+        mode, coord = _puncture_at_every_window(Ln, (16, 32, 48))
+        pairs = [(Lo, Ln), (orthocomplement(Lo), orthocomplement(Ln)),
+                 (puncture(Lo, mode, coord), puncture(Ln, mode, coord))]
+        for a, b in pairs:
+            assert b.realize(16).modes is not None
+            assert a.realize(16).modes is None
+            ident = SubspaceOperator(identity_symbol(a.fiber), a, b)
+            assert analytic_index(ident, N=16) == 0, b.name
+            assert dimension_functional(a) == dimension_functional(b), b.name
+
+
+def test_a_subspace_and_its_complement_free_their_realizations():
+    # no reference cycle between a subspace, its recorded complement and
+    # their realizations: plain reference counting frees them
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(6):
+            L = even_subspace_suite(1914)[i][1]
+            C = orthocomplement(L)
+            refs = [weakref.ref(X.realize(N).basis)
+                    for X in (L, C) for N in (8, 16)]
+            refs += [weakref.ref(C.realize(8))]
+            del L, C
+            assert all(r() is None for r in refs), i
+    finally:
+        gc.enable()
