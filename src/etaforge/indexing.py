@@ -26,8 +26,9 @@ bulk by column mode, a wider one in ambient coordinates.  A symbol of
 degree 0 between two sides of band 0 (a parity double that is the
 identity, say) makes T block diagonal by mode, and no section is built:
 see below.  Any other realization (the gap realizer, spectral_subspace,
-a non-unitary conjugate, and what is built on those) has a dense basis
-B, and the section is B2* A B1.
+a conjugate by anything but a unitary order-0 loop, a complement whose
+window is too narrow for its band, and what is built on those) has a
+dense basis B, and the section is B2* A B1.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
 cols_k - rank_k kernel and rows_k - rank_k cokernel directions, and both

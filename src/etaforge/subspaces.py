@@ -20,8 +20,9 @@ transport.
 
 Every stock constructor keeps a mode-local parent's realization
 mode-local (see SubspaceRealization, PdoSubspace and orthocomplement);
-only dense parents (the gap realizer, spectral_subspace) and a
-non-unitary conjugation take SVD realizations.
+only dense parents (the gap realizer, spectral_subspace), a conjugation
+by anything but a unitary order-0 loop and a complement whose window is
+too narrow for its band take SVD realizations.
 """
 from __future__ import annotations
 
@@ -76,8 +77,7 @@ class ParityError(ValueError):
 
 
 class RealizationGapError(RuntimeError):
-    """Quantized projection symbol has no spectral gap at this truncation,
-    or a recorded complement cannot be completed at it."""
+    """Quantized projection symbol has no spectral gap at this truncation."""
 
 
 class UnstableIndexError(RuntimeError):
@@ -118,13 +118,24 @@ class SubspaceSymbol(CircleSymbol):
         Im p, when a conjugation recorded (W, p), p is constant and W is a
         unitary loop (W*W = I to 1e-12 in max_abs on the coefficient
         table); else None.  Built on first use and kept."""
-        if self._conj is None:
+        if not self._unitary_conj:
             return None
         W, p = self._conj
-        if p.trimmed().degree != 0 or not _unitary_loop(W):
+        if p.trimmed().degree != 0:
             return None
         F = W @ constant_trig(_range_basis(p.coeff(0)))
         return FaceFrame(F, F.conj_transpose(), (0.0,) * F.shape[1], 0.0, 0.0)
+
+    @cached_property
+    def _unitary_conj(self):
+        """A conjugation recorded (W, p) and W is a square loop with
+        W*W = I to 1e-12 in max_abs on the coefficient table.  Tested on
+        first use and kept."""
+        if self._conj is None:
+            return False
+        W = self._conj[0]
+        return W.shape[0] == W.shape[1] and \
+            (W.conj_transpose() @ W - np.eye(W.shape[0])).max_abs() <= 1e-12
 
     def antipodal(self):
         return SubspaceSymbol(self.minus, self.plus, name=self.name,
@@ -134,16 +145,6 @@ class SubspaceSymbol(CircleSymbol):
         s = super().direct_sum(other)
         return SubspaceSymbol(s.plus, s.minus, validate=False,
                               name=f"{self.name}+{other.name}")
-
-
-@lru_cache(maxsize=256)
-def _unitary_loop(W):
-    """W is a square loop with W*W = I to 1e-12 in max_abs on the
-    coefficient table.  A pure function of W's value, cached by it, so the
-    test runs once per loop for a symbol, its complement and their
-    realizations."""
-    return W.shape[0] == W.shape[1] and \
-        (W.conj_transpose() @ W - np.eye(W.shape[0])).max_abs() <= 1e-12
 
 
 def _readonly(a):
@@ -375,8 +376,8 @@ def orthocomplement(L):
     """The complement of L: of a coordinate realization, the other
     coordinates; of a mode-local one whose constructor recorded its
     complement (`_perp`), that recipe completed at the window's edges
-    (see _completed); else the trailing left singular vectors of the
-    basis."""
+    (see _completed); else, or when the edges do not complete it, the
+    trailing left singular vectors of the basis."""
     sym = L.symbol.complement()
     perp = L._perp
 
@@ -389,8 +390,9 @@ def orthocomplement(L):
                 select=np.setdiff1d(np.arange(dim), base.select))
         part = perp(N) if perp is not None and base.modes is not None \
             else None
-        if part is not None:
-            return _completed(N, base, part, L.fiber)
+        done = None if part is None else _completed(N, base, part, L.fiber)
+        if done is not None:
+            return done
         u, _, _ = np.linalg.svd(base.basis, full_matrices=True) \
             if base.basis.shape[1] else (np.eye(base.basis.shape[0]), None, None)
         comp = u[:, base.basis.shape[1]:]
@@ -406,8 +408,8 @@ def _completed(N, real, part, fiber):
     miss, which lie at the window edges.  An edge block reaches band + 1
     modes past the outermost column; the vectors on it orthogonal to all
     columns are the left singular vectors of their rows there past the
-    rank, one small SVD per edge.  RealizationGapError when the edges do
-    not hold every missing dimension."""
+    rank, one small SVD per edge.  None when the edges do not hold every
+    missing dimension (a window too small for the recipe's band)."""
     dim = (2 * N + 1) * fiber
     missing = dim - real.rank - part.rank
     if missing == 0:
@@ -428,11 +430,8 @@ def _completed(N, real, part, fiber):
         E[rows] = u
         edges.append(SubspaceRealization(
             N, E, modes=np.full(u.shape[1], low), band=w - 1))
-    found = sum(e.rank for e in edges)
-    if found != missing:
-        raise RealizationGapError(
-            f"complement at N={N}: the window edges hold {found} of the "
-            f"{missing} directions the recorded complement misses")
+    if sum(e.rank for e in edges) != missing:
+        return None
     return _join(N, [part, *edges], real.warnings)
 
 
@@ -717,8 +716,8 @@ def two_face_subspace(p_plus, p_minus, name="twoface"):
     # the zero mode sits on the + face
     L = PdoSubspace(sym, lambda N: _modewise(N, Bp, Bm), name=name)
     eye = np.eye(len(p_plus))
-    L._perp = lambda N: _modewise(N, _range_basis(eye - p_plus),
-                                  _range_basis(eye - p_minus))
+    Cp, Cm = _range_basis(eye - p_plus), _range_basis(eye - p_minus)
+    L._perp = lambda N: _modewise(N, Cp, Cm)
     return L
 
 
@@ -750,13 +749,14 @@ def _conjugated(W, real, N):
 def conjugate_subspace(L, W, name=""):
     """Image of L under an invertible operator W: the subspace with
     pointwise symbol = orthogonal projection onto W(x) Im p(x).  Of a
-    mode-local realization of L, a unitary loop W (equal faces, W*W = I,
-    tested once, at the first realization) keeps the columns whose image
-    fits the window (see _conjugated), and the complement is recorded as W
-    applied to L's; else the realization is the exact orthogonal
-    projection onto W_N (Im P_N), from an SVD.  The symbol records (W, p)
-    for its + face, so a unitary W and a constant p give it the exact
-    frame W E (see SubspaceSymbol._exact_frame)."""
+    mode-local realization of L, a unitary loop W (order 0, equal faces,
+    W*W = I, tested once, at the first realization) keeps the columns
+    whose image fits the window (see _conjugated), and the complement is
+    recorded as W applied to L's; else the realization is the exact
+    orthogonal projection onto W_N (Im P_N), from an SVD.  Either way
+    N <= 2 deg W raises ValueError, as quantize(W, N) does.  The symbol
+    records (W, p) for its + face, so a unitary W and a constant p give it
+    the exact frame W E (see SubspaceSymbol._exact_frame)."""
     if isinstance(W, TrigPolyMatrix):
         W = CircleSymbol(0, W, W, name="conj")
     sym0 = L.symbol
@@ -781,12 +781,15 @@ def conjugate_subspace(L, W, name=""):
     sym = SubspaceSymbol(plus, minus, name=name or f"W({L.name})",
                          validate=False)
     sym._conj = (W.plus, sym0.plus)
-    loop = W.plus if W.plus == W.minus else None  # quantize(W) multiplies
+    # quantize(W) multiplies by W.plus: unweighted, one face
+    loop = W.plus if W.order == 0 and W.plus == W.minus else None
 
     def local(N, real):
         if real is None or real.modes is None or loop is None or \
-                not _unitary_loop(loop):
+                not sym._unitary_conj:
             return None
+        if N <= 2 * W.degree:
+            raise ValueError("truncation too small for the symbol degree")
         return _conjugated(loop, real, N)
 
     def realizer(N):
@@ -821,10 +824,10 @@ def conjugate_subspace(L, W, name=""):
 
 def _punctured(base, N, idx, fiber):
     """base less v, the direction of its projection of e_idx, and v as a
-    one-column realization (None for a dense base, which takes an SVD).
-    A selection drops idx.  In a mode-local base only the columns C that
-    meet idx change: v = C a, a = conj(C[idx]) / |C[idx]|, so C Q, for Q
-    an orthonormal basis of the complement of a, is orthonormal and local."""
+    one-column realization.  A selection drops idx.  Else only the columns
+    C that meet idx change: v = C a, a = conj(C[idx]) / |C[idx]|, so C Q,
+    for Q an orthonormal basis of the complement of a, is orthonormal, and
+    mode-local when base is."""
     warnings = base.warnings + (f"punctured at mode {idx // fiber - N}",)
     far = ValueError("puncture direction nearly orthogonal to the "
                      "subspace; pick another (mode, coord)")
@@ -840,20 +843,19 @@ def _punctured(base, N, idx, fiber):
     nv = np.linalg.norm(row)
     if nv < 0.1:
         raise far
-    if base.modes is None:
-        v = B @ np.conj(row) / nv
-        u = np.linalg.svd(B - np.outer(v, v.conj() @ B),
-                          full_matrices=False)[0]
-        return SubspaceRealization(N, u[:, :base.rank - 1], warnings), None
     J = np.flatnonzero(row)
     Q = np.linalg.qr(np.conj(row[J])[:, None] / nv, mode="complete")[0]
     C = B[:, J] @ Q  # column 0 is v, up to a phase
-    lo = base.modes[J].min()
-    width = base.modes[J].max() + base.band - lo
     rest = np.ones(base.rank, dtype=bool)
     rest[J] = False
+    kept = np.concatenate([B[:, rest], C[:, 1:]], axis=1)
+    if base.modes is None:
+        return (SubspaceRealization(N, kept, warnings),
+                SubspaceRealization(N, C[:, :1]))
+    lo = base.modes[J].min()
+    width = base.modes[J].max() + base.band - lo
     real = SubspaceRealization(
-        N, np.concatenate([B[:, rest], C[:, 1:]], axis=1), warnings,
+        N, kept, warnings,
         modes=np.concatenate([base.modes[rest], np.full(J.size - 1, lo)]),
         band=max(base.band, width))
     return real, SubspaceRealization(N, C[:, :1], modes=[lo], band=width)
@@ -868,15 +870,20 @@ def puncture(L, mode=0, coord=0):
     fiber = L.fiber
     if not 0 <= coord < fiber:
         raise ValueError(f"coord {coord} outside the fiber [0, {fiber})")
+    split = {}  # N -> (realization, removed direction), for both recipes
 
     def punctured(N):
+        hit = split.get(N)
+        if hit is not None:
+            return hit
         if abs(mode) > N:
             raise ValueError(f"mode {mode} outside the truncation window")
-        return _punctured(L.realize(N), N, (mode + N) * fiber + coord, fiber)
+        return split.setdefault(N, _punctured(
+            L.realize(N), N, (mode + N) * fiber + coord, fiber))
 
     def perp(N):
-        part, (_, v) = parent(N), punctured(N)
-        return None if part is None or v is None else _join(N, [part, v])
+        part = parent(N)
+        return None if part is None else _join(N, [part, punctured(N)[1]])
 
     out = PdoSubspace(L.symbol, lambda N: punctured(N)[0],
                       name=f"{L.name}-e({mode},{coord})")

@@ -527,7 +527,7 @@ def test_realizations_stay_mode_local_and_complete(seed, monkeypatch):
 
 def _densified(L):
     # the same subspace with its realization as a dense basis: what a
-    # constructor of it takes is the SVD path
+    # constructor of it takes is the dense path (an SVD, but for puncture)
     return PdoSubspace(
         L.symbol, lambda N: subspaces.SubspaceRealization(
             N, L.basis(N), L.realize(N).warnings), name=L.name)
@@ -555,6 +555,47 @@ def test_mode_local_realizations_agree_with_the_svd_realizations(
             ident = SubspaceOperator(identity_symbol(a.fiber), a, b)
             assert analytic_index(ident, N=16) == 0, b.name
             assert dimension_functional(a) == dimension_functional(b), b.name
+        # a puncture removes exactly the projection of its coordinate
+        # vector: P - v v*, v = P e / |P e|
+        N = 16
+        for L, X in zip(pairs[0], pairs[2]):
+            B, Bx = L.basis(N), X.basis(N)
+            v = B @ B[(mode + N) * L.fiber + coord].conj()
+            v /= np.linalg.norm(v)
+            want = B @ B.conj().T - np.outer(v, v.conj())
+            assert np.abs(Bx @ Bx.conj().T - want).max() <= 1e-12, X.name
+
+
+def test_a_complement_the_edges_cannot_complete_falls_back_to_the_svd():
+    # two conjugations widen the Mobius complement's band past what the
+    # edges of the N = 10 window hold; the complement then comes from the
+    # SVD of the basis, and is still exact
+    H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    L = conjugate_subspace(mobius_subspace(), phase_diag_loop((-3, 2)))
+    L = conjugate_subspace(L, phase_diag_loop((3, -2), H, H))
+    for N, local in ((10, False), (24, True)):
+        real = orthocomplement(L).realize(N)
+        assert (real.modes is not None) == local
+        B, Bc = L.basis(N), real.basis
+        assert np.abs(Bc.conj().T @ Bc - np.eye(Bc.shape[1])).max() <= 1e-12
+        assert np.abs(B.conj().T @ Bc).max() <= 1e-10
+        assert B.shape[1] + Bc.shape[1] == 2 * (2 * N + 1)
+
+
+def test_local_conjugation_keeps_the_quantization_rules():
+    # an order-1 loop is weighted by |n| (mode 0 dies), so it takes the SVD
+    # path even with equal unitary faces; N <= 2 deg W is refused as
+    # quantize refuses it
+    H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    weighted = conjugate_subspace(trivial_subspace(2, 1), CircleSymbol(1, H, H))
+    real = weighted.realize(8)
+    assert real.modes is None and real.rank == 16
+    assert conjugate_subspace(trivial_subspace(2, 1),
+                              constant_trig(H)).realize(8).rank == 17
+    L = conjugate_subspace(mobius_subspace(), phase_diag_loop((3, -2)))
+    with pytest.raises(ValueError, match="truncation too small"):
+        L.realize(6)
+    assert L.realize(7).modes is not None
 
 
 def test_a_subspace_and_its_complement_free_their_realizations():
