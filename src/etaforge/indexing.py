@@ -11,43 +11,44 @@ lift's and its parity double's (Savin-Sternin, Elliptic operators in even
 subspaces, 1999); over the circle it is one, the lift's (see
 dimension_functional).
 
-Structure.  When both realizations are mode-local (every basis column
-lives on a few consecutive modes: full, trivial, zero, Hardy and two-face
-subspaces and complements of coordinates, one mode per column; frame
-realizations such as the Mobius line's, whose columns reach band + 1
-modes; and what the stock constructors make of these: unitary
-conjugates, punctures, complements, antipodal subspaces and direct
-sums), the section T with rows and columns
-sorted by lowest mode keeps the block band of the quantized matrix A:
-T[i, j] vanishes when those modes differ by more than the symbol degree
-plus the wider band.  Two coordinate subspaces give a slice of A; other
-mode-local pairs are assembled mode by mode.  A side of band 0 counts its
-bulk by column mode, a wider one in ambient coordinates.  A symbol of
-degree 0 between two sides of band 0 (a parity double that is the
-identity, say) makes T block diagonal by mode, and no section is built:
-see below.  Any other realization (the gap realizer, spectral_subspace,
-a conjugate by anything but a unitary order-0 loop, a complement whose
-window is too narrow for its band, and what is built on those) has a
-dense basis B, and the section is B2* A B1.
+Structure.  Every realization is mode-local: a basis column of lowest
+mode m lives on the modes m .. m + band.  Full, trivial, zero, Hardy and
+two-face subspaces and complements of coordinates have band 0 (one mode
+per column); frame realizations such as the Mobius line's have band 1;
+the stock constructors (unitary conjugates, punctures, complements,
+antipodal subspaces, direct sums) widen their parents' bands by a few
+modes; and a bare basis (the gap realizer, spectral_subspace, an SVD
+realization) has band 2N, every column at lowest mode 0.  With rows and
+columns sorted by lowest mode, the section T keeps the block band of the
+quantized matrix A: T[i, j] vanishes when those modes differ by more
+than the symbol degree plus the wider band.  Two coordinate subspaces
+give a slice of A; other pairs are assembled mode by mode, and a side of
+band 2N makes that the whole compression B2* A B1.  A side of band 0
+counts its bulk by column mode, a wider one in ambient coordinates.  A
+symbol of degree 0 between two sides of band 0 (a parity double that is
+the identity, say) makes T block diagonal by mode, and no section is
+built: see below.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
 cols_k - rank_k kernel and rows_k - rank_k cokernel directions, and both
 sides count the same bulk modes, so rank_k cancels and the index is the
 source's bulk column count less the target's, the count an empty side
-already gets.  A dense section goes through a full SVD, and the rank
-cut is _RANK_TOL * smax.  A sliced section is solved banded instead: the
+already gets.  Any other section is first given to the banded solve: the
 shifted Gram matrix G = T*T + mu^2 I (mu = 1e-6 smax) is block tridiagonal
 and is factored once by block Cholesky, and block inverse iteration finds
 the singular vectors below 100 mu: X -> G^-1 X for the kernel, and for the
 cokernel Y -> Y - T G^-1 T* Y, which is mu^2 (TT* + mu^2 I)^-1 Y (push-
 through identity).  The cut is made on the singular values of T X and
-T* Y (the Ritz values), never on the squared Gram matrix.
+T* Y (the Ritz values), never on the squared Gram matrix.  A section the
+banded solve refuses goes through a full SVD, whose rank cut is
+_RANK_TOL * smax.
 
 Hand-off.  The banded solve only brackets smax (a power-iteration lower
 bound, the Gershgorin upper bound of T*T), so its cut is a bracket.  It
 hands the call to the dense SVD when a Ritz value lies within 2x of that
-bracket, when the section is small or G has few blocks, when G is not
-numerically positive definite, when a block does not settle, or when
+bracket, when the section is small or has few column blocks (a side of
+band 2N gives one, and is refused before any block is formed), when G is
+not numerically positive definite, when a block does not settle, or when
 kernel and cokernel disagree on the rank.  The dense SVD is also the
 oracle the tests compare the banded solve against, basis for basis.
 """
@@ -151,8 +152,8 @@ def antipodal_subspace(L):
 
 def _reflected(real, N, fiber):
     """A realization under the mode reflection n -> -n (mode index
-    i -> 2N - i): a selection is reflected, and a mode-local column of
-    lowest mode m and band b gets lowest mode 2N - m - b."""
+    i -> 2N - i): a selection is reflected, and a column of lowest mode m
+    and band b gets lowest mode 2N - m - b."""
     if real is None:
         return None
     if real.select is not None:
@@ -162,9 +163,9 @@ def _reflected(real, N, fiber):
             select=(2 * N - sel // fiber) * fiber + sel % fiber)
     q = real.rank
     flipped = real.basis.reshape(2 * N + 1, fiber, q)[::-1]
-    modes = None if real.modes is None else 2 * N - real.modes - real.band
     return SubspaceRealization(N, flipped.reshape(-1, q), real.warnings,
-                               modes=modes, band=real.band)
+                               modes=2 * N - real.modes - real.band,
+                               band=real.band)
 
 
 def _bulk_count(V, inner):
@@ -199,6 +200,16 @@ _STEPS = 6          # inverse-iteration steps before an unsettled block goes den
 _POWER_STEPS = 10   # power steps for the lower bound on smax
 
 
+def _column_blocks(col_modes, d):
+    """Blocks of columns sorted by mode, each spanning at least 2d modes."""
+    per_mode = col_modes.size / (col_modes[-1] - col_modes[0] + 1)
+    span = max(2 * d, int(np.ceil(_BLOCK_COLS / per_mode)))
+    starts = np.searchsorted(
+        col_modes, np.arange(col_modes[0], col_modes[-1] + 1, span))
+    bounds = np.unique(np.append(starts, col_modes.size))
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class _BandedGram:
     """G = M*M for a section M whose entry (i, j) vanishes unless the modes
     of row i and column j differ by at most d.  Columns more than 2d modes
@@ -206,16 +217,12 @@ class _BandedGram:
     modes G is block tridiagonal.  It is built block by block inside the
     band, never as a dense product, and factored by a block Cholesky that
     serves both sides of M: MM* is never formed.  Each panel's adjoint is
-    formed once and serves M* and the Gram blocks."""
+    formed once and serves M* and the Gram blocks.  `cols` are the column
+    blocks (see _column_blocks)."""
 
-    def __init__(self, M, row_modes, col_modes, d):
+    def __init__(self, M, row_modes, col_modes, d, cols):
         self.shape = M.shape
-        per_mode = M.shape[1] / (col_modes[-1] - col_modes[0] + 1)
-        span = max(2 * d, int(np.ceil(_BLOCK_COLS / per_mode)))
-        starts = np.searchsorted(
-            col_modes, np.arange(col_modes[0], col_modes[-1] + 1, span))
-        bounds = np.unique(np.append(starts, M.shape[1]))
-        self.cols = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.cols = cols
         # the rows where block J's columns can be nonzero
         self.rows = [slice(np.searchsorted(row_modes, col_modes[c.start] - d),
                            np.searchsorted(row_modes, col_modes[c.stop - 1] + d,
@@ -325,9 +332,10 @@ def _banded_near_null(T, row_modes, col_modes, d):
     """
     if min(T.shape) < _DENSE_BELOW:
         return None
-    G = _BandedGram(T, row_modes, col_modes, d)
-    if len(G.cols) < _MIN_BLOCKS:
+    cols = _column_blocks(col_modes, d)
+    if len(cols) < _MIN_BLOCKS:  # refused before any panel is formed
         return None
+    G = _BandedGram(T, row_modes, col_modes, d, cols)
     lo = G.lower_bound()
     mu = _SHIFT * lo
     cut_lo, cut_hi = _RANK_TOL * lo, _RANK_TOL * np.sqrt(G.upper_bound())
@@ -377,7 +385,7 @@ def _local_bulk(real, order, N, fiber):
     vectors in its sorted column coordinates (None: all its columns).  A
     column on one mode is in the bulk or not, so at band 0 the columns are
     counted; a column that reaches several modes is counted in ambient
-    coordinates, as in the dense branch."""
+    coordinates."""
     if real.band == 0:
         inner = np.abs(real.modes[order] - N) <= N // 2
         return lambda V: int(inner.sum()) if V is None \
@@ -397,40 +405,30 @@ def _filtered_index_once(op, N):
     those in the bulk.  A section that is block diagonal by mode (symbol
     degree 0, both sides of band 0) is counted by mode, with no solve."""
     src, tgt = op.source.realize(N), op.target.realize(N)
-    if src.modes is not None and tgt.modes is not None:
-        # mode-local bases: with rows and columns sorted by mode the section
-        # keeps the band of A (a permutation changes neither the index nor
-        # the bulk counts); a coordinate pair is a slice of A
-        o1, o2 = _mode_order(src), _mode_order(tgt)
-        m1, m2 = src.modes[o1], tgt.modes[o2]
-        count1 = _local_bulk(src, o1, N, op.source.fiber)
-        count2 = _local_bulk(tgt, o2, N, op.target.fiber)
-        d = max(t.degree for t in op.symbol.terms)
-        if m1.size == 0 or m2.size == 0 or d == src.band == tgt.band == 0:
-            # an empty side, or a section that is block diagonal by mode: a
-            # mode's rank enters its kernel and its cokernel count alike
-            return count1(None) - count2(None)
-        A = quantize(op.symbol, N).matrix
-        if src.select is not None and tgt.select is not None:
-            c1, c2 = src.select[o1], tgt.select[o2]
-            # sorted distinct coordinates, all of them: the identity
-            T = A if (c2.size, c1.size) == A.shape else A[np.ix_(c2, c1)]
-        else:
-            T = _local_section(
-                A, src.basis[:, o1], m1, op.source.fiber, src.band,
-                tgt.basis[:, o2], m2, op.target.fiber, tgt.band, d)
-        near = _banded_near_null(T, m2, m1, d + max(src.band, tgt.band))
-        ker, coker = near if near is not None else _dense_near_null(T)
-        return count1(ker) - count2(coker)
-    B1, B2 = src.basis, tgt.basis
-    inner1 = mode_labels(N, op.source.fiber) <= N // 2
-    inner2 = mode_labels(N, op.target.fiber) <= N // 2
-    if B1.shape[1] == 0 or B2.shape[1] == 0:
-        return _bulk_count(B1, inner1) - _bulk_count(B2, inner2)
-    # no name for the quantized matrix: it is freed before the SVD
-    ker, coker = _dense_near_null(
-        B2.conj().T @ quantize(op.symbol, N).matrix @ B1)
-    return _bulk_count(B1 @ ker, inner1) - _bulk_count(B2 @ coker, inner2)
+    # with rows and columns sorted by mode the section keeps the band of A
+    # (a permutation changes neither the index nor the bulk counts); a
+    # coordinate pair is a slice of A
+    o1, o2 = _mode_order(src), _mode_order(tgt)
+    m1, m2 = src.modes[o1], tgt.modes[o2]
+    count1 = _local_bulk(src, o1, N, op.source.fiber)
+    count2 = _local_bulk(tgt, o2, N, op.target.fiber)
+    d = max(t.degree for t in op.symbol.terms)
+    if m1.size == 0 or m2.size == 0 or d == src.band == tgt.band == 0:
+        # an empty side, or a section that is block diagonal by mode: a
+        # mode's rank enters its kernel and its cokernel count alike
+        return count1(None) - count2(None)
+    A = quantize(op.symbol, N).matrix
+    if src.select is not None and tgt.select is not None:
+        c1, c2 = src.select[o1], tgt.select[o2]
+        # sorted distinct coordinates, all of them: the identity
+        T = A if (c2.size, c1.size) == A.shape else A[np.ix_(c2, c1)]
+    else:
+        T = _local_section(
+            A, src.basis[:, o1], m1, op.source.fiber, src.band,
+            tgt.basis[:, o2], m2, op.target.fiber, tgt.band, d)
+    near = _banded_near_null(T, m2, m1, d + max(src.band, tgt.band))
+    ker, coker = near if near is not None else _dense_near_null(T)
+    return count1(ker) - count2(coker)
 
 
 def analytic_index(op, N=16, scales=_SCALES):

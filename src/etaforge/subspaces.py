@@ -18,11 +18,11 @@ symbol has.  Any other face is transported (Kato) and its frame cached
 by face value (lru_cache on _face_frame), so equal faces share one
 transport.
 
-Every stock constructor keeps a mode-local parent's realization
-mode-local (see SubspaceRealization, PdoSubspace and orthocomplement);
-only dense parents (the gap realizer, spectral_subspace), a conjugation
-by anything but a unitary order-0 loop and a complement whose window is
-too narrow for its band take SVD realizations.
+Every realization is mode-local (see SubspaceRealization), and the stock
+constructors keep a narrow band narrow (see PdoSubspace and
+orthocomplement).  The gap realizer, spectral_subspace and the SVD
+fallbacks of conjugate_subspace and orthocomplement give bare bases, the
+band-2N case.
 """
 from __future__ import annotations
 
@@ -156,34 +156,36 @@ class SubspaceRealization:
     """Exact finite projection at one truncation, stored via an orthonormal
     basis of its range.
 
-    A mode-local realization, each of whose basis columns lives on a few
-    consecutive modes, records the lowest mode (0 .. 2N) of each column in
-    `modes` and one `band` for all of them: a column of lowest mode m
-    reaches the modes m .. m + band.  The index kernel then keeps the band
-    of the quantized symbol.  Coordinate and two-face realizations have
-    band 0 (each column on one mode); the shifts F e^{ikx} of a
-    trigonometric frame F have band deg F, 1 for the Mobius line; a
-    conjugate by a loop W widens its parent's band by W's spread.  A
-    coordinate subspace, whose basis columns are ambient coordinate
-    vectors, is stored as `select`: those coordinates, in column order.
-    Its basis eye(dim)[:, select] is built only when asked for; the index
-    kernel slices with `select` and never builds it.
+    Every realization is mode-local: it records the lowest mode (0 .. 2N)
+    of each basis column in `modes` and one `band` for all of them, and a
+    column of lowest mode m reaches the modes m .. m + band.  The index
+    kernel then keeps the band of the quantized symbol.  Coordinate and
+    two-face realizations have band 0 (each column on one mode); the
+    shifts F e^{ikx} of a trigonometric frame F have band deg F, 1 for the
+    Mobius line; a conjugate by a loop W widens its parent's band by W's
+    spread.  A bare basis, given with no band (the gap realizer,
+    spectral_subspace, an SVD), is the widest case: every column at lowest
+    mode 0 with band 2N.  A coordinate subspace, whose basis columns are
+    ambient coordinate vectors, is stored as `select`: those coordinates,
+    in column order.  Its basis eye(dim)[:, select] is built only when
+    asked for; the index kernel slices with `select` and never builds it.
     """
 
     def __init__(self, N, basis=None, warnings=(), select=None, dim=None,
-                 modes=None, band=0):
+                 modes=None, band=None):
         self.N = N
         self.warnings = warnings
-        self.band = band
         self.select = None
         if select is not None:
             self.select = _readonly(np.asarray(select, dtype=np.intp))
             self._dim = dim
-            modes = self.select // (dim // (2 * N + 1))
+            modes, band = self.select // (dim // (2 * N + 1)), 0
         else:
             self.basis = _readonly(np.asarray(basis, dtype=complex))
-        self.modes = None if modes is None else \
-            _readonly(np.asarray(modes, dtype=np.intp))
+            if band is None:  # a bare basis: a column may reach every mode
+                modes, band = np.zeros(self.basis.shape[1]), 2 * N
+        self.band = band
+        self.modes = _readonly(np.asarray(modes, dtype=np.intp))
 
     @cached_property
     def basis(self):
@@ -198,8 +200,8 @@ class SubspaceRealization:
 
 
 def _join(N, parts, warnings=()):
-    """One mode-local realization from mode-local ones of the same window
-    whose columns are mutually orthonormal."""
+    """One realization from realizations of the same window whose columns
+    are mutually orthonormal."""
     return SubspaceRealization(
         N, np.concatenate([p.basis for p in parts], axis=1), warnings,
         modes=np.concatenate([p.modes for p in parts]),
@@ -266,7 +268,7 @@ class PdoSubspace:
 
 def _sum_realization(a, b, N, f1, f2):
     """The realization of a direct sum from its summands' (None if one
-    is None): coordinates when both are, mode-local when both are."""
+    is None): coordinates when both are, else the embedded columns."""
     if a is None or b is None:
         return None
     warnings = a.warnings + b.warnings
@@ -280,9 +282,8 @@ def _sum_realization(a, b, N, f1, f2):
     B = np.concatenate([
         _embed_basis(a.basis, N, f1, f1 + f2, 0),
         _embed_basis(b.basis, N, f2, f1 + f2, f1)], axis=1)
-    modes = None if a.modes is None or b.modes is None else \
-        np.concatenate([a.modes, b.modes])
-    return SubspaceRealization(N, B, warnings, modes=modes,
+    return SubspaceRealization(N, B, warnings,
+                               modes=np.concatenate([a.modes, b.modes]),
                                band=max(a.band, b.band))
 
 
@@ -374,10 +375,10 @@ def relative_index(L1, L2, N=16):
 
 def orthocomplement(L):
     """The complement of L: of a coordinate realization, the other
-    coordinates; of a mode-local one whose constructor recorded its
-    complement (`_perp`), that recipe completed at the window's edges
-    (see _completed); else, or when the edges do not complete it, the
-    trailing left singular vectors of the basis."""
+    coordinates; of one whose constructor recorded its complement
+    (`_perp`), that recipe completed at the window's edges (see
+    _completed); else, or when the edges do not complete it, the trailing
+    left singular vectors of the basis, a bare basis (band 2N)."""
     sym = L.symbol.complement()
     perp = L._perp
 
@@ -388,8 +389,7 @@ def orthocomplement(L):
             return SubspaceRealization(
                 N, warnings=base.warnings, dim=dim,
                 select=np.setdiff1d(np.arange(dim), base.select))
-        part = perp(N) if perp is not None and base.modes is not None \
-            else None
+        part = None if perp is None else perp(N)
         done = None if part is None else _completed(N, base, part, L.fiber)
         if done is not None:
             return done
@@ -620,7 +620,7 @@ def _modewise(N, Bp, Bm, cut=0):
     out = np.zeros((r * len(blocks), c[-1]), dtype=complex)
     for m, b in enumerate(blocks):
         out[m * r:(m + 1) * r, c[m]:c[m + 1]] = b
-    return SubspaceRealization(N, out,
+    return SubspaceRealization(N, out, band=0,
                                modes=np.repeat(np.arange(len(blocks)), counts))
 
 
@@ -722,41 +722,49 @@ def two_face_subspace(p_plus, p_minus, name="twoface"):
 
 
 def _conjugated(W, real, N):
-    """quantize(W) applied to the columns of a mode-local realization
-    whose image fits the window, for a unitary loop W with first and last
-    nonzero Fourier coefficients k0 and k1: a column of lowest mode m and
-    band b goes to lowest mode m + k0 and band b + k1 - k0.  The kept
-    columns are orthonormal, as W*W = I; the others are dropped."""
+    """quantize(W) applied to the columns of a realization whose image
+    fits the window, for a unitary loop W with first and last nonzero
+    Fourier coefficients k0 and k1: a column of lowest mode m and band b
+    goes to lowest mode m + k0 and band b + k1 - k0.  The kept columns are
+    orthonormal, as W*W = I; the others are dropped.  None when none is
+    kept: an empty realization, or a bare basis (band 2N) under a W of
+    nonzero spread."""
     table = W.coeff_table()
     nz = np.flatnonzero(table.reshape(len(table), -1).any(axis=1)) - W.degree
     band = real.band + nz[-1] - nz[0]
     modes = real.modes + nz[0]
     keep = (modes >= 0) & (modes + band <= 2 * N)
     q, n = int(keep.sum()), 2 * N + 1
+    if q == 0:
+        return None
     B = real.basis[:, keep].reshape(n, W.shape[1], q)
     out = np.zeros((n, W.shape[0], q), dtype=complex)
     for k in nz:  # mode i feeds mode i + k through W_k
         out[max(k, 0):n + min(k, 0)] += np.einsum(
             "rf,mfq->mrq", table[k + W.degree], B[max(-k, 0):n - max(k, 0)])
-    warnings = real.warnings
-    if q < real.rank:
-        warnings = warnings + (
-            f"conjugation dropped {real.rank - q} boundary directions",)
-    return SubspaceRealization(N, out.reshape(-1, q), warnings,
+    return SubspaceRealization(N, out.reshape(-1, q),
+                               _dropped(real.warnings, real.rank - q),
                                modes=modes[keep], band=band)
+
+
+def _dropped(warnings, lost):
+    # a conjugation's warning for the directions it shifted out the window
+    return warnings + (f"conjugation dropped {lost} boundary directions",) \
+        if lost else warnings
 
 
 def conjugate_subspace(L, W, name=""):
     """Image of L under an invertible operator W: the subspace with
-    pointwise symbol = orthogonal projection onto W(x) Im p(x).  Of a
-    mode-local realization of L, a unitary loop W (order 0, equal faces,
-    W*W = I, tested once, at the first realization) keeps the columns
-    whose image fits the window (see _conjugated), and the complement is
-    recorded as W applied to L's; else the realization is the exact
-    orthogonal projection onto W_N (Im P_N), from an SVD.  Either way
-    N <= 2 deg W raises ValueError, as quantize(W, N) does.  The symbol
-    records (W, p) for its + face, so a unitary W and a constant p give it
-    the exact frame W E (see SubspaceSymbol._exact_frame)."""
+    pointwise symbol = orthogonal projection onto W(x) Im p(x).  A unitary
+    loop W (order 0, equal faces, W*W = I, tested once, at the first
+    realization) keeps the columns of L's realization whose image fits the
+    window (see _conjugated), and the complement is recorded as W applied
+    to L's; else, or when no column fits (an empty realization, a bare
+    basis), the realization is the exact orthogonal projection onto
+    W_N (Im P_N), from an SVD.  Either way N <= 2 deg W raises ValueError,
+    as quantize(W, N) does.  The symbol records (W, p) for its + face, so
+    a unitary W and a constant p give it the exact frame W E (see
+    SubspaceSymbol._exact_frame)."""
     if isinstance(W, TrigPolyMatrix):
         W = CircleSymbol(0, W, W, name="conj")
     sym0 = L.symbol
@@ -785,8 +793,7 @@ def conjugate_subspace(L, W, name=""):
     loop = W.plus if W.order == 0 and W.plus == W.minus else None
 
     def local(N, real):
-        if real is None or real.modes is None or loop is None or \
-                not sym._unitary_conj:
+        if real is None or loop is None or not sym._unitary_conj:
             return None
         if N <= 2 * W.degree:
             raise ValueError("truncation too small for the symbol degree")
@@ -794,12 +801,10 @@ def conjugate_subspace(L, W, name=""):
 
     def realizer(N):
         base = L.realize(N)
-        q = base.rank
         out = local(N, base)
         if out is not None:
-            if q and not out.rank:
-                raise ArithmeticError("conjugation collapsed the subspace")
             return out
+        q = base.rank
         M = quantize(W, N).matrix @ base.basis
         if q == 0:
             return SubspaceRealization(N, M, base.warnings)
@@ -809,11 +814,8 @@ def conjugate_subspace(L, W, name=""):
         keep = int((s > _RANK_TOL * s[0]).sum())
         if keep == 0:
             raise ArithmeticError("conjugation collapsed the subspace")
-        warnings = base.warnings
-        if keep < q:
-            warnings = warnings + (
-                f"conjugation dropped {q - keep} boundary directions",)
-        return SubspaceRealization(N, u[:, :keep], warnings)
+        return SubspaceRealization(N, u[:, :keep],
+                                   _dropped(base.warnings, q - keep))
 
     out = PdoSubspace(sym, realizer, name=sym.name)
     perp = L._perp
@@ -827,7 +829,7 @@ def _punctured(base, N, idx, fiber):
     one-column realization.  A selection drops idx.  Else only the columns
     C that meet idx change: v = C a, a = conj(C[idx]) / |C[idx]|, so C Q,
     for Q an orthonormal basis of the complement of a, is orthonormal, and
-    mode-local when base is."""
+    its columns reach the modes C's reach."""
     warnings = base.warnings + (f"punctured at mode {idx // fiber - N}",)
     far = ValueError("puncture direction nearly orthogonal to the "
                      "subspace; pick another (mode, coord)")
@@ -849,9 +851,6 @@ def _punctured(base, N, idx, fiber):
     rest = np.ones(base.rank, dtype=bool)
     rest[J] = False
     kept = np.concatenate([B[:, rest], C[:, 1:]], axis=1)
-    if base.modes is None:
-        return (SubspaceRealization(N, kept, warnings),
-                SubspaceRealization(N, C[:, :1]))
     lo = base.modes[J].min()
     width = base.modes[J].max() + base.band - lo
     real = SubspaceRealization(

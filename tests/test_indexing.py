@@ -639,7 +639,7 @@ def test_kernel_cases_cover_selection_shapes():
 def test_local_section_is_the_dense_compression():
     op, N = _banded_cases()["two_face_n_fold"]
     real = op.source.realize(N)
-    assert real.select is None and real.modes is not None
+    assert real.select is None and real.band == 0
     o = np.argsort(real.modes, kind="stable")
     B, m = real.basis[:, o], real.modes[o]
     A = quantize(op.symbol, N).matrix
@@ -678,14 +678,31 @@ def test_local_section_of_a_band_one_basis_is_the_dense_compression(case):
     np.testing.assert_allclose(T, B2.conj().T @ A @ B1, rtol=0, atol=1e-13)
 
 
+def _no_banded_gram(*args):
+    raise AssertionError("a band-2N section formed a banded Gram matrix")
+
+
 @pytest.mark.parametrize("N", [12, 24, 48])
-def test_frame_and_gap_mobius_have_relative_index_zero(N):
+def test_frame_and_gap_mobius_have_relative_index_zero(N, monkeypatch):
     # the identity from the frame realization to the spectral cut of the
     # quantized face: a realizer that shifted d would show here
     gap = PdoSubspace(mobius_symbol())
     op = SubspaceOperator(identity_symbol(2), mobius_subspace(), gap)
-    assert op.source.realize(N).band == 1 and gap.realize(N).modes is None
+    assert op.source.realize(N).band == 1 and gap.realize(N).band == 2 * N
     assert analytic_index(op, N=N) == 0
+    # the gap realization is a bare basis (band 2N): its sections, gap ->
+    # gap and gap -> frame, take the one kernel path to the dense SVD with
+    # no banded Gram matrix (at 3 * 48 both sides exceed _DENSE_BELOW),
+    # and agree with the unfiltered dense index
+    monkeypatch.setattr(indexing, "_BandedGram", _no_banded_gram)
+    calls = _count_dense(monkeypatch)
+    for target in (gap, op.source):
+        sec = SubspaceOperator(identity_symbol(2), gap, target)
+        for n in (N, 2 * N, 3 * N):
+            del calls[:]
+            got = indexing._filtered_index_once(sec, n)
+            assert calls == [(target.rank(n), gap.rank(n))]
+            assert got == _unfiltered_dense_index(sec, n)
 
 
 def test_the_banded_solve_is_given_the_frame_band(monkeypatch):
@@ -708,7 +725,8 @@ def test_the_banded_solve_is_given_the_frame_band(monkeypatch):
     assert indexing._filtered_index_once(op, 48) == 0 and calls == []
     (T, row_modes, col_modes, d), = seen
     assert d == 2
-    G = indexing._BandedGram(T, row_modes, col_modes, d)
+    G = indexing._BandedGram(T, row_modes, col_modes, d,
+                             indexing._column_blocks(col_modes, d))
     TT = T.conj().T @ T
     for J, c in enumerate(G.cols):
         np.testing.assert_allclose(G.diag[J], TT[c, c], rtol=0, atol=1e-13)

@@ -55,6 +55,19 @@ def test_shifted_hardy():
     assert relative_index(hardy_subspace(), L2, N=12) == 2
 
 
+def test_a_bare_basis_is_the_band_2n_realization():
+    # a basis given with no band may reach every mode: each column at
+    # lowest mode 0 with band 2N, the gap realizer's and an SVD's alike
+    N = 5
+    rng = rng_for(3, "bare")
+    B = np.linalg.qr(rng.standard_normal((2 * (2 * N + 1), 3)))[0]
+    for real in (subspaces.SubspaceRealization(N, B),
+                 subspaces.SubspaceRealization(N, B[:, :0]),
+                 PdoSubspace(mobius_symbol()).realize(N)):
+        assert real.band == 2 * N and real.select is None
+        assert real.modes.tolist() == [0] * real.rank
+
+
 def test_full_and_zero():
     assert full_subspace(2).rank(4) == 18
     assert zero_subspace(2).rank(4) == 0
@@ -151,11 +164,11 @@ def test_direct_sums_carry_the_widest_band():
                     (mob.direct_sum(mob).direct_sum(mob), 1),
                     (full_subspace(1).direct_sum(hardy_subspace()), 0)):
         real = L.realize(N)
-        assert real.modes is not None and real.band == band
+        assert real.band == band
     # the Mobius complement is mode-local too: the shifts of the frame t
     # and one vector at each window edge
     comp = orthocomplement(mob).realize(N)
-    assert comp.modes is not None and comp.band == 1
+    assert comp.band == 1
 
 
 def test_realization_is_cached():
@@ -490,7 +503,7 @@ def _check_local(real, fiber, N):
     # modes m .. m + band
     B = real.basis
     assert np.abs(B.conj().T @ B - np.eye(B.shape[1])).max() <= 1e-12
-    assert real.modes is not None
+    assert real.band < 2 * N
     rows, cols = np.nonzero(B)
     mode = rows // fiber
     assert np.all(mode >= real.modes[cols])
@@ -526,8 +539,8 @@ def test_realizations_stay_mode_local_and_complete(seed, monkeypatch):
 
 
 def _densified(L):
-    # the same subspace with its realization as a dense basis: what a
-    # constructor of it takes is the dense path (an SVD, but for puncture)
+    # the same subspace with its realization as a bare basis (band 2N):
+    # what a constructor of it takes is the SVD path, but for puncture
     return PdoSubspace(
         L.symbol, lambda N: subspaces.SubspaceRealization(
             N, L.basis(N), L.realize(N).warnings), name=L.name)
@@ -550,8 +563,8 @@ def test_mode_local_realizations_agree_with_the_svd_realizations(
         pairs = [(Lo, Ln), (orthocomplement(Lo), orthocomplement(Ln)),
                  (puncture(Lo, mode, coord), puncture(Ln, mode, coord))]
         for a, b in pairs:
-            assert b.realize(16).modes is not None
-            assert a.realize(16).modes is None
+            assert b.realize(16).band < 2 * 16
+            assert a.realize(16).band == 2 * 16
             ident = SubspaceOperator(identity_symbol(a.fiber), a, b)
             assert analytic_index(ident, N=16) == 0, b.name
             assert dimension_functional(a) == dimension_functional(b), b.name
@@ -575,7 +588,7 @@ def test_a_complement_the_edges_cannot_complete_falls_back_to_the_svd():
     L = conjugate_subspace(L, phase_diag_loop((3, -2), H, H))
     for N, local in ((10, False), (24, True)):
         real = orthocomplement(L).realize(N)
-        assert (real.modes is not None) == local
+        assert (real.band < 2 * N) == local
         B, Bc = L.basis(N), real.basis
         assert np.abs(Bc.conj().T @ Bc - np.eye(Bc.shape[1])).max() <= 1e-12
         assert np.abs(B.conj().T @ Bc).max() <= 1e-10
@@ -589,13 +602,21 @@ def test_local_conjugation_keeps_the_quantization_rules():
     H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     weighted = conjugate_subspace(trivial_subspace(2, 1), CircleSymbol(1, H, H))
     real = weighted.realize(8)
-    assert real.modes is None and real.rank == 16
+    assert real.band == 2 * 8 and real.rank == 16
     assert conjugate_subspace(trivial_subspace(2, 1),
                               constant_trig(H)).realize(8).rank == 17
     L = conjugate_subspace(mobius_subspace(), phase_diag_loop((3, -2)))
     with pytest.raises(ValueError, match="truncation too small"):
         L.realize(6)
-    assert L.realize(7).modes is not None
+    assert L.realize(7).band < 2 * 7
+    # no column of an empty realization fits: an empty parent, and the
+    # empty complement a conjugate of the full space records, take the SVD
+    W = phase_diag_loop((1, -1))
+    assert conjugate_subspace(zero_subspace(2), W).realize(8).rank == 0
+    L = conjugate_subspace(full_subspace(2), W)
+    B, Bc = L.basis(8), orthocomplement(L).basis(8)
+    assert Bc.shape[1] and B.shape[1] + Bc.shape[1] == 2 * 17
+    assert np.abs(B.conj().T @ Bc).max() <= 1e-12
 
 
 def test_a_subspace_and_its_complement_free_their_realizations():
