@@ -165,10 +165,13 @@ class SubspaceRealization:
     Mobius line; a conjugate by a loop W widens its parent's band by W's
     spread.  A bare basis, given with no band (the gap realizer,
     spectral_subspace, an SVD), is the widest case: every column at lowest
-    mode 0 with band 2N.  A coordinate subspace, whose basis columns are
-    ambient coordinate vectors, is stored as `select`: those coordinates,
-    in column order.  Its basis eye(dim)[:, select] is built only when
-    asked for; the index kernel slices with `select` and never builds it.
+    mode 0 with band 2N, whatever `modes` says.  A lowest mode past
+    2N - band (a band widened by a join or a direct sum) is lowered to
+    2N - band, so m .. m + band stays in the window and covers the column.
+    A coordinate subspace, whose basis columns are ambient coordinate
+    vectors, is stored as `select`: those coordinates, in column order.
+    Its basis eye(dim)[:, select] is built only when asked for; the index
+    kernel slices with `select` and never builds it.
     """
 
     def __init__(self, N, basis=None, warnings=(), select=None, dim=None,
@@ -185,7 +188,8 @@ class SubspaceRealization:
             if band is None:  # a bare basis: a column may reach every mode
                 modes, band = np.zeros(self.basis.shape[1]), 2 * N
         self.band = band
-        self.modes = _readonly(np.asarray(modes, dtype=np.intp))
+        self.modes = _readonly(np.minimum(np.asarray(modes, dtype=np.intp),
+                                          2 * N - band))
 
     @cached_property
     def basis(self):
@@ -393,10 +397,8 @@ def orthocomplement(L):
         done = None if part is None else _completed(N, base, part, L.fiber)
         if done is not None:
             return done
-        u, _, _ = np.linalg.svd(base.basis, full_matrices=True) \
-            if base.basis.shape[1] else (np.eye(base.basis.shape[0]), None, None)
-        comp = u[:, base.basis.shape[1]:]
-        return SubspaceRealization(N, comp, base.warnings)
+        u = np.linalg.svd(base.basis)[0]  # an empty basis gives eye(dim)
+        return SubspaceRealization(N, u[:, base.rank:], base.warnings)
 
     out = PdoSubspace(sym, realizer, name=f"{L.name}^perp" if L.name else "")
     out._perp = L.realize  # the complement's complement is L
@@ -805,14 +807,12 @@ def conjugate_subspace(L, W, name=""):
         if out is not None:
             return out
         q = base.rank
-        M = quantize(W, N).matrix @ base.basis
-        if q == 0:
-            return SubspaceRealization(N, M, base.warnings)
-        u, s, _ = np.linalg.svd(M, full_matrices=False)
+        u, s, _ = np.linalg.svd(quantize(W, N).matrix @ base.basis,
+                                full_matrices=False)
         # truncated multiplication shifts boundary modes out the window;
         # those directions die and are dropped, the bulk is untouched
-        keep = int((s > _RANK_TOL * s[0]).sum())
-        if keep == 0:
+        keep = int((s > _RANK_TOL * s.max(initial=0)).sum())
+        if keep == 0 < q:
             raise ArithmeticError("conjugation collapsed the subspace")
         return SubspaceRealization(N, u[:, :keep],
                                    _dropped(base.warnings, q - keep))

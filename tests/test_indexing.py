@@ -330,6 +330,27 @@ def test_antipodal_subspace_reflects_modes():
     assert (A.symbol.minus - L.symbol.plus).max_abs() < 1e-14
 
 
+def test_antipodal_sums_keep_their_columns_in_the_window():
+    # a Mobius line plus the Hardy space: the sum takes the line's band,
+    # which reaches past the top Hardy columns' last mode unless their
+    # lowest modes are lowered; reflected, they would have negative ones
+    # and drop out of the section
+    N = 8
+    rng = rng_for(7, "antipodal_sum")
+    sym = CircleSymbol(0, *(TrigPolyMatrix(
+        {k: rng.standard_normal((3, 3)) for k in range(-2, 3)})
+        for _ in range(2)))
+    gap, frame = (antipodal_subspace(L.direct_sum(hardy_subspace()))
+                  for L in (PdoSubspace(mobius_symbol()), mobius_subspace()))
+    for L in (gap, frame):
+        real = L.realize(N)
+        assert real.modes.min() >= 0 and real.modes.max() <= 2 * N - real.band
+    for source, target in ((gap, frame), (frame, gap), (gap, full_subspace(3))):
+        op = SubspaceOperator(sym, source, target)
+        assert indexing._filtered_index_once(op, N) == \
+            _unfiltered_dense_index(op, N)
+
+
 def test_antipodal_is_an_involution():
     L = hardy_subspace(shift=2)
     back = antipodal_subspace(antipodal_subspace(L))

@@ -169,6 +169,14 @@ def test_direct_sums_carry_the_widest_band():
     # and one vector at each window edge
     comp = orthocomplement(mob).realize(N)
     assert comp.band == 1
+    # a bare basis makes the sum band 2N, and every column's lowest mode
+    # 0: a constant unitary conjugate of the sum then keeps every column
+    L = PdoSubspace(mobius_symbol()).direct_sum(hardy_subspace())
+    real = L.realize(N)
+    assert real.band == 2 * N and not real.modes.any()
+    H = np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)
+    conj = conjugate_subspace(L, constant_trig(H)).realize(N)
+    assert conj.rank == real.rank and conj.warnings == real.warnings
 
 
 def test_realization_is_cached():
@@ -508,7 +516,7 @@ def _check_local(real, fiber, N):
     mode = rows // fiber
     assert np.all(mode >= real.modes[cols])
     assert np.all(mode <= real.modes[cols] + real.band)
-    assert np.all(real.modes >= 0) and np.all(real.modes <= 2 * N)
+    assert np.all(real.modes >= 0) and np.all(real.modes <= 2 * N - real.band)
 
 
 @pytest.mark.parametrize("seed", [1914, 2718, 5])
