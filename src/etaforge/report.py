@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .core import winding_number
-from .dyadic import DyadicRational
 from .eta import (SpectrumModel, eta_closed_form, eta_numeric,
                   mode_zero_crossing_family)
 from .indexing import (_fitting_truncation, analytic_index,
@@ -240,10 +239,6 @@ def _fractional_rows(cfg):
         rows.append(_row("fractional", f"match_{name}", "kzn.fractional",
                          str(top), str(d.fractional_part()),
                          top == d.fractional_part()))
-        rows.append(_row("fractional", f"halfint_{name}", "eta.dimension",
-                         str((d + d).fractional_part()), "0",
-                         (d + d).fractional_part()
-                         == DyadicRational.from_integer(0)))
     return rows
 
 

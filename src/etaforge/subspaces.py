@@ -9,14 +9,17 @@ Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
 verdict, its index per N and its parity double.  Concurrent calls are
 safe: dict.setdefault is atomic, so every caller gets the one stored
-value.  A face frame is either recorded or cached by value.  Recorded:
-conjugate_subspace by a unitary loop W of a subspace with a constant
-face records the frame W E of its + face (E a basis of that face's
-range) on its symbol, and the complement symbol records W E-perp; the
-frame is built at the first lift and kept on the symbol, the one memo a
-symbol has.  Any other face is transported (Kato) and its frame cached
-by face value (lru_cache on _face_frame), so equal faces share one
-transport.
+value.  A face frame is recorded or cached by value.  A stock
+constructor that knows an exact frame pair (F, F-perp) of each face,
+F F* = p and F-perp F-perp* = 1 - p, records it on the symbol it builds
+(SubspaceSymbol._frames): a base constructor from constant columns or
+the Mobius line's s and t, which also realize the subspace and its
+complement (see _shifts); a complement, direct sum, antipodal image or
+unitary conjugate from its parent's pairs; a puncture shares its
+parent's symbol.  lift_symbol reads F.  Any other face is transported
+(Kato) and its frame cached by face value (lru_cache on _face_frame),
+so equal faces share one transport; face_frames never reads a record,
+so the suite generators keep their transported frames.
 
 Every realization is mode-local (see SubspaceRealization), and the stock
 constructors keep a narrow band narrow (see PdoSubspace and
@@ -33,7 +36,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .core import (_RANK_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
-                   fit_trig_poly, polar_unitary)
+                   fit_trig_poly, polar_unitary, trig_blockdiag)
 from .symbols import (CircleSymbol, TruncatedOperator,
                       _check_projection_faces, _range_basis, _symbols_agree,
                       classify_parity, ellipticity_check, quantize)
@@ -93,13 +96,18 @@ class SubspaceSymbol(CircleSymbol):
         if validate:
             _check_projection_faces(
                 self, np.linspace(0.0, 2 * np.pi, 64, endpoint=False))
-        # (W, p): the + face projects onto W(x) Im p for a loop W and a
-        # projection face p; set by conjugate_subspace, read by _exact_frame
-        self._conj = None
+        # sign -> (F, F-perp): exact trigonometric frames of the face and of
+        # its complement, F F* = p and F-perp F-perp* = 1 - p; set by the
+        # stock constructors that know them (None: unknown)
+        self._frames = None
 
     @property
     def parity(self):
         return classify_parity(self)
+
+    def _with_frames(self, frames):
+        self._frames = frames
+        return self
 
     def complement(self):
         eye = np.eye(self.rank)
@@ -107,44 +115,23 @@ class SubspaceSymbol(CircleSymbol):
                              constant_trig(eye) - self.minus,
                              name=f"({self.name})^perp" if self.name else "",
                              validate=False)
-        if self._conj is not None:  # W (Im p)-perp = (W Im p)-perp, W unitary
-            W, p = self._conj
-            out._conj = (W, constant_trig(eye) - p)
-        return out
-
-    @cached_property
-    def _exact_frame(self):
-        """The exact frame W E of the + face, E an orthonormal basis of
-        Im p, when a conjugation recorded (W, p), p is constant and W is a
-        unitary loop (W*W = I to 1e-12 in max_abs on the coefficient
-        table); else None.  Built on first use and kept."""
-        if not self._unitary_conj:
-            return None
-        W, p = self._conj
-        if p.trimmed().degree != 0:
-            return None
-        F = W @ constant_trig(_range_basis(p.coeff(0)))
-        return FaceFrame(F, F.conj_transpose(), (0.0,) * F.shape[1], 0.0, 0.0)
-
-    @cached_property
-    def _unitary_conj(self):
-        """A conjugation recorded (W, p) and W is a square loop with
-        W*W = I to 1e-12 in max_abs on the coefficient table.  Tested on
-        first use and kept."""
-        if self._conj is None:
-            return False
-        W = self._conj[0]
-        return W.shape[0] == W.shape[1] and \
-            (W.conj_transpose() @ W - np.eye(W.shape[0])).max_abs() <= 1e-12
+        rec = self._frames
+        return out._with_frames(
+            rec and {s: (C, F) for s, (F, C) in rec.items()})
 
     def antipodal(self):
+        rec = self._frames
         return SubspaceSymbol(self.minus, self.plus, name=self.name,
-                              validate=False)
+                              validate=False)._with_frames(
+            rec and {+1: rec[-1], -1: rec[+1]})
 
     def direct_sum(self, other):
-        s = super().direct_sum(other)
-        return SubspaceSymbol(s.plus, s.minus, validate=False,
-                              name=f"{self.name}+{other.name}")
+        sym = super().direct_sum(other)
+        a, b = self._frames, other._frames
+        return SubspaceSymbol(sym.plus, sym.minus, validate=False,
+                              name=f"{self.name}+{other.name}")._with_frames(
+            a and b and {s: tuple(map(trig_blockdiag, zip(a[s], b[s])))
+                         for s in (+1, -1)})
 
 
 def _readonly(a):
@@ -165,9 +152,10 @@ class SubspaceRealization:
     Mobius line; a conjugate by a loop W widens its parent's band by W's
     spread.  A bare basis, given with no band (the gap realizer,
     spectral_subspace, an SVD), is the widest case: every column at lowest
-    mode 0 with band 2N, whatever `modes` says.  A lowest mode past
-    2N - band (a band widened by a join or a direct sum) is lowered to
-    2N - band, so m .. m + band stays in the window and covers the column.
+    mode 0 with band 2N, whatever `modes` says.  A lowest mode is clipped
+    to 0 .. 2N - band (a band widened by a join or a direct sum, a column
+    a conjugation moves below mode 0), so m .. m + band stays in the
+    window and still covers the column.
     A coordinate subspace, whose basis columns are ambient coordinate
     vectors, is stored as `select`: those coordinates, in column order.
     Its basis eye(dim)[:, select] is built only when asked for; the index
@@ -188,8 +176,8 @@ class SubspaceRealization:
             if band is None:  # a bare basis: a column may reach every mode
                 modes, band = np.zeros(self.basis.shape[1]), 2 * N
         self.band = band
-        self.modes = _readonly(np.minimum(np.asarray(modes, dtype=np.intp),
-                                          2 * N - band))
+        self.modes = _readonly(np.clip(np.asarray(modes, dtype=np.intp),
+                                       0, 2 * N - band))
 
     @cached_property
     def basis(self):
@@ -565,8 +553,9 @@ def face_frames(symbol):
     """Per-face periodic frames for a SubspaceSymbol, by Kato transport
     (or the range basis of a constant face); each is cached by the face's
     value, so equal faces (of this or any symbol) share a frame.  It never
-    reads a recorded frame: the suite generators build their symbols on
-    these frames, so a frame in another gauge would change those symbols."""
+    reads the frames a symbol records: the suite generators build their
+    symbols on these frames, so a frame in another gauge would change
+    those symbols."""
     return {s: _face_frame(symbol.face(s)) for s in (+1, -1)}
 
 
@@ -576,22 +565,26 @@ def lift_symbol(L):
     Returns a LiftResult whose sigma = F* is an order-zero symbol with
     equal faces restricting to an isomorphism Im p -> trivial rank-q
     fiber, for F the frame of the + face: the exact frame the symbol
-    recorded (a unitary conjugate or its complement; residuals 0), else
-    the transported one of face_frames.  Over the circle no doubling is
-    ever needed, so the lift has order 0.
+    records (every stock constructor's but spectral_subspace's and a
+    non-unitary conjugation's; residuals 0), else the transported one of
+    face_frames.  Over the circle no doubling is ever needed, so the lift
+    has order 0.
     """
     sym = L.symbol
     if sym.parity != "Even":
         raise ParityError("lift over the circle needs an even subspace")
-    ff = sym._exact_frame or face_frames(sym)[+1]
-    sigma = CircleSymbol(0, ff.sigma, ff.sigma, name="lift")
+    if sym._frames is None:
+        ff = face_frames(sym)[+1]
+        face, closure, fit = ff.sigma, ff.closure_residual, ff.fit_residual
+    else:
+        face, closure, fit = sym._frames[+1][0].conj_transpose(), 0.0, 0.0
+    sigma = CircleSymbol(0, face, face, name="lift")
     q = sigma.rows
     if q:
         full = SubspaceSymbol(np.eye(q), name="target", validate=False)
         if not ellipticity_check(sigma, sym, full):
             raise ArithmeticError("lift symbol failed its ellipticity check")
-    return LiftResult(sigma=sigma, closure_residual=ff.closure_residual,
-                      fit_residual=ff.fit_residual)
+    return LiftResult(sigma=sigma, closure_residual=closure, fit_residual=fit)
 
 
 # ---------------------------------------------------------------------------
@@ -605,25 +598,52 @@ def _coordinates(B):
     return idx if np.array_equal(B, np.eye(B.shape[0])[:, idx]) else None
 
 
-def _modewise(N, Bp, Bm, cut=0):
-    """Mode-major, mode-local realization: the columns of Bp on every mode
-    n >= cut, those of Bm on the modes below.  When both are coordinate
-    columns it is a coordinate subspace, recorded by its selection."""
-    blocks = [Bp if n >= cut else Bm for n in range(-N, N + 1)]
-    r = Bp.shape[0]
-    cp, cm = _coordinates(Bp), _coordinates(Bm)
-    if cp is not None and cm is not None:
-        sel = [m * r + (cp if n >= cut else cm)
-               for m, n in enumerate(range(-N, N + 1))]
-        return SubspaceRealization(N, select=np.concatenate(sel),
-                                   dim=r * len(blocks))
-    counts = [b.shape[1] for b in blocks]
-    c = np.cumsum([0] + counts)
-    out = np.zeros((r * len(blocks), c[-1]), dtype=complex)
-    for m, b in enumerate(blocks):
-        out[m * r:(m + 1) * r, c[m]:c[m + 1]] = b
-    return SubspaceRealization(N, out, band=0,
-                               modes=np.repeat(np.arange(len(blocks)), counts))
+def _shifts(plus, minus, cut, N):
+    """The shifts F e^{ikx} that fit the window -N .. N, in order of k, F
+    the frame `plus` for k >= cut and `minus` below.  A frame with nonzero
+    coefficients on the modes lo .. hi puts shift k on the modes
+    k + lo .. k + hi: a mode-local basis of band hi - lo (orthonormal for
+    constant frames and the Mobius s and t, whose entries are +-1/2 and
+    +-i/2), or a selection when both frames are coordinate columns."""
+    if abs(cut) > N:
+        raise ValueError("shift outside the truncation window")
+    r, n = plus.shape[0], 2 * N + 1
+    blocks, modes, sel, band = [], [], [], 0
+    for F, first, stop in ((minus, -N, cut), (plus, cut, N + 1)):
+        if F.shape[1] == 0:
+            continue
+        T = F.coeff_table()
+        nz = np.flatnonzero(T.reshape(len(T), -1).any(axis=1))
+        T = T[nz[0]:nz[-1] + 1]
+        lo, hi = nz[0] - F.degree, nz[-1] - F.degree
+        m = np.arange(max(first, -N - lo), min(stop, N + 1 - hi)) + lo + N
+        idx = _coordinates(T[0]) if len(T) == 1 else None
+        sel.append(None if idx is None else (m[:, None] * r + idx).ravel())
+        B = np.zeros((n, r, m.size, F.shape[1]), dtype=complex)
+        for j, c in enumerate(T):  # coefficient lo + j on mode m + j
+            B[m + j, :, np.arange(m.size)] = c
+        blocks.append(B.reshape(n * r, -1))
+        modes.append(np.repeat(m, F.shape[1]))
+        band = max(band, hi - lo)
+    if all(x is not None for x in sel):
+        return SubspaceRealization(
+            N, select=np.concatenate([np.zeros(0, np.intp), *sel]), dim=n * r)
+    return SubspaceRealization(N, np.concatenate(blocks, axis=1),
+                               modes=np.concatenate(modes), band=band)
+
+
+def _const(B):
+    # a constant frame, its entries kept bit for bit
+    return TrigPolyMatrix(np.asarray(B, dtype=complex)[None])
+
+
+def _framed(sym, name, cut=0):
+    """A subspace realized by the shifts of its symbol's recorded frames
+    (see _shifts), its complement recorded as the shifts of theirs."""
+    (Fp, Cp), (Fm, Cm) = sym._frames[+1], sym._frames[-1]
+    L = PdoSubspace(sym, partial(_shifts, Fp, Fm, cut), name=name)
+    L._perp = partial(_shifts, Cp, Cm, cut)
+    return L
 
 
 def hardy_subspace(shift=0):
@@ -632,48 +652,29 @@ def hardy_subspace(shift=0):
     Every shift has the same symbol, so relative_index applies across the
     family.
     """
+    one, none = _const(np.eye(1)), _const(np.zeros((1, 0)))
     sym = SubspaceSymbol(np.eye(1), np.zeros((1, 1)), name="hardy",
-                         validate=False)
-
-    def realizer(N):
-        if abs(shift) > N:
-            raise ValueError("shift outside the truncation window")
-        return _modewise(N, np.eye(1), np.zeros((1, 0)), cut=shift)
-
-    L = PdoSubspace(sym, realizer, name=f"hardy+{shift}" if shift else "hardy")
-    L._perp = lambda N: _modewise(N, np.zeros((1, 0)), np.eye(1), cut=shift)
-    return L
+                         validate=False)._with_frames(
+        {+1: (one, none), -1: (none, one)})
+    return _framed(sym, f"hardy+{shift}" if shift else "hardy", cut=shift)
 
 
 def mobius_symbol():
-    """Rank-one even projection p(x) = v(x) v(x)^T, v = (cos x/2, sin x/2)."""
+    """Rank-one even projection p(x) = v(x) v(x)^T, v = (cos x/2, sin x/2).
+    Its frames are recorded: s(x) = e^{ix/2} v(x) = ((1 + e^{ix})/2,
+    -i(e^{ix} - 1)/2), with s s* = p, and t(x) = e^{ix/2} (-sin x/2,
+    cos x/2), pointwise orthogonal to s, with t t* = 1 - p."""
     c = {
         0: np.array([[0.5, 0.0], [0.0, 0.5]]),
         1: np.array([[0.25, -0.25j], [-0.25j, -0.25]]),
         -1: np.array([[0.25, 0.25j], [0.25j, -0.25]]),
     }
     face = TrigPolyMatrix(c)
-    return SubspaceSymbol(face, face, name="mobius")
-
-
-# s(x) = ((1 + e^{ix})/2, -i(e^{ix} - 1)/2) = e^{ix/2} (cos x/2, sin x/2):
-# |s| = 1 and s s* is the Mobius face; its Fourier coefficients at 0 and 1
-_MOBIUS_FRAME = (np.array([0.5, 0.5j]), np.array([0.5, -0.5j]))
-# t(x) = e^{ix/2} (-sin x/2, cos x/2), pointwise orthogonal to s: t t* is
-# the complement face 1 - s s*
-_MOBIUS_PERP = (np.array([-0.5j, 0.5]), np.array([0.5j, 0.5]))
-
-
-def _frame_shifts(frame, N):
-    """The shifts f e^{ikx}, k = -N .. N-1, of a band-1 line frame f with
-    coefficients f_0, f_1: column k holds f_0 on mode k and f_1 on mode
-    k + 1, a mode-local basis of band 1.  For s and t it is exactly
-    orthonormal because the entries are +-1/2 and +-i/2, and the shifts
-    of t are exactly orthogonal to those of s, as s*t = 0."""
-    B = np.zeros((2 * N + 1, 2, 2 * N), dtype=complex)
-    m = np.arange(2 * N)
-    B[m, :, m], B[m + 1, :, m] = frame
-    return SubspaceRealization(N, B.reshape(-1, 2 * N), modes=m, band=1)
+    # coefficient tables from mode -1: s_0 + s_1 e^{ix}, t_0 + t_1 e^{ix}
+    s = TrigPolyMatrix(np.array([[0, 0], [.5, .5j], [.5, -.5j]])[..., None])
+    t = TrigPolyMatrix(np.array([[0, 0], [-.5j, .5], [.5j, .5]])[..., None])
+    return SubspaceSymbol(face, face, name="mobius")._with_frames(
+        {+1: (s, t), -1: (s, t)})
 
 
 def mobius_subspace():
@@ -682,21 +683,17 @@ def mobius_subspace():
     gives (rank 2N), in an exactly orthonormal basis of band 1.  Its
     complement is recorded as the shifts of t, which miss one vector at
     each window edge."""
-    L = PdoSubspace(mobius_symbol(), partial(_frame_shifts, _MOBIUS_FRAME),
-                    name="mobius")
-    L._perp = partial(_frame_shifts, _MOBIUS_PERP)
-    return L
+    return _framed(mobius_symbol(), "mobius")
 
 
 def trivial_subspace(rank, q, name=""):
     """Constant subspace spanned by the first q fiber coordinates."""
     eye = np.eye(rank)
     E, perp = eye[:, :q], eye[:, q:]
+    pair = (_const(E), _const(perp))
     sym = SubspaceSymbol(E @ E.T, E @ E.T, name=name or f"trivial{q}of{rank}",
-                         validate=False)
-    L = PdoSubspace(sym, lambda N: _modewise(N, E, E), name=sym.name)
-    L._perp = lambda N: _modewise(N, perp, perp)
-    return L
+                         validate=False)._with_frames({+1: pair, -1: pair})
+    return _framed(sym, sym.name)
 
 
 def full_subspace(rank, name=""):
@@ -709,44 +706,47 @@ def zero_subspace(rank):
 
 def two_face_subspace(p_plus, p_minus, name="twoface"):
     """Subspace whose symbol has constant (x-independent) but different
-    faces; realized exactly mode by mode (no gap condition needed), and so
-    is its complement, from the complement faces."""
+    faces; realized exactly mode by mode (no gap condition needed), the
+    zero mode on the + face, and so is its complement, from the
+    complement faces."""
     p_plus = np.asarray(p_plus, dtype=complex)
     p_minus = np.asarray(p_minus, dtype=complex)
-    sym = SubspaceSymbol(p_plus, p_minus, name=name)
-    Bp, Bm = _range_basis(p_plus), _range_basis(p_minus)
-    # the zero mode sits on the + face
-    L = PdoSubspace(sym, lambda N: _modewise(N, Bp, Bm), name=name)
     eye = np.eye(len(p_plus))
-    Cp, Cm = _range_basis(eye - p_plus), _range_basis(eye - p_minus)
-    L._perp = lambda N: _modewise(N, Cp, Cm)
-    return L
+    sym = SubspaceSymbol(p_plus, p_minus, name=name)._with_frames({
+        s: (_const(_range_basis(p)), _const(_range_basis(eye - p)))
+        for s, p in ((+1, p_plus), (-1, p_minus))})
+    return _framed(sym, name)
 
 
 def _conjugated(W, real, N):
-    """quantize(W) applied to the columns of a realization whose image
-    fits the window, for a unitary loop W with first and last nonzero
-    Fourier coefficients k0 and k1: a column of lowest mode m and band b
-    goes to lowest mode m + k0 and band b + k1 - k0.  The kept columns are
-    orthonormal, as W*W = I; the others are dropped.  None when none is
-    kept: an empty realization, or a bare basis (band 2N) under a W of
-    nonzero spread."""
+    """quantize(W) applied to the columns of a realization whose own image
+    under W fits the window, for a unitary loop W with first and last
+    nonzero Fourier coefficients k0 and k1: a column of lowest mode m and
+    band b goes to lowest mode m + k0 and band b + k1 - k0 (clipped to the
+    window, see SubspaceRealization).  The kept columns are orthonormal,
+    as W*W = I; a column W shifts past an edge is dropped.  None when none
+    is kept (an empty realization) or the band would pass 2N (a bare basis
+    under a W of nonzero spread)."""
     table = W.coeff_table()
     nz = np.flatnonzero(table.reshape(len(table), -1).any(axis=1)) - W.degree
     band = real.band + nz[-1] - nz[0]
-    modes = real.modes + nz[0]
-    keep = (modes >= 0) & (modes + band <= 2 * N)
-    q, n = int(keep.sum()), 2 * N + 1
-    if q == 0:
+    n, q = 2 * N + 1, real.rank
+    if band > 2 * N:
         return None
-    B = real.basis[:, keep].reshape(n, W.shape[1], q)
+    B = real.basis.reshape(n, W.shape[1], q)
     out = np.zeros((n, W.shape[0], q), dtype=complex)
+    spill = np.zeros(q, dtype=bool)
     for k in nz:  # mode i feeds mode i + k through W_k
-        out[max(k, 0):n + min(k, 0)] += np.einsum(
-            "rf,mfq->mrq", table[k + W.degree], B[max(-k, 0):n - max(k, 0)])
-    return SubspaceRealization(N, out.reshape(-1, q),
-                               _dropped(real.warnings, real.rank - q),
-                               modes=modes[keep], band=band)
+        lo, hi = max(-k, 0), n - max(k, 0)  # the modes that stay inside
+        Wk = table[k + W.degree]
+        out[lo + k:hi + k] += np.einsum("rf,mfq->mrq", Wk, B[lo:hi])
+        past = np.concatenate([B[:lo], B[hi:]])
+        spill |= np.einsum("rf,mfq->mrq", Wk, past).any(axis=(0, 1))
+    if spill.all():
+        return None
+    return SubspaceRealization(N, out.reshape(-1, q)[:, ~spill],
+                               _dropped(real.warnings, int(spill.sum())),
+                               modes=real.modes[~spill] + nz[0], band=band)
 
 
 def _dropped(warnings, lost):
@@ -758,15 +758,15 @@ def _dropped(warnings, lost):
 def conjugate_subspace(L, W, name=""):
     """Image of L under an invertible operator W: the subspace with
     pointwise symbol = orthogonal projection onto W(x) Im p(x).  A unitary
-    loop W (order 0, equal faces, W*W = I, tested once, at the first
-    realization) keeps the columns of L's realization whose image fits the
-    window (see _conjugated), and the complement is recorded as W applied
-    to L's; else, or when no column fits (an empty realization, a bare
-    basis), the realization is the exact orthogonal projection onto
-    W_N (Im P_N), from an SVD.  Either way N <= 2 deg W raises ValueError,
-    as quantize(W, N) does.  The symbol records (W, p) for its + face, so
-    a unitary W and a constant p give it the exact frame W E (see
-    SubspaceSymbol._exact_frame)."""
+    loop W (order 0, equal faces, W*W = I to 1e-12 in max_abs on the
+    coefficient table, tested once, here) keeps the columns of L's
+    realization whose own image fits the window (see _conjugated), and
+    the complement is recorded as W applied to L's; else, or when no
+    column fits (an empty realization, a bare basis), the realization is
+    the exact orthogonal projection onto W_N (Im P_N), from an SVD.
+    Either way N <= 2 deg W raises ValueError, as quantize(W, N) does.  A
+    unitary W also records the frames (W F, W F-perp) of L's recorded
+    ones on the symbol, whatever their degree."""
     if isinstance(W, TrigPolyMatrix):
         W = CircleSymbol(0, W, W, name="conj")
     sym0 = L.symbol
@@ -788,14 +788,18 @@ def conjugate_subspace(L, W, name=""):
         (W.plus - W.minus).max_abs() <= 1e-12
     plus = proj_face(+1)
     minus = plus if even_shortcut else proj_face(-1)
-    sym = SubspaceSymbol(plus, minus, name=name or f"W({L.name})",
-                         validate=False)
-    sym._conj = (W.plus, sym0.plus)
     # quantize(W) multiplies by W.plus: unweighted, one face
-    loop = W.plus if W.order == 0 and W.plus == W.minus else None
+    loop, r = W.plus, W.rows
+    if W.order or W.plus != W.minus or W.rank != r or \
+            (loop.conj_transpose() @ loop - np.eye(r)).max_abs() > 1e-12:
+        loop = None
+    rec = loop and sym0._frames and {
+        s: (loop @ F, loop @ C) for s, (F, C) in sym0._frames.items()}
+    sym = SubspaceSymbol(plus, minus, name=name or f"W({L.name})",
+                         validate=False)._with_frames(rec)
 
     def local(N, real):
-        if real is None or loop is None or not sym._unitary_conj:
+        if real is None or loop is None:
             return None
         if N <= 2 * W.degree:
             raise ValueError("truncation too small for the symbol degree")

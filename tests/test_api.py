@@ -78,3 +78,27 @@ def test_every_public_name_has_a_caller():
     assert orphans == set()
     # a kept name that found a caller, or left __all__, leaves the list
     assert {n for n in KEEP if n in used or n not in exported} == set()
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a module-level private function, class or constant that nothing in
+    # src/etaforge reads (by name, attribute or import) is dead code
+    trees = [ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")]
+    defined, read = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined |= {t.id for t in node.targets
+                            if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    private = {n for n in defined if n.startswith("_")
+               and not n.startswith("__")}
+    assert private - read == set()

@@ -179,6 +179,70 @@ def test_direct_sums_carry_the_widest_band():
     assert conj.rank == real.rank and conj.warnings == real.warnings
 
 
+def _modewise(N, Bp, Bm, cut=0):
+    # the per-mode builder the shift realizer replaced, kept as its
+    # reference: the columns of Bp on every mode n >= cut, those of Bm below
+    blocks = [Bp if n >= cut else Bm for n in range(-N, N + 1)]
+    r = Bp.shape[0]
+    cp, cm = subspaces._coordinates(Bp), subspaces._coordinates(Bm)
+    if cp is not None and cm is not None:
+        sel = [m * r + (cp if n >= cut else cm)
+               for m, n in enumerate(range(-N, N + 1))]
+        return subspaces.SubspaceRealization(N, select=np.concatenate(sel),
+                                             dim=r * len(blocks))
+    counts = [b.shape[1] for b in blocks]
+    c = np.cumsum([0] + counts)
+    out = np.zeros((r * len(blocks), c[-1]), dtype=complex)
+    for m, b in enumerate(blocks):
+        out[m * r:(m + 1) * r, c[m]:c[m + 1]] = b
+    return subspaces.SubspaceRealization(
+        N, out, band=0, modes=np.repeat(np.arange(len(blocks)), counts))
+
+
+def _frame_shifts(frame, N):
+    # the band-1 line-frame builder the shift realizer replaced, kept as
+    # its reference: column k holds f_0 on mode k and f_1 on mode k + 1
+    B = np.zeros((2 * N + 1, 2, 2 * N), dtype=complex)
+    m = np.arange(2 * N)
+    B[m, :, m], B[m + 1, :, m] = frame
+    return subspaces.SubspaceRealization(N, B.reshape(-1, 2 * N), modes=m,
+                                         band=1)
+
+
+@pytest.mark.parametrize("N", [6, 8, 16, 24, 48])
+def test_the_shift_realizer_matches_the_builders_it_replaced(N):
+    # each base constructor's realization and recorded complement, byte
+    # for byte: the selection, or the basis, its modes and its band
+    rng = rng_for(1, "two_face")
+    U, V = haar_unitary(rng, 3), haar_unitary(rng, 3)
+    pp, pm = U[:, :1] @ U[:, :1].conj().T, V[:, :2] @ V[:, :2].conj().T
+    eye3, eye1, none = np.eye(3), np.eye(1), np.zeros((1, 0))
+    rb = _range_basis
+    s = (np.array([0.5, 0.5j]), np.array([0.5, -0.5j]))
+    t = (np.array([-0.5j, 0.5]), np.array([0.5j, 0.5]))
+    cases = [(trivial_subspace(3, 2), _modewise(N, eye3[:, :2], eye3[:, :2]),
+              _modewise(N, eye3[:, 2:], eye3[:, 2:])),
+             (full_subspace(2), _modewise(N, np.eye(2), np.eye(2)),
+              _modewise(N, np.zeros((2, 0)), np.zeros((2, 0)))),
+             (zero_subspace(2), _modewise(N, np.zeros((2, 0)),
+                                          np.zeros((2, 0))),
+              _modewise(N, np.eye(2), np.eye(2))),
+             (two_face_subspace(pp, pm), _modewise(N, rb(pp), rb(pm)),
+              _modewise(N, rb(eye3 - pp), rb(eye3 - pm))),
+             (mobius_subspace(), _frame_shifts(s, N), _frame_shifts(t, N))]
+    cases += [(hardy_subspace(k), _modewise(N, eye1, none, cut=k),
+               _modewise(N, none, eye1, cut=k)) for k in (-3, 0, 3)]
+    for L, real, perp in cases:
+        for got, want in ((L.realize(N), real), (L._perp(N), perp)):
+            if want.select is not None:
+                assert got.select.tobytes() == want.select.tobytes(), L.name
+                continue
+            assert got.select is None, L.name
+            assert got.basis.tobytes() == want.basis.tobytes(), L.name
+            assert got.modes.tobytes() == want.modes.tobytes(), L.name
+            assert got.band == want.band, L.name
+
+
 def test_realization_is_cached():
     mob = mobius_subspace()
     assert mob.realize(8) is mob.realize(8)
@@ -282,8 +346,17 @@ def test_face_frames_shared_for_even():
 
 
 def test_lift_reuses_the_memoized_face_frame():
-    L = mobius_subspace()
-    assert lift_symbol(L).sigma.plus is face_frames(L.symbol)[+1].sigma
+    # a symbol with no recorded frame lifts through the transported frame
+    # that face_frames memoizes; the Mobius symbol records s, and its lift
+    # is s* exactly, with no transport
+    bare = SubspaceSymbol(mobius_symbol().plus)
+    assert bare._frames is None
+    L = PdoSubspace(bare)
+    assert lift_symbol(L).sigma.plus is face_frames(bare)[+1].sigma
+    lift = lift_symbol(mobius_subspace())
+    s = mobius_symbol()._frames[+1][0]
+    assert lift.sigma.plus == lift.sigma.minus == s.conj_transpose()
+    assert lift.closure_residual == lift.fit_residual == 0.0
 
 
 def test_equal_faces_of_separately_built_symbols_share_a_frame():
@@ -345,20 +418,21 @@ def _no_transport(monkeypatch):
     monkeypatch.setattr(subspaces, "_transport_states", refused)
 
 
-def test_unitary_conjugates_record_an_exact_frame(monkeypatch):
-    # F = W E for the conjugate, W E-perp for its complement: F*F = I and
-    # FF* is the face, and the lift reads F with no transport
-    _no_transport(monkeypatch)
-    xs = np.linspace(0, 2 * np.pi, 37, endpoint=False)
-    for L in _suite_conjugates():
-        F = L.symbol._exact_frame.frame(xs)
-        Fh = np.conj(np.swapaxes(F, 1, 2))
-        q = F.shape[-1]
-        assert np.abs(Fh @ F - np.eye(q)).max() <= 1e-10, L.name
+def test_unitary_conjugates_record_an_exact_frame():
+    # F = W E for the conjugate, W E-perp for its complement: the parent's
+    # recorded frames times the loop, whatever their degree, and the lift
+    # reads F with residuals 0
+    rng = np.random.default_rng(7)
+    W = phase_diag_loop([1, -1], haar_unitary(rng, 2), haar_unitary(rng, 2))
+    for L in (trivial_subspace(2, 1), mobius_subspace()):
+        X = conjugate_subspace(L, W)
         for sign in (+1, -1):
-            assert np.abs(F @ Fh - L.symbol.face(sign)(xs)).max() <= 1e-10
+            E, Ep = L.symbol._frames[sign]
+            assert X.symbol._frames[sign] == (W @ E, W @ Ep)
+            assert X.symbol.complement()._frames[sign] == (W @ Ep, W @ E)
+    for L in _suite_conjugates():
         lift = lift_symbol(L)
-        assert lift.sigma.plus is L.symbol._exact_frame.sigma
+        assert lift.sigma.plus == L.symbol._frames[+1][0].conj_transpose()
         assert lift.closure_residual == lift.fit_residual == 0.0
 
 
@@ -368,9 +442,9 @@ def test_a_non_unitary_conjugation_still_transports_and_lifts(monkeypatch):
     L = trivial_subspace(2, 1)
     Lu, L2 = conjugate_subspace(L, W), conjugate_subspace(L, 2.0 * W)
     assert L2.symbol.plus.trimmed().degree > 0  # a face that needs a frame
-    assert Lu.symbol._exact_frame is not None
-    assert L2.symbol._exact_frame is None
-    assert L2.symbol.complement()._exact_frame is None
+    assert Lu.symbol._frames is not None
+    assert L2.symbol._frames is None
+    assert L2.symbol.complement()._frames is None
     transports = []
     states = subspaces._transport_states
 
@@ -386,26 +460,61 @@ def test_a_non_unitary_conjugation_still_transports_and_lifts(monkeypatch):
 
 
 def test_d_from_the_exact_lift_equals_d_from_the_kato_lift():
-    for L in _suite_conjugates():
-        ff = face_frames(L.symbol)[+1]
-        kato = CircleSymbol(0, ff.sigma, ff.sigma)
-        N = indexing._fitting_n(16, kato.degree + L.symbol.degree + 1)
-        assert indexing._d_once(kato, L, N, 0) == dimension_functional(L), \
-            L.name
+    # every suite subspace and its complement, the Mobius line and
+    # mobius_sum among them
+    for seed in (1914, 2718, 5):
+        for name, L in even_subspace_suite(seed):
+            for X in (L, orthocomplement(L)):
+                assert X.symbol._frames is not None, X.name
+                ff = face_frames(X.symbol)[+1]
+                kato = CircleSymbol(0, ff.sigma, ff.sigma)
+                N = indexing._fitting_n(16, kato.degree + X.symbol.degree + 1)
+                assert indexing._d_once(kato, X, N, 0) == \
+                    dimension_functional(X), X.name
 
 
-def test_d_and_fractional_eta_of_conjugates_take_no_transport_or_double(
-        monkeypatch):
-    # what the d(L) path saves on a unitary conjugate and its complement:
-    # the lift is read off the recorded frame, and d is one lift's index
+def _stock_even(seed):
+    # every member of the realization family and its antipodal image, and
+    # the sources and targets of the index-formula suite, each with
+    # whether its realization realizes its symbol: the mode reflection of
+    # an antipodal image realizes p(-x), which is its symbol's face only
+    # when that face is constant
+    out = []
+    for X in _family(seed):
+        A = indexing.antipodal_subspace(X)
+        out += [(X, True), (A, A.symbol.degree == 0)]
+    for _, op in suites.index_formula_suite(seed):
+        out += [(op.source, True), (op.target, True)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1914, 2718, 5])
+def test_stock_even_subspaces_lift_from_their_recorded_frames(
+        seed, monkeypatch):
+    # each recorded pair is exact, F*F = I, FF* = p and F-perp F-perp* =
+    # 1 - p to 1e-12, and the lift, d and the fractional eta read it with
+    # no transport and no parity double
     def refused(op):
         raise AssertionError("d(L) over the circle builds no parity double")
 
+    family = _stock_even(seed)  # the generators transport: before refusing
     _no_transport(monkeypatch)
     monkeypatch.setattr(indexing, "build_parity_double", refused)
-    for L in _suite_conjugates():
-        dimension_functional(L)
+    xs = np.linspace(0, 2 * np.pi, 37, endpoint=False)
+    for L, realized in family:
+        for sign in (+1, -1):
+            p = L.symbol.face(sign)(xs)
+            for F, want in zip(L.symbol._frames[sign],
+                               (p, np.eye(L.fiber) - p)):
+                F = F(xs)
+                Fh = np.conj(np.swapaxes(F, 1, 2))
+                assert np.abs(Fh @ F - np.eye(F.shape[-1])).max(initial=0) \
+                    <= 1e-12
+                assert np.abs(F @ Fh - want).max() <= 1e-12, L.name
+        lift_symbol(L)
         fractional_eta_topological(L)
+        if realized:
+            dimension_functional(L)
 
 
 def test_conjugate_by_constant_unitary():
@@ -623,8 +732,13 @@ def test_local_conjugation_keeps_the_quantization_rules():
     assert conjugate_subspace(zero_subspace(2), W).realize(8).rank == 0
     L = conjugate_subspace(full_subspace(2), W)
     B, Bc = L.basis(8), orthocomplement(L).basis(8)
-    assert Bc.shape[1] and B.shape[1] + Bc.shape[1] == 2 * 17
     assert np.abs(B.conj().T @ Bc).max() <= 1e-12
+    # each column whose own image fits is kept: W moves coordinate 0 up a
+    # mode and coordinate 1 down, so only one column leaves at each edge,
+    # and the conjugate has the SVD conjugate's rank 32, its complement 2
+    svd = conjugate_subspace(_densified(full_subspace(2)), W)
+    assert svd.realize(8).band == 2 * 8
+    assert B.shape[1] == svd.rank(8) == 32 and Bc.shape[1] == 2
 
 
 def test_a_subspace_and_its_complement_free_their_realizations():
