@@ -22,12 +22,13 @@ realization) has band 2N, every column at lowest mode 0.  With rows and
 columns sorted by lowest mode, the section T keeps the block band of the
 quantized matrix A: T[i, j] vanishes when those modes differ by more
 than the symbol degree plus the wider band.  Two coordinate subspaces
-give a slice of A; other pairs are assembled mode by mode, and a side of
-band 2N makes that the whole compression B2* A B1.  A side of band 0
-counts its bulk by column mode, a wider one in ambient coordinates.  A
-symbol of degree 0 between two sides of band 0 (a parity double that is
-the identity, say) makes T block diagonal by mode, and no section is
-built: see below.
+give a slice of A; other pairs are assembled from the sides' columns
+grouped by lowest mode, one batched product per mode offset (see
+_local_section), and a side of band 2N makes that the whole compression
+B2* A B1.  A side of band 0 counts its bulk by column mode, a wider one
+in ambient coordinates.  A symbol of degree 0 between two sides of band
+0 (a parity double that is the identity, say) makes T block diagonal by
+mode, and no section is built: see below.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
 cols_k - rank_k kernel and rows_k - rank_k cokernel directions, and both
@@ -356,36 +357,51 @@ def _banded_near_null(T, row_modes, col_modes, d):
     return ker, coker
 
 
-def _local_section(A, B1, m1, r1, b1, B2, m2, r2, b2, d):
-    """B2* A B1 for mode-local bases with columns sorted by lowest mode
-    (m1, m2) and bands b1, b2: the columns of lowest mode m reach the modes
-    m .. m + b1, A takes those to the rows of modes m - d .. m + b1 + d,
-    and only the target columns of lowest mode m - d - b2 .. m + b1 + d
-    meet them, so the section is assembled from one pair of small products
-    per mode."""
-    T = np.zeros((B2.shape[1], B1.shape[1]), dtype=complex)
-    for m in np.unique(m1):
-        c = slice(*np.searchsorted(m1, [m, m + 1]))
-        t = slice(*np.searchsorted(m2, [m - d - b2, m + b1 + d + 1]))
-        rows = slice(max(m - d, 0) * r2, (m + b1 + d + 1) * r2)
-        own = slice(m * r1, (m + b1 + 1) * r1)
-        T[t, c] = B2[rows, t].conj().T @ (A[rows, own] @ B1[own, c])
-    return T
+def _local_section(A, src, tgt, d):
+    """B2* A B1 for mode-local realizations, rows and columns in their
+    sorted order (see SubspaceRealization._by_mode).  The columns of lowest
+    mode m reach the modes m .. m + b1 and A takes those to the rows of
+    modes m - d .. m + b1 + d, so one gather of A and one batched product
+    give A B1 on that window for every source mode.  A target column of
+    lowest mode m + k meets it for offsets k in -d - b2 .. b1 + d, and the
+    pairs at one offset share their rows, so the section takes one batched
+    product per offset the two sides' modes can meet."""
+    s, t = src._by_mode, tgt._by_mode
+    r2, b1, b2 = t.fiber, src.band, tgt.band
+    # a window row past the edge reads an edge row; no target column
+    # reaches it, so it is never read
+    rows = np.clip((s.modes[:, None] - d) * r2
+                   + np.arange((b1 + 2 * d + 1) * r2), 0, A.shape[0] - 1)
+    cols = s.modes[:, None] * s.fiber + np.arange((b1 + 1) * s.fiber)
+    AB = A[rows[:, :, None], cols[:, None, :]] @ s.stack
+    adj = t.stack.conj().transpose(0, 2, 1)
+    # the target group of lowest mode m + k for each source mode m and
+    # offset k, -1 for none (the table's two end entries: past the window)
+    ks = np.arange(max(-d - b2, t.modes[0] - s.modes[-1]),
+                   min(b1 + d, t.modes[-1] - s.modes[0]) + 1)
+    group = np.full(2 * tgt.N + 3, -1)
+    group[t.modes + 1] = np.arange(t.modes.size)
+    meets = group[np.clip(s.modes[:, None] + ks + 1, 0, 2 * tgt.N + 2)]
+    n1, n2 = s.order.size, t.order.size
+    T = np.zeros(n2 * n1 + 1, dtype=complex)  # the last entry takes padding
+    for k, g2 in zip(ks.tolist(), meets.T):
+        g1 = np.flatnonzero(g2 >= 0)
+        g2 = g2[g1]
+        lo, hi = max(k, -d), min(k + b2, b1 + d)  # the shared modes, from m
+        blk = adj[g2, :, (lo - k) * r2:(hi - k + 1) * r2] \
+            @ AB[g1, (lo + d) * r2:(hi + d + 1) * r2]
+        p1, p2 = s.pos[g1][:, None, :], t.pos[g2][:, :, None]
+        T[np.where((p1 < n1) & (p2 < n2), p2 * n1 + p1, n2 * n1)] = blk
+    return T[:-1].reshape(n2, n1)
 
 
-def _mode_order(real):
-    # columns by mode; a selection by ambient coordinate, which orders its
-    # modes too
-    return np.argsort(real.modes if real.select is None else real.select,
-                      kind="stable")
-
-
-def _local_bulk(real, order, N, fiber):
+def _local_bulk(real, N, fiber):
     """The bulk count of a mode-local side, as a function of near-null
     vectors in its sorted column coordinates (None: all its columns).  A
     column on one mode is in the bulk or not, so at band 0 the columns are
     counted; a column that reaches several modes is counted in ambient
     coordinates."""
+    order = real._by_mode.order
     if real.band == 0:
         inner = np.abs(real.modes[order] - N) <= N // 2
         return lambda V: int(inner.sum()) if V is None \
@@ -408,25 +424,23 @@ def _filtered_index_once(op, N):
     # with rows and columns sorted by mode the section keeps the band of A
     # (a permutation changes neither the index nor the bulk counts); a
     # coordinate pair is a slice of A
-    o1, o2 = _mode_order(src), _mode_order(tgt)
-    m1, m2 = src.modes[o1], tgt.modes[o2]
-    count1 = _local_bulk(src, o1, N, op.source.fiber)
-    count2 = _local_bulk(tgt, o2, N, op.target.fiber)
+    count1 = _local_bulk(src, N, op.source.fiber)
+    count2 = _local_bulk(tgt, N, op.target.fiber)
     d = max(t.degree for t in op.symbol.terms)
-    if m1.size == 0 or m2.size == 0 or d == src.band == tgt.band == 0:
+    if src.rank == 0 or tgt.rank == 0 or d == src.band == tgt.band == 0:
         # an empty side, or a section that is block diagonal by mode: a
         # mode's rank enters its kernel and its cokernel count alike
         return count1(None) - count2(None)
     A = quantize(op.symbol, N).matrix
+    o1, o2 = src._by_mode.order, tgt._by_mode.order
     if src.select is not None and tgt.select is not None:
         c1, c2 = src.select[o1], tgt.select[o2]
         # sorted distinct coordinates, all of them: the identity
         T = A if (c2.size, c1.size) == A.shape else A[np.ix_(c2, c1)]
     else:
-        T = _local_section(
-            A, src.basis[:, o1], m1, op.source.fiber, src.band,
-            tgt.basis[:, o2], m2, op.target.fiber, tgt.band, d)
-    near = _banded_near_null(T, m2, m1, d + max(src.band, tgt.band))
+        T = _local_section(A, src, tgt, d)
+    near = _banded_near_null(T, tgt.modes[o2], src.modes[o1],
+                             d + max(src.band, tgt.band))
     ker, coker = near if near is not None else _dense_near_null(T)
     return count1(ker) - count2(coker)
 
@@ -516,14 +530,16 @@ def _twist_symbol(q):
     return CircleSymbol(0, face, face, name="twist")
 
 
-def _d_once(sigma, L, N, lift_order):
+def _d_once(sigma, L, N, lift_order, elliptic=None):
     """2^-k ind of the lift sigma : L -> C^q, doubled k = lift_order times.
     A lift with unequal faces, whose double is not the identity, is
-    refused."""
+    refused.  `elliptic` is the lift's verdict when its caller has it
+    (None: checked here)."""
     if not _symbols_agree(sigma, antipodal_pullback(sigma)):
         raise ParityError("a lift over the circle has equal faces; this one "
                           "needs its parity double")
     op = SubspaceOperator(sigma, L, full_subspace(sigma.rows))
+    op._elliptic = elliptic
     for _ in range(lift_order):
         op = op.direct_sum(op)
     return DyadicRational(analytic_index(op, N=N), lift_order)
@@ -554,14 +570,14 @@ def dimension_functional(L, N=16, lift_order=0):
 
 
 def _dimension(L, N, lift_order):
-    if L.symbol.parity != "Even":
-        raise ParityError("dimension functional needs an even subspace")
+    # lift_symbol refuses a subspace that is not even, and checks that its
+    # lift is elliptic; the twisted lift is checked in _d_once
     lift = lift_symbol(L)
     if lift.sigma.rows == 0:
         return DyadicRational.from_integer(0)
     # the twisted lift adds one degree
     N = _fitting_n(N, lift.sigma.degree + L.symbol.degree + 1)
-    d = _d_once(lift.sigma, L, N, lift_order)
+    d = _d_once(lift.sigma, L, N, lift_order, True)
     twisted = _twist_symbol(lift.sigma.rows) @ lift.sigma
     d2 = _d_once(twisted, L, N, lift_order)
     if d2 != d:

@@ -159,7 +159,8 @@ class SubspaceRealization:
     A coordinate subspace, whose basis columns are ambient coordinate
     vectors, is stored as `select`: those coordinates, in column order.
     Its basis eye(dim)[:, select] is built only when asked for; the index
-    kernel slices with `select` and never builds it.
+    kernel reads `select` (a slice of the quantized matrix, or the mode
+    groups of _by_mode) and never builds it.
     """
 
     def __init__(self, N, basis=None, warnings=(), select=None, dim=None,
@@ -189,6 +190,52 @@ class SubspaceRealization:
     @property
     def rank(self):
         return self.basis.shape[1] if self.select is None else self.select.size
+
+    @cached_property
+    def _by_mode(self):
+        """The columns grouped by lowest mode (see _ModeGroups); a
+        selection's groups are read from `select`, its basis not built."""
+        n = self.rank
+        dim = self._dim if self.select is not None else self.basis.shape[0]
+        fiber = dim // (2 * self.N + 1)
+        # columns by mode; a selection by ambient coordinate, which orders
+        # its modes too
+        order = np.argsort(self.modes if self.select is None else self.select,
+                           kind="stable")
+        sorted_modes = self.modes[order]
+        # a group starts where the sorted mode steps (not np.unique, whose
+        # first call imports numpy.ma)
+        new = np.ones(n, dtype=bool)
+        new[1:] = sorted_modes[1:] != sorted_modes[:-1]
+        starts = np.flatnonzero(new)
+        group = np.cumsum(new) - 1
+        slot = np.arange(n) - starts[group]
+        pos = np.full((starts.size, slot.max(initial=-1) + 1), n)
+        pos[group, slot] = np.arange(n)
+        modes = sorted_modes[starts]
+        height = (self.band + 1) * fiber
+        stack = np.zeros((starts.size, height, pos.shape[1]), dtype=complex)
+        if self.select is not None:
+            stack[group, self.select[order] % fiber, slot] = 1.0
+        else:
+            rows = modes[group, None] * fiber + np.arange(height)
+            stack[group, :, slot] = self.basis[rows, order[:, None]]
+        return _ModeGroups(*map(_readonly, (order, modes, pos, stack)), fiber)
+
+
+@dataclass(frozen=True)
+class _ModeGroups:
+    """A realization's columns grouped by lowest mode, read-only.  `order`
+    sorts the columns; group g holds the columns of lowest mode modes[g],
+    at the sorted positions pos[g] (padded with the rank), and
+    stack[g] = their entries on the modes modes[g] .. modes[g] + band,
+    zero in the padding: shape (groups, (band + 1) * fiber, most columns)."""
+
+    order: np.ndarray
+    modes: np.ndarray
+    pos: np.ndarray
+    stack: np.ndarray
+    fiber: int
 
 
 def _join(N, parts, warnings=()):

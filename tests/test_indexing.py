@@ -3,6 +3,7 @@ parity double, the defect-formula residual, and the structured kernel
 against its dense-SVD oracle."""
 
 import ast
+import functools
 import pathlib
 import sys
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import etaforge
-from etaforge import indexing
+from etaforge import indexing, subspaces
 from etaforge.core import (_RANK_TOL, EllipticityViolation, TrigPolyMatrix,
                            constant_trig, winding_number)
 from etaforge.dyadic import DyadicRational
@@ -21,7 +22,8 @@ from etaforge.indexing import (SubspaceOperator, analytic_index,
 from etaforge.kzn import mod_n_analytic_index, n_fold
 from etaforge.subspaces import (LiftResult, ParityError, PdoSubspace,
                                 SubspaceSymbol, UnstableIndexError,
-                                full_subspace, hardy_subspace, lift_symbol,
+                                conjugate_subspace, full_subspace,
+                                hardy_subspace, lift_symbol,
                                 mobius_subspace, mobius_symbol,
                                 orthocomplement, puncture, trivial_subspace,
                                 two_face_subspace, zero_subspace)
@@ -270,6 +272,24 @@ def test_d_that_raises_stores_nothing(monkeypatch, exc):
     assert list(L._dims.values()) == [-1]
 
 
+def test_d_decides_parity_once_and_checks_the_twisted_lift(monkeypatch):
+    # lift_symbol classifies the parity and checks the lift's ellipticity;
+    # the untwisted lift operator takes that verdict, the twisted one is
+    # checked on its own
+    parity, elliptic = [], []
+
+    def counted(calls, fn):
+        return lambda *args: calls.append(args) or fn(*args)
+
+    monkeypatch.setattr(subspaces, "classify_parity",
+                        counted(parity, subspaces.classify_parity))
+    for module in (subspaces, indexing):
+        monkeypatch.setattr(module, "ellipticity_check",
+                            counted(elliptic, module.ellipticity_check))
+    assert dimension_functional(mobius_subspace()) == 0
+    assert (len(parity), len(elliptic)) == (1, 2)
+
+
 def test_d_of_an_odd_subspace_stores_nothing():
     L = hardy_subspace()
     with pytest.raises(ParityError):
@@ -306,6 +326,41 @@ def test_d_is_additive_under_direct_sums(even_suite, a, b):
     L, M = even_suite[a], even_suite[b]
     assert dimension_functional(L.direct_sum(M)) == \
         dimension_functional(L) + dimension_functional(M)
+
+
+@functools.lru_cache(maxsize=None)
+def _suites(seed):
+    # one build per seed: members keep their d and indices across examples
+    return dict(even_subspace_suite(seed)), dict(index_formula_suite(seed))
+
+
+_EVEN_NAMES = ("mobius", "trivial_plane", "conjugated_0", "conjugated_1",
+               "punctured_plane", "mobius_sum")
+_INDEX_NAMES = ("half_spin_row", "mobius_twist", "plane_windings",
+                "full_even", "punctured_source", "conjugated_line")
+
+
+@given(st.sampled_from((1914, 2718, 5)), st.sampled_from(_EVEN_NAMES),
+       st.sampled_from(_EVEN_NAMES))
+@settings(max_examples=12, deadline=None)
+def test_d_of_a_direct_sum_is_the_sum_of_the_ds(seed, a, b):
+    # the sum puts columns of both parts, of different bands, on one mode
+    suite = _suites(seed)[0]
+    L, M = suite[a], suite[b]
+    assert dimension_functional(L.direct_sum(M)) == \
+        dimension_functional(L) + dimension_functional(M)
+
+
+@given(st.sampled_from((1914, 2718, 5)), st.sampled_from(_INDEX_NAMES),
+       st.sampled_from(_INDEX_NAMES))
+@settings(max_examples=12, deadline=None)
+def test_the_index_of_a_direct_sum_is_the_sum_of_the_indices(seed, a, b):
+    suite = _suites(seed)[1]
+    D1, D2 = suite[a], suite[b]
+    N = indexing._fitting_n(16, max(D1.symbol.principal.degree,
+                                    D2.symbol.principal.degree))
+    assert analytic_index(D1.direct_sum(D2), N=N) == \
+        analytic_index(D1, N=N) + analytic_index(D2, N=N)
 
 
 @pytest.mark.parametrize("name", ["mobius", "trivial_plane", "conjugated_0",
@@ -664,8 +719,7 @@ def test_local_section_is_the_dense_compression():
     o = np.argsort(real.modes, kind="stable")
     B, m = real.basis[:, o], real.modes[o]
     A = quantize(op.symbol, N).matrix
-    T = indexing._local_section(A, B, m, op.source.fiber, 0, B, m,
-                                op.target.fiber, 0, op.symbol.principal.degree)
+    T = indexing._local_section(A, real, real, op.symbol.principal.degree)
     np.testing.assert_allclose(T, B.conj().T @ A @ B, rtol=0, atol=1e-13)
 
 
@@ -694,7 +748,7 @@ def test_local_section_of_a_band_one_basis_is_the_dense_compression(case):
     B2, m2, r2, b2 = _sorted_side(op.target, N)
     assert max(b1, b2) == 1
     A = quantize(op.symbol, N).matrix
-    T = indexing._local_section(A, B1, m1, r1, b1, B2, m2, r2, b2,
+    T = indexing._local_section(A, op.source.realize(N), op.target.realize(N),
                                 op.symbol.principal.degree)
     np.testing.assert_allclose(T, B2.conj().T @ A @ B1, rtol=0, atol=1e-13)
 
@@ -931,6 +985,84 @@ def _lift_operators(L):
     target = full_subspace(sigma.rows)
     return N, [SubspaceOperator(s, L, target) for s in
                (sigma, indexing._twist_symbol(sigma.rows) @ sigma)]
+
+
+def _sorted_dense(real):
+    # the basis with its columns in the kernel's order: by lowest mode, a
+    # selection by coordinate
+    key = real.modes if real.select is None else real.select
+    return real.basis[:, np.argsort(key, kind="stable")]
+
+
+def _random_symbol(rows, cols, degree):
+    rng = rng_for(7, "section")
+    return CircleSymbol(0, *(TrigPolyMatrix(
+        {k: rng.standard_normal((rows, cols)) for k in range(-degree,
+                                                             degree + 1)})
+        for _ in range(2)))
+
+
+def _section_cases():
+    # sections the kernel assembles from mode groups, as (op, N)
+    mob, gap = mobius_subspace(), PdoSubspace(mobius_symbol())
+    conj = conjugate_subspace(trivial_subspace(2, 1),
+                              phase_diag_loop((1, -1)), name="conj")
+    mixed = mob.direct_sum(puncture(trivial_subspace(2, 1)))  # fiber 4
+    cases = {f"lift_{name}{i}": (op, N)
+             for name, L in (("mobius", mob), ("conjugate", conj),
+                             ("puncture", puncture(mob)),
+                             ("sum", mixed))
+             for N, ops in [_lift_operators(L)] for i, op in enumerate(ops)}
+    for name, source, target, degree in (
+            ("coordinate_into_conjugate", full_subspace(2), conj, 2),
+            ("conjugate_into_mobius", conj, mob, 1),
+            ("bare_source", gap, mob, 1),
+            ("bare_target", mob, gap, 1),
+            ("bare_both", gap, gap, 0),
+            ("fiber_2_into_4", mob, mixed, 2),
+            ("fiber_4_into_2", mixed, conj, 1),
+            ("fiber_1_into_3", full_subspace(1),
+             mob.direct_sum(full_subspace(1)), 1)):
+        sym = _random_symbol(target.fiber, source.fiber, degree)
+        cases[name] = SubspaceOperator(sym, source, target), 16
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_section_cases()))
+def test_the_grouped_section_is_the_dense_compression(case):
+    op, N = _section_cases()[case]
+    src, tgt = op.source.realize(N), op.target.realize(N)
+    A = quantize(op.symbol, N).matrix
+    T = indexing._local_section(A, src, tgt,
+                                max(t.degree for t in op.symbol.terms))
+    want = _sorted_dense(tgt).conj().T @ A @ _sorted_dense(src)
+    np.testing.assert_allclose(T, want, rtol=0, atol=1e-13)
+
+
+def test_the_section_groups_cover_the_cases():
+    # bare sides on either end, unequal fibers, and columns of two bands
+    # and group sizes on one mode
+    cases = _section_cases()
+    op, N = cases["bare_source"]
+    assert op.source.realize(N).band == 2 * N
+    assert op.target.realize(N).band == 1
+    op, N = cases["fiber_2_into_4"]
+    groups = op.target.realize(N)._by_mode
+    assert (op.source.fiber, groups.fiber) == (2, 4)
+    sizes = (groups.pos < op.target.rank(N)).sum(axis=1)
+    assert len(set(sizes.tolist())) > 1
+    op, N = cases["lift_conjugate0"]
+    assert op.target.realize(N).select is not None
+    assert op.source.realize(N).band >= 2
+
+
+def test_a_lift_section_never_builds_the_coordinate_basis():
+    # the coordinate target C^q is read from its selection
+    N, (op, _) = _lift_operators(mobius_subspace())
+    tgt = op.target.realize(N)
+    assert tgt.select is not None and op.source.realize(N).band == 1
+    indexing._filtered_index_once(op, N)
+    assert "basis" not in vars(tgt)
 
 
 def test_lift_doubles_are_degree_zero_and_counted_per_mode(monkeypatch):
