@@ -14,16 +14,15 @@ from .symbols import (CircleSymbol, FullSymbol, TruncatedOperator,
                       ellipticity_check, identity_symbol, load_symbol,
                       quantize)
 from .subspaces import (ParityError, PdoSubspace, RealizationGapError,
-                        SubspaceSymbol, UnstableIndexError, conjugate_subspace,
-                        dump_subspace_csv, face_frames, full_subspace,
-                        hardy_subspace, lift_symbol, mobius_subspace,
-                        mobius_symbol, orthocomplement, puncture,
-                        relative_index, rotation_homotopy, rotation_unitary,
-                        spectral_subspace, trivial_subspace, two_face_subspace,
-                        zero_subspace)
-from .indexing import (SubspaceOperator, analytic_index, antipodal_subspace,
-                       build_parity_double, dimension_functional,
-                       index_formula_report)
+                        SubspaceSymbol, UnstableIndexError, antipodal_subspace,
+                        conjugate_subspace, dump_subspace_csv, face_frames,
+                        full_subspace, hardy_subspace, lift_symbol,
+                        mobius_subspace, mobius_symbol, orthocomplement,
+                        puncture, relative_index, rotation_homotopy,
+                        rotation_unitary, spectral_subspace, trivial_subspace,
+                        two_face_subspace, zero_subspace)
+from .indexing import (SubspaceOperator, analytic_index, build_parity_double,
+                       dimension_functional, index_formula_report)
 from .eta import (EtaConvergenceError, EtaResult, SpectrumModel,
                   UnsupportedSpectrumError, dump_spectrum_csv, eta_closed_form,
                   eta_numeric, eta_result_json, mode_zero_crossing_family)

@@ -16,7 +16,7 @@ mode m lives on the modes m .. m + band.  Full, trivial, zero, Hardy and
 two-face subspaces and complements of coordinates have band 0 (one mode
 per column); frame realizations such as the Mobius line's have band 1;
 the stock constructors (unitary conjugates, punctures, complements,
-antipodal subspaces, direct sums) widen their parents' bands by a few
+direct sums, and so antipodal images) widen their parents' bands by a few
 modes; and a bare basis (the gap realizer, spectral_subspace, an SVD
 realization) has band 2N, every column at lowest mode 0.  With rows and
 columns sorted by lowest mode, the section T keeps the block band of the
@@ -28,7 +28,8 @@ _local_section), and a side of band 2N makes that the whole compression
 B2* A B1.  A side of band 0 counts its bulk by column mode, a wider one
 in ambient coordinates.  A symbol of degree 0 between two sides of band
 0 (a parity double that is the identity, say) makes T block diagonal by
-mode, and no section is built: see below.
+mode, and no section is built: see below.  This module builds no
+realization: all of them, antipodal images' too, come from subspaces.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
 cols_k - rank_k kernel and rows_k - rank_k cokernel directions, and both
@@ -59,15 +60,14 @@ import numpy as np
 
 from .core import _RANK_TOL, EllipticityViolation, fit_trig_poly
 from .dyadic import DyadicRational
-from .subspaces import (_SCALES, ParityError, PdoSubspace, SubspaceRealization,
-                        UnstableIndexError, full_subspace, lift_symbol)
+from .subspaces import (_SCALES, ParityError, UnstableIndexError,
+                        antipodal_subspace, full_subspace, lift_symbol)
 from .symbols import (CircleSymbol, FullSymbol, _range_basis, _symbols_agree,
                       antipodal_pullback, ellipticity_check, mode_labels,
                       quantize)
 
 __all__ = [
     "SubspaceOperator",
-    "antipodal_subspace",
     "analytic_index",
     "build_parity_double",
     "dimension_functional",
@@ -137,38 +137,6 @@ class SubspaceOperator:
                 f"{self.source.name} -> {self.target.name}, order {self.order})")
 
 
-def antipodal_subspace(L):
-    """Pullback of a subspace under xi -> -xi: faces swap, and the finite
-    realization is the mode reflection n -> -n of the original one, as is
-    the recorded complement (see _reflected)."""
-    sym = L.symbol.antipodal()
-    fiber = L.fiber
-    out = PdoSubspace(sym, lambda N: _reflected(L.realize(N), N, fiber),
-                      name=f"alpha*{L.name}" if L.name else "")
-    perp = L._perp
-    if perp is not None:
-        out._perp = lambda N: _reflected(perp(N), N, fiber)
-    return out
-
-
-def _reflected(real, N, fiber):
-    """A realization under the mode reflection n -> -n (mode index
-    i -> 2N - i): a selection is reflected, and a column of lowest mode m
-    and band b gets lowest mode 2N - m - b."""
-    if real is None:
-        return None
-    if real.select is not None:
-        sel = real.select
-        return SubspaceRealization(
-            N, warnings=real.warnings, dim=(2 * N + 1) * fiber,
-            select=(2 * N - sel // fiber) * fiber + sel % fiber)
-    q = real.rank
-    flipped = real.basis.reshape(2 * N + 1, fiber, q)[::-1]
-    return SubspaceRealization(N, flipped.reshape(-1, q), real.warnings,
-                               modes=2 * N - real.modes - real.band,
-                               band=real.band)
-
-
 def _bulk_count(V, inner):
     """Directions of the orthonormal columns V carried by the bulk rows
     `inner` (modes |n| <= N//2): the singular values of V[inner] above
@@ -207,7 +175,9 @@ def _column_blocks(col_modes, d):
     span = max(2 * d, int(np.ceil(_BLOCK_COLS / per_mode)))
     starts = np.searchsorted(
         col_modes, np.arange(col_modes[0], col_modes[-1] + 1, span))
-    bounds = np.unique(np.append(starts, col_modes.size))
+    # repeats dropped by a mask: np.unique's first call imports numpy.ma
+    bounds = np.append(starts, col_modes.size)
+    bounds = bounds[np.append(True, bounds[1:] != bounds[:-1])]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 

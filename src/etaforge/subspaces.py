@@ -19,7 +19,10 @@ unitary conjugate from its parent's pairs; a puncture shares its
 parent's symbol.  lift_symbol reads F.  Any other face is transported
 (Kato) and its frame cached by face value (lru_cache on _face_frame),
 so equal faces share one transport; face_frames never reads a record,
-so the suite generators keep their transported frames.
+so the suite generators keep their transported frames.  Each stock
+constructor also records how to build alpha* of its subspace, the
+pullback under xi -> -xi, from its parts' alpha* images (see
+antipodal_subspace), so no other module builds a realization.
 
 Every realization is mode-local (see SubspaceRealization), and the stock
 constructors keep a narrow band narrow (see PdoSubspace and
@@ -39,7 +42,8 @@ from .core import (_RANK_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
                    fit_trig_poly, polar_unitary, trig_blockdiag)
 from .symbols import (CircleSymbol, TruncatedOperator,
                       _check_projection_faces, _range_basis, _symbols_agree,
-                      classify_parity, ellipticity_check, quantize)
+                      antipodal_pullback, classify_parity, ellipticity_check,
+                      quantize)
 
 _SCALES = (1, 2, 3)  # an index is accepted when it agrees at every N * s
 _FRAME_TOL = 1e-8  # closure and fit bound of a transported face frame
@@ -70,6 +74,7 @@ __all__ = [
     "two_face_subspace",
     "conjugate_subspace",
     "puncture",
+    "antipodal_subspace",
     "face_residual",
     "dump_subspace_csv",
 ]
@@ -256,15 +261,18 @@ class PdoSubspace:
 
     A stock constructor records in `_perp` how to realize the complement:
     N -> mode-local columns orthogonal to the realization that span its
-    complement but for a few vectors at the window edges (None: cannot).
+    complement but for a few vectors at the window edges (None: cannot),
+    and in `_alpha` how to build alpha* of it: () -> the same constructor
+    on its parts' alpha* images (see antipodal_subspace; None: no recipe).
     A recipe reads the parents, never its own subspace: no cycle.
     """
 
     def __init__(self, symbol, realizer=None, name=""):
         self.symbol = symbol
         self.name = name or symbol.name
-        self._realizer = realizer if realizer is not None else \
-            (lambda N: _gap_realization(symbol, N))
+        self._realizer = realizer or partial(_gap_realization, symbol)
+        self._alpha = None if realizer else (  # the antipodal symbol's cut
+            lambda: PdoSubspace(symbol.antipodal()))
         self._perp = None
         self._cache = {}
         self._dims = {}
@@ -299,6 +307,8 @@ class PdoSubspace:
         p1, p2 = self._perp, other._perp
         if p1 is not None and p2 is not None:
             out._perp = lambda N: _sum_realization(p1(N), p2(N), N, f1, f2)
+        out._alpha = lambda: antipodal_subspace(self).direct_sum(
+            antipodal_subspace(other))
         return out
 
     def __repr__(self):
@@ -425,9 +435,11 @@ def orthocomplement(L):
         base = L.realize(N)
         if base.select is not None:  # the complement of coordinates
             dim = (2 * N + 1) * L.fiber
+            # a mask (np.delete), not np.setdiff1d: its first call
+            # imports numpy.ma
             return SubspaceRealization(
                 N, warnings=base.warnings, dim=dim,
-                select=np.setdiff1d(np.arange(dim), base.select))
+                select=np.delete(np.arange(dim), base.select))
         part = None if perp is None else perp(N)
         done = None if part is None else _completed(N, base, part, L.fiber)
         if done is not None:
@@ -437,6 +449,7 @@ def orthocomplement(L):
 
     out = PdoSubspace(sym, realizer, name=f"{L.name}^perp" if L.name else "")
     out._perp = L.realize  # the complement's complement is L
+    out._alpha = lambda: orthocomplement(antipodal_subspace(L))
     return out
 
 
@@ -686,10 +699,13 @@ def _const(B):
 
 def _framed(sym, name, cut=0):
     """A subspace realized by the shifts of its symbol's recorded frames
-    (see _shifts), its complement recorded as the shifts of theirs."""
+    (see _shifts), its complement recorded as the shifts of theirs; alpha*
+    of it is framed by the swapped frames, the + face's k >= cut becoming
+    the - face's k < 1 - cut."""
     (Fp, Cp), (Fm, Cm) = sym._frames[+1], sym._frames[-1]
     L = PdoSubspace(sym, partial(_shifts, Fp, Fm, cut), name=name)
     L._perp = partial(_shifts, Cp, Cm, cut)
+    L._alpha = lambda: _framed(sym.antipodal(), name, 1 - cut)
     return L
 
 
@@ -872,6 +888,8 @@ def conjugate_subspace(L, W, name=""):
     perp = L._perp
     if perp is not None:
         out._perp = lambda N: local(N, perp(N))
+    out._alpha = lambda: conjugate_subspace(antipodal_subspace(L),
+                                            antipodal_pullback(W))
     return out
 
 
@@ -940,6 +958,23 @@ def puncture(L, mode=0, coord=0):
     parent = L._perp
     if parent is not None:
         out._perp = perp
+    out._alpha = lambda: puncture(antipodal_subspace(L), -mode, coord)
+    return out
+
+
+def antipodal_subspace(L):
+    """alpha* L, the pullback under xi -> -xi: symbol p(x, -xi), faces
+    swapped.  alpha* commutes with every stock constructor, so alpha* L is
+    built as L was, from its parts' images (PdoSubspace._alpha): a framed
+    subspace from its swapped frames and cut 1 - c, a sum from its
+    summands' images, a complement, a puncture at mode -m or a conjugate
+    by alpha* W from its parent's image, a gap cut from the antipodal
+    symbol.  With no recipe (spectral_subspace, a caller-supplied
+    realizer) it raises ValueError."""
+    if L._alpha is None:
+        raise ValueError(f"no antipodal recipe for the subspace {L!r}")
+    out = L._alpha()
+    out.name = f"alpha*{L.name}" if L.name else ""
     return out
 
 

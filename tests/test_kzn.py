@@ -172,6 +172,18 @@ def test_a_negated_analytic_index_fails_the_mod_n_theorem(monkeypatch):
     assert theorem_misses() == []
 
 
+def test_the_mod_n_theorem_holds_on_antipodal_elements():
+    # alpha* of each base and n-fold sum is built from its parts' images,
+    # so framed elements over the Mobius line satisfy the theorem too
+    for seed in (1914, 2718, 5):
+        for n in (2, 3, 4):
+            for name, el in modn_element_suite(seed, n, count=6):
+                a = antipodal_element(el)
+                assert mod_n_analytic_index(a) == \
+                    direct_image_s1(difference_construction_zn(a)), \
+                    (seed, name)
+
+
 def test_direct_image_is_linear():
     a, b = KClassZn(5, 0, 2), KClassZn(5, 0, 4)
     assert direct_image_s1(a + b) == \

@@ -10,14 +10,15 @@ from etaforge.indexing import (SubspaceOperator, analytic_index,
                                dimension_functional)
 from etaforge.kzn import fractional_eta_topological
 from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
-                                SubspaceSymbol, conjugate_subspace,
-                                dump_subspace_csv, face_frames, face_residual,
-                                full_subspace, hardy_subspace, lift_symbol,
-                                mobius_subspace, mobius_symbol,
-                                orthocomplement, puncture, relative_index,
-                                rotation_homotopy, rotation_unitary,
-                                spectral_subspace, trivial_subspace,
-                                two_face_subspace, zero_subspace)
+                                SubspaceSymbol, antipodal_subspace,
+                                conjugate_subspace, dump_subspace_csv,
+                                face_frames, face_residual, full_subspace,
+                                hardy_subspace, lift_symbol, mobius_subspace,
+                                mobius_symbol, orthocomplement, puncture,
+                                relative_index, rotation_homotopy,
+                                rotation_unitary, spectral_subspace,
+                                trivial_subspace, two_face_subspace,
+                                zero_subspace)
 from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
                              haar_unitary, phase_diag_loop, rng_for)
 from etaforge.symbols import (CircleSymbol, _range_basis, identity_symbol,
@@ -474,17 +475,14 @@ def test_d_from_the_exact_lift_equals_d_from_the_kato_lift():
 
 
 def _stock_even(seed):
-    # every member of the realization family and its antipodal image, and
-    # the sources and targets of the index-formula suite, each with
-    # whether its realization realizes its symbol: the mode reflection of
-    # an antipodal image realizes p(-x), which is its symbol's face only
-    # when that face is constant
+    # every member of the realization family and its antipodal image (built
+    # as the member was, from its parts' images), and the sources and
+    # targets of the index-formula suite
     out = []
     for X in _family(seed):
-        A = indexing.antipodal_subspace(X)
-        out += [(X, True), (A, A.symbol.degree == 0)]
+        out += [X, antipodal_subspace(X)]
     for _, op in suites.index_formula_suite(seed):
-        out += [(op.source, True), (op.target, True)]
+        out += [op.source, op.target]
     return out
 
 
@@ -501,7 +499,7 @@ def test_stock_even_subspaces_lift_from_their_recorded_frames(
     _no_transport(monkeypatch)
     monkeypatch.setattr(indexing, "build_parity_double", refused)
     xs = np.linspace(0, 2 * np.pi, 37, endpoint=False)
-    for L, realized in family:
+    for L in family:
         for sign in (+1, -1):
             p = L.symbol.face(sign)(xs)
             for F, want in zip(L.symbol._frames[sign],
@@ -513,8 +511,66 @@ def test_stock_even_subspaces_lift_from_their_recorded_frames(
                 assert np.abs(F @ Fh - want).max() <= 1e-12, L.name
         lift_symbol(L)
         fractional_eta_topological(L)
-        if realized:
-            dimension_functional(L)
+        dimension_functional(L)
+
+
+@pytest.mark.parametrize("seed", [1914, 2718, 5])
+def test_antipodal_images_realize_their_symbols(seed):
+    # alpha* X is built from the images of X's parts, so it realizes
+    # p(x, -xi) even where a face depends on x, and d(alpha* X) = d(X)
+    for X in _family(seed):
+        A = antipodal_subspace(X)
+        assert face_residual(A, 16) <= 1e-12, A.name
+        if X.symbol.parity == "Even":
+            assert dimension_functional(A) == dimension_functional(X), A.name
+
+
+def _mode_reflection(real, N, fiber):
+    # the realization under n -> -n: mode index i -> 2N - i, and a column
+    # of lowest mode m and band b gets lowest mode 2N - m - b
+    if real.select is not None:
+        sel = real.select
+        return subspaces.SubspaceRealization(
+            N, select=(2 * N - sel // fiber) * fiber + sel % fiber,
+            dim=(2 * N + 1) * fiber)
+    q = real.rank
+    return subspaces.SubspaceRealization(
+        N, real.basis.reshape(2 * N + 1, fiber, q)[::-1].reshape(-1, q),
+        modes=2 * N - real.modes - real.band, band=real.band)
+
+
+def _sorted_columns(real):
+    # the selection or basis, the modes and the band, in the mode order
+    o = real._by_mode.order
+    cols = real.select[o] if real.select is not None else real.basis[:, o]
+    return cols.tobytes(), real.modes[o].tobytes(), real.band
+
+
+def test_antipodal_images_of_constant_faces_are_mode_reflections():
+    # for constant frames the shifts of the swapped frames from cut 1 - c
+    # are the reflected shifts, bit for bit; a unitary conjugate is left
+    # out, as its image is W alpha* L, not the reflected W(-x) L
+    family = [hardy_subspace(k) for k in range(-2, 3)]
+    for seed in (1914, 2718, 5):
+        for name, L in even_subspace_suite(seed):
+            family += [L, orthocomplement(L),
+                       puncture(L, *_puncture_at_every_window(L))]
+    family = [X for X in family if X.symbol.degree == 0]
+    assert len(family) > 20
+    for X in family:
+        A = antipodal_subspace(X)
+        for N in (8, 16, 24):
+            assert _sorted_columns(A.realize(N)) == _sorted_columns(
+                _mode_reflection(X.realize(N), N, X.fiber)), (X.name, N)
+
+
+def test_a_subspace_with_no_antipodal_recipe_is_refused():
+    A = quantize(CircleSymbol(1, np.eye(1), -np.eye(1)), 12)
+    spectral = spectral_subspace(A)
+    custom = PdoSubspace(hardy_subspace().symbol, hardy_subspace().realize)
+    for L in (spectral, custom):
+        with pytest.raises(ValueError, match="no antipodal recipe"):
+            antipodal_subspace(L)
 
 
 def test_conjugate_by_constant_unitary():
