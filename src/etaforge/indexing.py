@@ -41,17 +41,25 @@ and is factored once by block Cholesky, and block inverse iteration finds
 the singular vectors below 100 mu: X -> G^-1 X for the kernel, and for the
 cokernel Y -> Y - T G^-1 T* Y, which is mu^2 (TT* + mu^2 I)^-1 Y (push-
 through identity).  The cut is made on the singular values of T X and
-T* Y (the Ritz values), never on the squared Gram matrix.  A section the
-banded solve refuses goes through a full SVD, whose rank cut is
-_RANK_TOL * smax.
+T* Y (the Ritz values), never on the squared Gram matrix.  A Ritz block of
+p columns doubles at the first step where all its values lie below
+100 mu: by Cauchy interlacing the largest singular value of T X, for any
+orthonormal X of p columns, is at least the p-th smallest of T, so no
+further step can leave room in that block.  The cokernel starts at the
+block its count needs: T* has the kernel's values below 100 mu and m - n
+more (T is m x n), and the smaller blocks are skipped, each still drawing
+its start vectors, so its basis is the one the growth would reach.  A
+section the banded solve refuses goes through a full SVD, whose rank cut
+is _RANK_TOL * smax.
 
 Hand-off.  The banded solve only brackets smax (a power-iteration lower
 bound, the Gershgorin upper bound of T*T), so its cut is a bracket.  It
 hands the call to the dense SVD when a Ritz value lies within 2x of that
 bracket, when the section is small or has few column blocks (a side of
 band 2N gives one, and is refused before any block is formed), when G is
-not numerically positive definite, when a block does not settle, or when
-kernel and cokernel disagree on the rank.  The dense SVD is also the
+not numerically positive definite, when a block does not settle or
+outgrows half its side, or when kernel and cokernel disagree on the rank
+(a refused kernel skips the cokernel).  The dense SVD is also the
 oracle the tests compare the banded solve against, basis for basis.
 """
 from __future__ import annotations
@@ -259,35 +267,46 @@ class _BandedGram:
             x[J] = self.inv[J][1] @ r
         return np.concatenate(x)
 
-    def near_null(self, n, step, ritz, mu, cut_lo, cut_hi):
-        """Orthonormal n-vectors X with ritz(X) below the cut, from block
-        inverse iteration X <- qr(step(X)); None when the block does not
-        settle or a Ritz value lies within _MARGIN of [cut_lo, cut_hi].
-        The Ritz values are the singular values of ritz(X), never G's."""
+    def near_null(self, n, step, ritz, mu, cut_lo, cut_hi, need=0):
+        """(V, low): the orthonormal n-vectors V with ritz(V) below the cut,
+        from block inverse iteration X <- qr(step(X)), and the number of
+        Ritz values below _CLEAR * mu; None when a block does not settle or
+        outgrows half the side, or a Ritz value lies within _MARGIN of
+        [cut_lo, cut_hi].  The Ritz values are the singular values of
+        ritz(X), never G's.  A block grows at the first step where it is
+        full (interlacing: see the module docstring).  The hint `need`
+        counts singular values known to lie below _CLEAR * mu: the blocks
+        of at most that many columns would grow, so they are skipped, each
+        still drawing its start vectors, and V is the one without the
+        hint."""
         rng = np.random.default_rng(0)
         p = _START_BLOCK
         while 2 * p <= n:
             X = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
+            if p <= need:
+                p *= 2
+                continue
             prev = None
             for _ in range(_STEPS):
                 X = np.linalg.qr(step(X))[0]
                 R = np.linalg.qr(ritz(X), mode="r")
                 _, s, vh = np.linalg.svd(R)
                 low = s < _CLEAR * mu
-                if prev is not None and np.array_equal(low, prev < _CLEAR * mu) \
+                if low[0] or prev is not None \
+                        and np.array_equal(low, prev < _CLEAR * mu) \
                         and np.all(np.abs(s - prev)[low]
                                    <= 1e-2 * np.maximum(s[low], cut_lo)):
                     break
                 prev = s
             else:
                 return None
-            if s[0] < _CLEAR * mu:  # may miss near-null vectors: grow
+            if low[0]:  # full, so no step can make room: grow
                 p *= 2
                 continue
             if np.any((s >= cut_lo / _MARGIN) & (s <= _MARGIN * cut_hi)):
                 return None
             k = int((s < cut_lo / _MARGIN).sum())
-            return X @ vh[p - k:].conj().T
+            return X @ vh[p - k:].conj().T, int(low.sum())
         return None
 
 
@@ -318,13 +337,16 @@ def _banded_near_null(T, row_modes, col_modes, d):
         return None
     m, n = T.shape
     ker = G.near_null(n, G.solve, G.matvec, mu, cut_lo, cut_hi)
-    # push-through: mu^2 (TT* + mu^2 I)^-1 Y = Y - T (T*T + mu^2 I)^-1 T* Y
-    coker = G.near_null(m, lambda Y: Y - G.matvec(G.solve(G.rmatvec(Y))),
-                        G.rmatvec, mu, cut_lo, cut_hi)
-    if ker is None or coker is None or \
-            n - ker.shape[1] != m - coker.shape[1]:
+    if ker is None:
         return None
-    return ker, coker
+    ker, low = ker
+    # push-through: mu^2 (TT* + mu^2 I)^-1 Y = Y - T (T*T + mu^2 I)^-1 T* Y;
+    # T* has the kernel's values below _CLEAR * mu and m - n more
+    coker = G.near_null(m, lambda Y: Y - G.matvec(G.solve(G.rmatvec(Y))),
+                        G.rmatvec, mu, cut_lo, cut_hi, low + m - n)
+    if coker is None or n - ker.shape[1] != m - coker[0].shape[1]:
+        return None
+    return ker, coker[0]
 
 
 def _local_section(A, src, tgt, d):

@@ -611,6 +611,8 @@ def _banded_cases():
     U = haar_unitary(np.random.default_rng(0), 3)
     return {
         "square_fiber4": (_rand0(4), 24),
+        # 16 near-null vectors on each side: both Ritz blocks grow
+        "square_fiber8": (_rand0(8), 24),
         "square_fiber4_perturbed": (_rand0(4).with_lower_order(
             perturbation_terms(rng_for(1914, "kernel"), _rand0(4), 1)[0]), 48),
         "hardy_shift_into_hardy": (SubspaceOperator(
@@ -693,6 +695,51 @@ def test_one_sided_cases_grow_one_ritz_block(case, shape, ker, coker,
     assert T.shape == shape
     assert [V.shape[1] for V in near] == [ker, coker]
     assert max(ker, coker) > indexing._START_BLOCK
+
+
+def test_a_full_ritz_block_grows_at_its_first_step(monkeypatch):
+    # the 16-column kernel block is full after one step, and the kernel's
+    # count starts the cokernel at 32 columns.  Kernel and cokernel take
+    # one solve per step, the kernel's steps first.
+    op, N = _banded_cases()["square_fiber8"]
+    seen = _banded_sections(monkeypatch)
+    widths = []
+    solve = indexing._BandedGram.solve
+
+    def recorded(self, B):
+        widths.append(B.shape[1])
+        return solve(self, B)
+
+    monkeypatch.setattr(indexing._BandedGram, "solve", recorded)
+    indexing._filtered_index_once(op, N)
+    (T, near), = seen
+    assert [V.shape[1] for V in near] == [16, 16]
+    assert widths[0] == indexing._START_BLOCK
+    assert widths.count(indexing._START_BLOCK) == 1
+    assert set(widths[1:]) == {2 * indexing._START_BLOCK}
+
+
+@pytest.mark.parametrize("k", [15, 16, 17, 31, 32, 33, -16, -32])
+def test_hinted_cokernel_matches_the_unhinted_one(k, monkeypatch):
+    # z^k : H -> H(k) has k kernel or |k| cokernel vectors: the blocks of
+    # 16 and 32 columns are just full, or just not, on one side
+    near_null = indexing._BandedGram.near_null
+    calls = []
+
+    def recorded(self, *args):
+        calls.append((self, args, near_null(self, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(indexing._BandedGram, "near_null", recorded)
+    seen = _banded_sections(monkeypatch)
+    op = SubspaceOperator(CircleSymbol(0, _loop(k), _loop(k)),
+                          hardy_subspace(), hardy_subspace(shift=k))
+    indexing._filtered_index_once(op, 200)
+    (T, near), = seen
+    assert [V.shape[1] for V in near] == ([k, 0] if k > 0 else [0, -k])
+    (G, args, (got, _)), = calls[1:]  # the cokernel's call and its hint
+    want, _ = near_null(G, *args[:-1])
+    assert np.array_equal(got, want)
 
 
 def test_one_factorization_serves_both_sides(monkeypatch):
