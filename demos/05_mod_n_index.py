@@ -4,7 +4,8 @@ Index theory with mod-n coefficients
 
 An operator between n-fold copies of a subspace has an index that is
 only well defined as a residue mod n.  The symbol side computes the same
-residue from determinant windings in transport frames, pushed forward
+residue from determinant windings in the frames each base subspace
+records, pushed forward
 with the sign of ind T_a = -wind a, a closed form that reads nothing off
 the analytic side.  The two routes must agree operator by operator.
 """

@@ -546,9 +546,10 @@ def dimension_functional(L, N=16, lift_order=0):
     (alpha* sigma)^{-1} sigma (+) (1 - p) is the identity, of index 0:
     d(L) = 2^{-k} ind sigma, and no double is built.
 
-    Defined for even subspaces whose symbol lifts; the result must not
-    depend on the lift, which is verified against a twisted second lift.
-    lift_order forces k artificial doublings.
+    Defined for even subspaces whose symbol records a frame (see
+    subspaces.lift_symbol); the result must not depend on the lift, which
+    is verified against a twisted second lift.  lift_order forces k
+    artificial doublings.
 
     Computed once per (N, lift_order) on each subspace: the value is kept
     in L's memo, next to its realizations; a call that raises keeps
@@ -562,15 +563,16 @@ def dimension_functional(L, N=16, lift_order=0):
 
 
 def _dimension(L, N, lift_order):
-    # lift_symbol refuses a subspace that is not even, and checks that its
-    # lift is elliptic; the twisted lift is checked in _d_once
-    lift = lift_symbol(L)
-    if lift.sigma.rows == 0:
+    # lift_symbol refuses a subspace that is not even or has no recorded
+    # frame, and checks that its lift is elliptic; the twisted lift is
+    # checked in _d_once
+    sigma = lift_symbol(L)
+    if sigma.rows == 0:
         return DyadicRational.from_integer(0)
     # the twisted lift adds one degree
-    N = _fitting_n(N, lift.sigma.degree + L.symbol.degree + 1)
-    d = _d_once(lift.sigma, L, N, lift_order, True)
-    twisted = _twist_symbol(lift.sigma.rows) @ lift.sigma
+    N = _fitting_n(N, sigma.degree + L.symbol.degree + 1)
+    d = _d_once(sigma, L, N, lift_order, True)
+    twisted = _twist_symbol(sigma.rows) @ sigma
     d2 = _d_once(twisted, L, N, lift_order)
     if d2 != d:
         raise ArithmeticError(

@@ -1,10 +1,11 @@
 """Index theory with Z/n coefficients on the circle.
 
 An element of the mod-n elliptic group is an operator between n-fold
-subspaces.  Trivializing each base subspace face by a transport frame
-turns the symbol into an invertible matrix loop per face; the difference
-of the two determinant windings is well defined mod n because a change of
-base frame shifts both windings by a multiple of n.  The direct image to
+subspaces.  Trivializing each base subspace face by the frame its
+constructor recorded turns the symbol into an invertible matrix loop per
+face (a base with no recorded frame is refused); the difference of the
+two determinant windings is well defined mod n because a change of base
+frame shifts both windings by a multiple of n.  The direct image to
 a point is minus that datum mod n: the sign of ind T_a = -wind a for a
 Toeplitz operator (Gohberg-Krein), a closed-form constant, so the
 topological side reads nothing off the analytic index it is compared to.
@@ -22,7 +23,7 @@ from .core import (TrigPolyMatrix, constant_trig, fit_trig_poly,
                    trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
 from .indexing import SubspaceOperator, _fitting_n, analytic_index
-from .subspaces import (ParityError, antipodal_subspace, face_frames,
+from .subspaces import (ParityError, _frame, antipodal_subspace,
                         full_subspace, lift_symbol, orthocomplement,
                         zero_subspace)
 from .symbols import (CircleSymbol, _symbols_agree, antipodal_pullback,
@@ -209,8 +210,7 @@ def beta_symbol(n):
 def _side_frame(bases, n, sign):
     blocks = []
     for b in bases:
-        f = face_frames(b.symbol)[sign].frame
-        blocks.extend([f] * n)
+        blocks.extend([_frame(b.symbol, sign)] * n)
     return trig_blockdiag(blocks)
 
 
@@ -375,8 +375,8 @@ def inverse_row_decomposition(L):
     and the four two-sided identities are verified to 1e-10 before
     returning.
     """
-    s1 = lift_symbol(L).sigma
-    s2 = lift_symbol(orthocomplement(L)).sigma
+    s1 = lift_symbol(L)
+    s2 = lift_symbol(orthocomplement(L))
     q1, r = s1.rows, s1.rank
 
     def inv_face(sign):

@@ -9,18 +9,20 @@ Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
 verdict, its index per N and its parity double.  Concurrent calls are
 safe: dict.setdefault is atomic, so every caller gets the one stored
-value.  A face frame is recorded or cached by value.  A stock
-constructor that knows an exact frame pair (F, F-perp) of each face,
-F F* = p and F-perp F-perp* = 1 - p, records it on the symbol it builds
+value.  A face's frame is the one its constructor recorded.  Each
+stock constructor records an exact frame pair (F, F-perp) of each face,
+F F* = p and F-perp F-perp* = 1 - p, on the symbol it builds
 (SubspaceSymbol._frames): a base constructor from constant columns or
 the Mobius line's s and t, which also realize the subspace and its
 complement (see _shifts); a complement, direct sum, antipodal image or
 unitary conjugate from its parent's pairs; a puncture shares its
-parent's symbol.  lift_symbol reads F.  Any other face is transported
-(Kato) and its frame cached by face value (lru_cache on _face_frame),
-so equal faces share one transport; face_frames never reads a record,
-so the suite generators keep their transported frames.  Each stock
-constructor also records how to build alpha* of its subspace, the
+parent's symbol.  lift_symbol and kzn.winding_datum read F through
+_frame, which refuses a symbol with no record (spectral_subspace, a
+non-unitary conjugate, a bare SubspaceSymbol) with ValueError.  Only
+face_frames transports (Kato), caching each frame by face value
+(lru_cache on _face_frame); it never reads a record, so the suite
+generators, which build their symbols on it, keep their frames.  Each
+stock constructor also records how to build alpha* of its subspace, the
 pullback under xi -> -xi, from its parts' alpha* images (see
 antipodal_subspace), so no other module builds a realization.
 
@@ -61,8 +63,6 @@ __all__ = [
     "orthocomplement",
     "rotation_homotopy",
     "rotation_unitary",
-    "LiftResult",
-    "FaceFrame",
     "lift_symbol",
     "face_frames",
     "hardy_subspace",
@@ -519,25 +519,6 @@ def rotation_unitary(P, phi):
 # Lifting a subspace symbol from the base circle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FaceFrame:
-    """Orthonormal frame of one face subbundle, periodic after the holonomy
-    phase correction, together with the trivializing row symbol."""
-
-    frame: TrigPolyMatrix
-    sigma: TrigPolyMatrix
-    phases: tuple
-    closure_residual: float
-    fit_residual: float
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    sigma: CircleSymbol
-    closure_residual: float
-    fit_residual: float
-
-
 def _transport_states(p, G):
     """Kato transport F' = [p', p] F over [0, 2pi], RK4 with per-step
     re-orthonormalization onto Im p; returns frames at 2*G uniform points
@@ -568,19 +549,19 @@ def _transport_states(p, G):
 
 @lru_cache(maxsize=256)
 def _face_frame(p):
-    """Periodic orthonormal frame of Im p and its trivializer sigma = frame*.
+    """Periodic orthonormal frame F of Im p, F F* = p, by Kato transport.
 
     A pure function of the value of p, cached by it.  A constant face
     (trimmed degree 0) needs no transport: its frame is _range_basis(c_0).
     Otherwise the transported frame may return holonomy-rotated; the
     holonomy eigenphases are spread linearly over the circle to close it
-    up.  Both the frame and sigma are certified trig polynomials (fit on
-    half the samples, validated on the other half); the grid G starts at
-    128 and doubles up to 2048.
+    up.  The frame is a certified trig polynomial, fit on half the samples
+    and validated on the other half; the grid G starts at 128 and doubles
+    up to 2048, and a closure or fit residual still above _FRAME_TOL
+    raises ArithmeticError.
     """
     if p.trimmed().degree == 0:
-        B = TrigPolyMatrix(_range_basis(p.coeff(0))[None])
-        return FaceFrame(B, B.conj_transpose(), (0.0,) * B.shape[1], 0.0, 0.0)
+        return TrigPolyMatrix(_range_basis(p.coeff(0))[None])
     G = 128
     while True:
         states = _transport_states(p, G)
@@ -605,46 +586,47 @@ def _face_frame(p):
     if max(resid, closure) > _FRAME_TOL:
         raise ArithmeticError(
             f"frame transport failed to close/fit ({closure:.1e}/{resid:.1e})")
-    return FaceFrame(fit, fit.conj_transpose(), tuple(float(t) for t in phases),
-                     closure, resid)
+    return fit
 
 
 def face_frames(symbol):
-    """Per-face periodic frames for a SubspaceSymbol, by Kato transport
+    """Per-face periodic frames F of a SubspaceSymbol, by Kato transport
     (or the range basis of a constant face); each is cached by the face's
     value, so equal faces (of this or any symbol) share a frame.  It never
     reads the frames a symbol records: the suite generators build their
     symbols on these frames, so a frame in another gauge would change
-    those symbols."""
+    those symbols, and the tests use it as an oracle for the records."""
     return {s: _face_frame(symbol.face(s)) for s in (+1, -1)}
+
+
+def _frame(symbol, sign):
+    """The frame F of a face, F F* = p, that the symbol's constructor
+    recorded; ValueError when it recorded none."""
+    if symbol._frames is None:
+        raise ValueError(f"no recorded frame for the symbol {symbol.name!r}")
+    return symbol._frames[sign][0]
 
 
 def lift_symbol(L):
     """Trivialization of an even subspace symbol over the circle.
 
-    Returns a LiftResult whose sigma = F* is an order-zero symbol with
-    equal faces restricting to an isomorphism Im p -> trivial rank-q
-    fiber, for F the frame of the + face: the exact frame the symbol
-    records (every stock constructor's but spectral_subspace's and a
-    non-unitary conjugation's; residuals 0), else the transported one of
-    face_frames.  Over the circle no doubling is ever needed, so the lift
+    Returns sigma = F*, an order-zero symbol with equal faces restricting
+    to an isomorphism Im p -> trivial rank-q fiber, for F the frame
+    recorded for the + face (see _frame; a symbol with no record raises
+    ValueError).  Over the circle no doubling is ever needed, so the lift
     has order 0.
     """
     sym = L.symbol
+    face = _frame(sym, +1).conj_transpose()
     if sym.parity != "Even":
         raise ParityError("lift over the circle needs an even subspace")
-    if sym._frames is None:
-        ff = face_frames(sym)[+1]
-        face, closure, fit = ff.sigma, ff.closure_residual, ff.fit_residual
-    else:
-        face, closure, fit = sym._frames[+1][0].conj_transpose(), 0.0, 0.0
     sigma = CircleSymbol(0, face, face, name="lift")
     q = sigma.rows
     if q:
         full = SubspaceSymbol(np.eye(q), name="target", validate=False)
         if not ellipticity_check(sigma, sym, full):
             raise ArithmeticError("lift symbol failed its ellipticity check")
-    return LiftResult(sigma=sigma, closure_residual=closure, fit_residual=fit)
+    return sigma
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,16 @@
 Everything here is seeded: the same (seed, tag) always produces the same
 subspaces and operators, so report runs are reproducible byte for byte
 and test failures replay exactly.
+
+The frame-conjugated operators are built on the Kato frames of
+subspaces.face_frames, not on the frames the subspaces record: the two
+differ by a gauge, and every seeded operator, with the benchmark cases
+pinned on them, is drawn in this one.  In the recorded gauge the
+conjugated_line operator that perfbench's defect check draws (seed
+workloads.round_seed(594585364, 1)) falls from degree 10 to 6, and that
+check, which reproduces index_formula_report's refusal of the operator
+at N=16, would no longer see it; so the move waits for a change to the
+benchmark.
 """
 from __future__ import annotations
 
@@ -103,17 +113,18 @@ def even_subspace_suite(seed=1914, count=6):
 def _frame_conjugated_operator(rng, L1, L2, windings_plus, windings_minus,
                                name=""):
     """sigma_s = g C_s f^*: elliptic L1 -> L2 with prescribed face windings
-    relative to the transport frames."""
+    relative to the Kato frames f and g of face_frames (see the module
+    docstring for why not the recorded ones)."""
     f = face_frames(L1.symbol)
     g = face_frames(L2.symbol)
-    q = f[+1].frame.shape[1]
-    if g[+1].frame.shape[1] != q:
+    q = f[+1].shape[1]
+    if g[+1].shape[1] != q:
         raise ValueError("frame ranks differ")
     A0, A1 = haar_unitary(rng, q), haar_unitary(rng, q)
     faces = {}
     for sign, winds in ((+1, windings_plus), (-1, windings_minus)):
         C = phase_diag_loop(winds, A0, A1)
-        faces[sign] = g[sign].frame @ C @ f[sign].sigma
+        faces[sign] = g[sign] @ C @ f[sign].conj_transpose()
     return SubspaceOperator(
         CircleSymbol(0, faces[+1], faces[-1], name=name), L1, L2, name=name)
 
@@ -190,11 +201,11 @@ def modn_element_suite(seed, n, count=10):
             base = _random_base(rng, n)
             space = n_fold(base, n)
             f = face_frames(base.symbol)
-            q = n * f[+1].frame.shape[1]
+            q = n * f[+1].shape[1]
             A0, A1 = haar_unitary(rng, q), haar_unitary(rng, q)
             faces = {}
             for sign in (+1, -1):
-                F = trig_blockdiag([f[sign].frame] * n)
+                F = trig_blockdiag([f[sign]] * n)
                 C = phase_diag_loop(rng.integers(-2, 3, q), A0, A1)
                 faces[sign] = F @ C @ F.conj_transpose()
             sym = CircleSymbol(0, faces[+1], faces[-1], name=f"framed{i}")

@@ -102,3 +102,12 @@ def test_every_private_module_name_is_read_in_the_package():
     private = {n for n in defined if n.startswith("_")
                and not n.startswith("__")}
     assert private - read == set()
+
+
+def test_only_subspaces_reads_the_frame_record():
+    # a symbol's recorded frames (SubspaceSymbol._frames) are read through
+    # subspaces alone; other modules ask it, e.g. through subspaces._frame
+    readers = {p.name for p in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_frames"}
+    assert readers == {"subspaces.py"}

@@ -4,6 +4,7 @@ against its dense-SVD oracle."""
 
 import ast
 import functools
+import itertools
 import os
 import pathlib
 import subprocess
@@ -22,13 +23,13 @@ from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
                                dimension_functional, index_formula_report)
 from etaforge.kzn import mod_n_analytic_index, n_fold
-from etaforge.subspaces import (LiftResult, ParityError, PdoSubspace,
-                                SubspaceSymbol, UnstableIndexError,
-                                conjugate_subspace, full_subspace,
-                                hardy_subspace, lift_symbol,
+from etaforge.subspaces import (ParityError, PdoSubspace, SubspaceSymbol,
+                                UnstableIndexError, conjugate_subspace,
+                                full_subspace, hardy_subspace, lift_symbol,
                                 mobius_subspace, mobius_symbol,
-                                orthocomplement, puncture, trivial_subspace,
-                                two_face_subspace, zero_subspace)
+                                orthocomplement, puncture, relative_index,
+                                trivial_subspace, two_face_subspace,
+                                zero_subspace)
 from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
                              haar_unitary, index_formula_suite,
                              modn_element_suite, perturbation_terms,
@@ -836,6 +837,29 @@ def test_frame_and_gap_mobius_have_relative_index_zero(N, monkeypatch):
             assert got == _unfiltered_dense_index(sec, n)
 
 
+_COCYCLE_FAMILIES = {
+    "hardy": lambda: [hardy_subspace(-2), hardy_subspace(0), hardy_subspace(3),
+                      puncture(hardy_subspace(1), mode=2)],
+    "mobius": lambda: [mobius_subspace(), PdoSubspace(mobius_symbol()),
+                       puncture(mobius_subspace())],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_COCYCLE_FAMILIES))
+def test_the_identity_index_is_the_relative_index_and_a_cocycle(family):
+    # ind(id: L1 -> L2) from the index kernel is the rank difference of
+    # relative_index, and it adds along L1 -> L2 -> L3
+    spaces = _COCYCLE_FAMILIES[family]()
+    ident = identity_symbol(spaces[0].fiber)
+    ind = {}
+    for a, L1 in enumerate(spaces):
+        for b, L2 in enumerate(spaces):
+            ind[a, b] = analytic_index(SubspaceOperator(ident, L1, L2), N=16)
+            assert ind[a, b] == relative_index(L1, L2), (a, b)
+    for a, b, c in itertools.product(range(len(spaces)), repeat=3):
+        assert ind[a, b] + ind[b, c] == ind[a, c], (a, b, c)
+
+
 def test_the_banded_solve_is_given_the_frame_band(monkeypatch):
     # frame columns reach two modes, so between band-1 sides a degree-1
     # symbol makes a section of band 2: M restricted to the Mobius line is
@@ -958,7 +982,7 @@ def _per_mode_cases():
             0, haar_unitary(np.random.default_rng(0), 3), np.eye(3)),
             full, full),
         "rectangular_lift": SubspaceOperator(
-            lift_symbol(plane).sigma, plane, full_subspace(2)),
+            lift_symbol(plane), plane, full_subspace(2)),
         "two_face_bases": SubspaceOperator(CircleSymbol(0, U, V), twoface,
                                            image),
         # the weight |n| vanishes on the mode-0 columns
@@ -1036,7 +1060,7 @@ def test_random_degree_zero_sections_match_the_dense_index(r1, r2, order, N,
 def _lift_operators(L):
     # the lift sigma : L -> C^q and the twisted second lift, as d(L) takes
     # them, with the truncation it takes them at
-    sigma = lift_symbol(L).sigma
+    sigma = lift_symbol(L)
     N = indexing._fitting_n(16, sigma.degree + L.symbol.degree + 1)
     target = full_subspace(sigma.rows)
     return N, [SubspaceOperator(s, L, target) for s in
@@ -1158,7 +1182,7 @@ def test_a_lift_with_unequal_faces_is_refused(monkeypatch):
     # its parity double is no longer the identity, and d(L) would need it
     L = full_subspace(1)
     one = constant_trig(np.eye(1))
-    skewed = LiftResult(CircleSymbol(0, one, _loop(1)), 0.0, 0.0)
+    skewed = CircleSymbol(0, one, _loop(1))
     monkeypatch.setattr(indexing, "lift_symbol", lambda L: skewed)
     with pytest.raises(ParityError, match="equal faces"):
         dimension_functional(L)

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from etaforge import indexing, subspaces, suites
-from etaforge.core import TrigPolyMatrix, constant_trig
+from etaforge.core import (TrigPolyMatrix, constant_trig, trig_blockdiag,
+                           winding_number)
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                dimension_functional)
-from etaforge.kzn import fractional_eta_topological
+from etaforge.kzn import (EllZnElement, antipodal_element,
+                          fractional_eta_topological, n_fold, normal_form,
+                          winding_datum)
 from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
                                 SubspaceSymbol, antipodal_subspace,
                                 conjugate_subspace, dump_subspace_csv,
@@ -326,19 +329,21 @@ def test_rotation_rejects_non_projection():
 
 
 def test_face_frames_mobius_holonomy():
-    frames = face_frames(mobius_symbol())
-    ff = frames[+1]
-    assert ff.closure_residual < 1e-8
-    assert ff.fit_residual < 1e-8
-    # the line bundle twist carries holonomy pi
-    assert abs(abs(ff.phases[0]) - np.pi) < 1e-8
+    F = face_frames(mobius_symbol())[+1]
     xs = np.linspace(0, 2 * np.pi, 29, endpoint=False)
-    f = ff.frame(xs)
+    f = F(xs)
     p = mobius_symbol().face(+1)(xs)
     assert np.abs(p @ f - f).max() < 1e-8
     gram = np.einsum("gba,gbc->gac", f.conj(), f)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(1), gram.shape),
                                atol=1e-8)
+    # the line bundle twist carries holonomy pi: the parallel frame v
+    # returns as -v, so the closed-up frame is F = v e^{-ix/2} and, against
+    # the recorded s = v e^{ix/2}, s* F = e^{-ix} winds once backwards
+    s = mobius_symbol()._frames[+1][0]
+    overlap = s.conj_transpose() @ F
+    assert np.abs(np.abs(overlap(xs)) - 1.0).max() < 1e-8
+    assert winding_number(overlap) == -1
 
 
 def test_face_frames_shared_for_even():
@@ -346,18 +351,11 @@ def test_face_frames_shared_for_even():
     assert frames[+1] is frames[-1]
 
 
-def test_lift_reuses_the_memoized_face_frame():
-    # a symbol with no recorded frame lifts through the transported frame
-    # that face_frames memoizes; the Mobius symbol records s, and its lift
-    # is s* exactly, with no transport
-    bare = SubspaceSymbol(mobius_symbol().plus)
-    assert bare._frames is None
-    L = PdoSubspace(bare)
-    assert lift_symbol(L).sigma.plus is face_frames(bare)[+1].sigma
-    lift = lift_symbol(mobius_subspace())
+def test_the_mobius_lift_is_its_recorded_frame():
+    # the Mobius symbol records s, and its lift is s* exactly
+    sigma = lift_symbol(mobius_subspace())
     s = mobius_symbol()._frames[+1][0]
-    assert lift.sigma.plus == lift.sigma.minus == s.conj_transpose()
-    assert lift.closure_residual == lift.fit_residual == 0.0
+    assert sigma.plus == sigma.minus == s.conj_transpose()
 
 
 def test_equal_faces_of_separately_built_symbols_share_a_frame():
@@ -376,20 +374,17 @@ def test_constant_face_frame_is_its_range_basis(monkeypatch):
 
     monkeypatch.setattr(subspaces, "_transport_states", no_transport)
     sym = trivial_subspace(3, 2).symbol
-    ff = face_frames(sym)[+1]
-    assert ff.frame.degree == 0
-    assert ff.phases == (0.0, 0.0)
-    assert ff.closure_residual == ff.fit_residual == 0.0
+    F = face_frames(sym)[+1]
+    assert F.degree == 0
     B = _range_basis(sym.plus.coeff(0))
-    assert ff.frame.coeff_table()[0].tobytes() == B.tobytes()
+    assert F.coeff_table()[0].tobytes() == B.tobytes()
 
 
 def test_lift_symbol_trivial_line():
-    lift = lift_symbol(full_subspace(1))
-    assert lift.sigma.rows == 1
+    sigma = lift_symbol(full_subspace(1))
+    assert sigma.rows == 1
     xs = np.linspace(0, 2 * np.pi, 9)
-    np.testing.assert_allclose(lift.sigma.plus(xs),
-                               np.ones((9, 1, 1)), atol=1e-8)
+    np.testing.assert_allclose(sigma.plus(xs), np.ones((9, 1, 1)), atol=1e-8)
 
 
 def test_lift_rejects_odd_parity():
@@ -422,7 +417,7 @@ def _no_transport(monkeypatch):
 def test_unitary_conjugates_record_an_exact_frame():
     # F = W E for the conjugate, W E-perp for its complement: the parent's
     # recorded frames times the loop, whatever their degree, and the lift
-    # reads F with residuals 0
+    # is F*
     rng = np.random.default_rng(7)
     W = phase_diag_loop([1, -1], haar_unitary(rng, 2), haar_unitary(rng, 2))
     for L in (trivial_subspace(2, 1), mobius_subspace()):
@@ -432,32 +427,67 @@ def test_unitary_conjugates_record_an_exact_frame():
             assert X.symbol._frames[sign] == (W @ E, W @ Ep)
             assert X.symbol.complement()._frames[sign] == (W @ Ep, W @ E)
     for L in _suite_conjugates():
-        lift = lift_symbol(L)
-        assert lift.sigma.plus == L.symbol._frames[+1][0].conj_transpose()
-        assert lift.closure_residual == lift.fit_residual == 0.0
+        assert lift_symbol(L).plus == L.symbol._frames[+1][0].conj_transpose()
 
 
-def test_a_non_unitary_conjugation_still_transports_and_lifts(monkeypatch):
+def _unrecorded():
+    # subspaces whose symbols record no frame: a non-unitary conjugate, the
+    # gap cut of a bare symbol, and the sign operator's spectral subspace
     rng = np.random.default_rng(7)
     W = phase_diag_loop([1, -1], haar_unitary(rng, 2), haar_unitary(rng, 2))
-    L = trivial_subspace(2, 1)
-    Lu, L2 = conjugate_subspace(L, W), conjugate_subspace(L, 2.0 * W)
-    assert L2.symbol.plus.trimmed().degree > 0  # a face that needs a frame
-    assert Lu.symbol._frames is not None
-    assert L2.symbol._frames is None
-    assert L2.symbol.complement()._frames is None
-    transports = []
-    states = subspaces._transport_states
+    sign = CircleSymbol(1, np.eye(1), -np.eye(1), name="sign")
+    return [conjugate_subspace(trivial_subspace(2, 1), 2.0 * W),
+            PdoSubspace(SubspaceSymbol(mobius_symbol().plus)),
+            spectral_subspace(quantize(sign, 12))]
 
-    def counted(p, G):
-        transports.append(G)
-        return states(p, G)
 
-    subspaces._face_frame.cache_clear()  # a cached face would skip it
-    monkeypatch.setattr(subspaces, "_transport_states", counted)
-    lift = lift_symbol(L2)
-    assert transports and lift.sigma.rows == 1
-    assert dimension_functional(L2) == dimension_functional(Lu)
+def test_subspaces_with_no_recorded_frame_are_refused(monkeypatch):
+    # a frame is read from the record or not at all: the lift, d(L) and
+    # the mod-n datum refuse such a subspace, and d(L) keeps nothing
+    _no_transport(monkeypatch)
+    spaces = _unrecorded()
+    assert spaces[0].symbol.plus.trimmed().degree > 0  # a face that moves
+    for L in spaces:
+        assert L.symbol._frames is None
+        assert L.symbol.complement()._frames is None
+        with pytest.raises(ValueError, match="no recorded frame"):
+            lift_symbol(L)
+        with pytest.raises(ValueError, match="no recorded frame"):
+            dimension_functional(L)
+        assert L._dims == {}
+        space = n_fold(L, 2)
+        el = EllZnElement(
+            2, SubspaceOperator(identity_symbol(space.fiber), space, space),
+            (L,), (L,))
+        with pytest.raises(ValueError, match="no recorded frame"):
+            winding_datum(el)
+
+
+def _kato_datum(el):
+    # winding_datum in the Kato frames of face_frames: another gauge, so
+    # the same datum mod n
+    v = {}
+    for sign in (+1, -1):
+        f, g = (trig_blockdiag([face_frames(b.symbol)[sign]
+                                for b in bases for _ in range(el.n)])
+                for bases in (el.source_bases, el.target_bases))
+        v[sign] = winding_number(
+            g.conj_transpose() @ el.operator.principal.face(sign) @ f)
+    return (v[+1] - v[-1]) % el.n
+
+
+@pytest.mark.parametrize("seed", [1914, 2718, 5])
+def test_winding_data_read_recorded_frames(seed, monkeypatch):
+    # the mod-n suite's elements, their antipodal images and their normal
+    # forms: each datum reads the recorded frames, with no transport, and
+    # equals the datum in the Kato frames
+    elements = []
+    for n in (2, 3, 4, 8):
+        for _, el in suites.modn_element_suite(seed, n, count=6):
+            elements += [el, antipodal_element(el), normal_form(el)]
+    want = [_kato_datum(el) for el in elements]
+    _no_transport(monkeypatch)
+    assert [winding_datum(el) for el in elements] == want
 
 
 def test_d_from_the_exact_lift_equals_d_from_the_kato_lift():
@@ -467,8 +497,8 @@ def test_d_from_the_exact_lift_equals_d_from_the_kato_lift():
         for name, L in even_subspace_suite(seed):
             for X in (L, orthocomplement(L)):
                 assert X.symbol._frames is not None, X.name
-                ff = face_frames(X.symbol)[+1]
-                kato = CircleSymbol(0, ff.sigma, ff.sigma)
+                F = face_frames(X.symbol)[+1].conj_transpose()
+                kato = CircleSymbol(0, F, F)
                 N = indexing._fitting_n(16, kato.degree + X.symbol.degree + 1)
                 assert indexing._d_once(kato, X, N, 0) == \
                     dimension_functional(X), X.name
