@@ -6,6 +6,8 @@ their linear algebra through these entry points.
 """
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 __all__ = [
@@ -32,6 +34,22 @@ class TrigFitError(ValueError):
 # largest one (the index kernel, conjugate_subspace, stable_rank), and a
 # restricted symbol is elliptic when its smallest singular value exceeds it.
 _RANK_TOL = 1e-8
+
+
+def _sha256(*parts):
+    """sha256 of a sequence of digests (bytes), arrays (with dtype and
+    shape) and ints: a key by value.  Two sequences of one layout share a
+    digest only when every part has the same bytes."""
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, bytes):
+            h.update(p)
+        elif isinstance(p, np.ndarray):
+            h.update(f"{p.dtype.str}{p.shape}".encode())
+            h.update(np.ascontiguousarray(p))
+        else:
+            h.update(f"{p:d};".encode())
+    return h.digest()
 
 
 def stable_rank(M):

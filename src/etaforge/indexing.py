@@ -24,9 +24,9 @@ quantized matrix A: T[i, j] vanishes when those modes differ by more
 than the symbol degree plus the wider band.  Two coordinate subspaces
 give a slice of A; other pairs are assembled from the sides' columns
 grouped by lowest mode, one batched product per mode offset (see
-_local_section), and a side of band 2N makes that the whole compression
-B2* A B1.  A side of band 0 counts its bulk by column mode, a wider one
-in ambient coordinates.  A symbol of degree 0 between two sides of band
+_local_section); with a side of band 2N the section is the whole
+compression B2* A B1, formed as one dense product.  A side of band 0
+counts its bulk by column mode, a wider one in ambient coordinates.  A symbol of degree 0 between two sides of band
 0 (a parity double that is the identity, say) makes T block diagonal by
 mode, and no section is built: see below.  This module builds no
 realization: all of them, antipodal images' too, come from subspaces.
@@ -52,6 +52,16 @@ its start vectors, so its basis is the one the growth would reach.  A
 section the banded solve refuses goes through a full SVD, whose rank cut
 is _RANK_TOL * smax.
 
+Memo.  A section's integer is a function of what the kernel reads: each
+symbol term's order and face coefficient tables, N, and each side's
+selection, or else its basis, modes and band.  _SECTIONS keeps it by the
+sha256 of those bytes (the symbol's and each realization's digest is
+cached on the read-only object), so an equal section of objects built
+apart is read, not solved: no quantize, assembly, solve or bulk count.
+It keeps at most _SECTIONS_KEPT (4096) entries, one digest and one int
+each, and drops the oldest first; a call that raises stores nothing.
+The empty-side and block-diagonal counts come first and are not kept.
+
 Hand-off.  The banded solve only brackets smax (a power-iteration lower
 bound, the Gershgorin upper bound of T*T), so its cut is a bracket.  It
 hands the call to the dense SVD when a Ritz value lies within 2x of that
@@ -64,9 +74,11 @@ oracle the tests compare the banded solve against, basis for basis.
 """
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
-from .core import _RANK_TOL, EllipticityViolation, fit_trig_poly
+from .core import _RANK_TOL, EllipticityViolation, _sha256, fit_trig_poly
 from .dyadic import DyadicRational
 from .subspaces import (_SCALES, ParityError, UnstableIndexError,
                         antipodal_subspace, full_subspace, lift_symbol)
@@ -88,7 +100,11 @@ class SubspaceOperator:
     keeps its is_elliptic() verdict, which with_lower_order passes on, and
     its bulk-filtered index by N (`_indices`, filled by analytic_index)
     and its parity double (`_double`, built by build_parity_double), which
-    it does not: that invariance is what the stability checks test."""
+    it does not: that invariance is what the stability checks test.  An
+    equal operator built apart fills its own `_indices`, but from the
+    sections kept by value in _SECTIONS (the sha256 of N, the symbol and
+    both realizations; at most 4096, oldest dropped first), so a kept
+    section is not solved again."""
 
     def __init__(self, symbol, source, target, name=""):
         self.symbol = symbol if isinstance(symbol, FullSymbol) \
@@ -357,7 +373,15 @@ def _local_section(A, src, tgt, d):
     give A B1 on that window for every source mode.  A target column of
     lowest mode m + k meets it for offsets k in -d - b2 .. b1 + d, and the
     pairs at one offset share their rows, so the section takes one batched
-    product per offset the two sides' modes can meet."""
+    product per offset the two sides' modes can meet.  A side of band 2N
+    meets every mode of the other, so there B2* A B1 is one dense
+    product."""
+    if max(src.band, tgt.band) >= 2 * src.N:  # a bare side: one product
+        o1, o2 = src._by_mode.order, tgt._by_mode.order
+        AB = A[:, src.select[o1]] if src.select is not None \
+            else A @ src.basis[:, o1]
+        return AB[tgt.select[o2]] if tgt.select is not None \
+            else tgt.basis[:, o2].conj().T @ AB
     s, t = src._by_mode, tgt._by_mode
     r2, b1, b2 = t.fiber, src.band, tgt.band
     # a window row past the edge reads an edge row; no target column
@@ -407,22 +431,34 @@ def _local_bulk(real, N, fiber):
     return count
 
 
+# section digest -> bulk-filtered index, oldest first (see "Memo" above)
+_SECTIONS = OrderedDict()
+_SECTIONS_KEPT = 4096  # past this many entries the oldest goes
+
+
 def _filtered_index_once(op, N):
     """The bulk-filtered index at one truncation: compress, take the
     near-null vectors on both sides (banded solve or dense SVD), count
     those in the bulk.  A section that is block diagonal by mode (symbol
-    degree 0, both sides of band 0) is counted by mode, with no solve."""
+    degree 0, both sides of band 0) is counted by mode, with no solve.  A
+    section already solved in this process is read from _SECTIONS; a call
+    that raises stores nothing."""
     src, tgt = op.source.realize(N), op.target.realize(N)
+    d = max(t.degree for t in op.symbol.terms)
+    if src.rank == 0 or tgt.rank == 0 or d == src.band == tgt.band == 0:
+        # an empty side, or a section that is block diagonal by mode: a
+        # mode's rank enters its kernel and its cokernel count alike
+        return _local_bulk(src, N, op.source.fiber)(None) \
+            - _local_bulk(tgt, N, op.target.fiber)(None)
+    key = _sha256(N, op.symbol._digest, src._digest, tgt._digest)
+    hit = _SECTIONS.get(key)
+    if hit is not None:
+        return hit
     # with rows and columns sorted by mode the section keeps the band of A
     # (a permutation changes neither the index nor the bulk counts); a
     # coordinate pair is a slice of A
     count1 = _local_bulk(src, N, op.source.fiber)
     count2 = _local_bulk(tgt, N, op.target.fiber)
-    d = max(t.degree for t in op.symbol.terms)
-    if src.rank == 0 or tgt.rank == 0 or d == src.band == tgt.band == 0:
-        # an empty side, or a section that is block diagonal by mode: a
-        # mode's rank enters its kernel and its cokernel count alike
-        return count1(None) - count2(None)
     A = quantize(op.symbol, N).matrix
     o1, o2 = src._by_mode.order, tgt._by_mode.order
     if src.select is not None and tgt.select is not None:
@@ -434,7 +470,10 @@ def _filtered_index_once(op, N):
     near = _banded_near_null(T, tgt.modes[o2], src.modes[o1],
                              d + max(src.band, tgt.band))
     ker, coker = near if near is not None else _dense_near_null(T)
-    return count1(ker) - count2(coker)
+    index = _SECTIONS.setdefault(key, count1(ker) - count2(coker))
+    while len(_SECTIONS) > _SECTIONS_KEPT:
+        _SECTIONS.popitem(last=False)
+    return index
 
 
 def analytic_index(op, N=16, scales=_SCALES):

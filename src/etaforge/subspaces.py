@@ -7,7 +7,14 @@ a subspace (or an indexing.SubspaceOperator) computes is kept on it,
 append-only and idempotent; a call that raises keeps nothing.
 Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
-verdict, its index per N and its parity double.  Concurrent calls are
+verdict, its index per N and its parity double.  Below these per-object
+records one memo is shared by value: indexing._SECTIONS keeps the
+integer of every index section solved in the process, keyed by the sha256
+of N, the symbol (each term's order and face coefficient tables) and both
+realizations (a selection, or a basis with its modes and band), each
+digest cached on the read-only FullSymbol or SubspaceRealization; it
+holds at most 4096 entries and drops the oldest first.  So equal
+sections of objects built apart are solved once.  Concurrent calls are
 safe: dict.setdefault is atomic, so every caller gets the one stored
 value.  A face's frame is the one its constructor recorded.  Each
 stock constructor records an exact frame pair (F, F-perp) of each face,
@@ -40,8 +47,9 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .core import (_RANK_TOL, TrigPolyMatrix, _fft_fit, constant_trig,
-                   fit_trig_poly, polar_unitary, trig_blockdiag)
+from .core import (_RANK_TOL, TrigPolyMatrix, _fft_fit, _sha256,
+                   constant_trig, fit_trig_poly, polar_unitary,
+                   trig_blockdiag)
 from .symbols import (CircleSymbol, TruncatedOperator,
                       _check_projection_faces, _range_basis, _symbols_agree,
                       antipodal_pullback, classify_parity, ellipticity_check,
@@ -195,6 +203,15 @@ class SubspaceRealization:
     @property
     def rank(self):
         return self.basis.shape[1] if self.select is None else self.select.size
+
+    @cached_property
+    def _digest(self):
+        """sha256 of all that the index kernel reads here: a coordinate
+        subspace's ambient dimension and selection, else the basis, the
+        lowest modes and the band (see indexing._SECTIONS)."""
+        if self.select is not None:
+            return _sha256(0, self._dim, self.select)
+        return _sha256(1, self.band, self.basis, self.modes)
 
     @cached_property
     def _by_mode(self):

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import (_RANK_TOL, TrigPolyMatrix, _sample_count, constant_trig,
-                   trig_blockdiag)
+from .core import (_RANK_TOL, TrigPolyMatrix, _sample_count, _sha256,
+                   constant_trig, trig_blockdiag)
 
 __all__ = [
     "CircleSymbol",
@@ -125,6 +126,14 @@ class FullSymbol:
     @classmethod
     def of(cls, *terms):
         return cls(tuple(terms))
+
+    @cached_property
+    def _digest(self):
+        """sha256 of each term's order and both faces' coefficient tables:
+        all that quantize reads (see indexing._SECTIONS)."""
+        return _sha256(len(self.terms), *(
+            x for t in self.terms
+            for x in (t.order, t.plus.coeff_table(), t.minus.coeff_table())))
 
 
 @dataclass(frozen=True)

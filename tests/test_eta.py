@@ -119,6 +119,18 @@ def test_ap_closed_form_frozen(theta, expected):
     assert r.value == pytest.approx(hurwitz_eta_at_zero(theta), abs=1e-12)
 
 
+@pytest.mark.parametrize("mult", [1, 3, 7])
+@pytest.mark.parametrize("theta", [1e-9, 1e-3, 1 - 1e-3, 1 - 1e-9, 2.3,
+                                   -0.25])
+def test_ap_closed_form_matches_hurwitz_at_the_edges(theta, mult):
+    # theta near 0 and near 1, past 1 and below 0, with multiplicity: each
+    # of mult copies of {n + theta} adds the Hurwitz value at theta mod 1
+    r = eta_closed_form(SpectrumModel.arithmetic_progression(theta,
+                                                             mult=mult))
+    assert r.value == pytest.approx(mult * hurwitz_eta_at_zero(theta % 1.0),
+                                    abs=1e-12)
+
+
 def test_ap_closed_form_integer_theta_counts_kernel():
     r = eta_closed_form(SpectrumModel.arithmetic_progression(3.0, mult=2))
     assert r.value == 2.0

@@ -590,9 +590,11 @@ def _count_dense(monkeypatch):
 
 
 def _oracle_index(op, N, monkeypatch):
-    # the same compression and bulk counts, through the dense SVD only
+    # the same compression and bulk counts, through the dense SVD only; a
+    # memo of its own keeps its integer from the kernel under test
     with monkeypatch.context() as m:
         m.setattr(indexing, "_banded_near_null", lambda *args: None)
+        m.setattr(indexing, "_SECTIONS", type(indexing._SECTIONS)())
         return indexing._filtered_index_once(op, N)
 
 
@@ -1298,3 +1300,128 @@ def test_package_imports_only_numpy_and_the_stdlib():
             hits += [f"{path.name}:{n}" for n in names
                      if n.split(".")[0] not in allowed]
     assert hits == []
+
+
+# ------------------------------------------------------- the section memo
+
+
+def _solves(monkeypatch):
+    # records the section shape of every near-null solve, banded or dense
+    seen = []
+
+    def recorded(fn):
+        return lambda T, *args: seen.append(T.shape) or fn(T, *args)
+
+    for name in ("_banded_near_null", "_dense_near_null"):
+        monkeypatch.setattr(indexing, name, recorded(getattr(indexing, name)))
+    return seen
+
+
+def test_equal_sections_of_objects_built_apart_share_one_solve(monkeypatch):
+    seen = _solves(monkeypatch)
+    d = dimension_functional(mobius_subspace(), N=16)
+    assert seen
+    del seen[:]
+    assert dimension_functional(mobius_subspace(), N=16) == d
+    assert seen == []
+
+
+def _one_ulp_apart():
+    sym = _random_symbol(2, 2, 1)
+    table = sym.plus.coeff_table().copy()
+    table.real[1, 0, 0] = np.nextafter(table.real[1, 0, 0], np.inf)
+    return sym, CircleSymbol(0, TrigPolyMatrix(table), sym.minus)
+
+
+def _memo_misses():
+    # pairs of sections that differ in one input the kernel reads, each
+    # as (op, N)
+    mob = mobius_subspace()
+    sym, moved = _one_ulp_apart()
+    ident = identity_symbol(2)
+    N, (lift, twisted) = _lift_operators(mob)
+    return {
+        "one_ulp": ((SubspaceOperator(sym, mob, mob), 16),
+                    (SubspaceOperator(moved, mob, mob), 16)),
+        "another_n": ((SubspaceOperator(sym, mob, mob), 16),
+                      (SubspaceOperator(sym, mob, mob), 17)),
+        "puncture": ((SubspaceOperator(sym, mob, mob), 16),
+                     (SubspaceOperator(sym, puncture(mob), mob), 16)),
+        "twisted_lift": ((lift, N), (twisted, N)),
+        "swapped": ((SubspaceOperator(ident, mob, puncture(mob)), 16),
+                    (SubspaceOperator(ident, puncture(mob), mob), 16)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_memo_misses()))
+def test_a_section_that_differs_in_one_input_is_solved(case, monkeypatch):
+    (op1, N1), (op2, N2) = _memo_misses()[case]
+    seen = _solves(monkeypatch)
+    indexing._filtered_index_once(op1, N1)
+    assert seen
+    del seen[:]
+    indexing._filtered_index_once(op2, N2)
+    assert seen and len(indexing._SECTIONS) == 2
+
+
+def _refused_solve(*args):
+    raise ArithmeticError("solve refused")
+
+
+def test_a_section_that_raises_stores_nothing(monkeypatch):
+    mob = mobius_subspace()
+    op = SubspaceOperator(identity_symbol(2), mob, mob)
+    with monkeypatch.context() as m:
+        for name in ("_banded_near_null", "_dense_near_null"):
+            m.setattr(indexing, name, _refused_solve)
+        with pytest.raises(ArithmeticError):
+            indexing._filtered_index_once(op, 16)
+    assert len(indexing._SECTIONS) == 0
+    seen = _solves(monkeypatch)
+    assert indexing._filtered_index_once(op, 16) == 0 and seen
+
+
+def test_the_memo_keeps_its_bound_and_drops_the_oldest_first(monkeypatch):
+    monkeypatch.setattr(indexing, "_SECTIONS_KEPT", 2)
+    mob = mobius_subspace()
+    op = SubspaceOperator(identity_symbol(2), mob, mob)
+    for N in (16, 17, 18):
+        indexing._filtered_index_once(op, N)
+    assert len(indexing._SECTIONS) == 2
+    seen = _solves(monkeypatch)
+    for N in (17, 18):  # the two newest are kept
+        indexing._filtered_index_once(op, N)
+    assert seen == []
+    indexing._filtered_index_once(op, 16)  # the oldest went first
+    assert seen and len(indexing._SECTIONS) == 2
+
+
+def _suite_sections(seed):
+    # every section of the defect rows, and of d on each even subspace and
+    # its complement, on objects built afresh
+    for name, op in index_formula_suite(seed):
+        index_formula_report(op, name, N=indexing._fitting_truncation(op, 16))
+    for _, L in even_subspace_suite(seed):
+        dimension_functional(L)
+        dimension_functional(orthocomplement(L))
+
+
+@pytest.mark.parametrize("seed", [1914, 2718, 5])
+def test_cold_and_warm_memos_give_equal_integers(seed, monkeypatch):
+    got = []
+    once = indexing._filtered_index_once
+    monkeypatch.setattr(indexing, "_filtered_index_once",
+                        lambda op, N: got.append(once(op, N)) or got[-1])
+    with monkeypatch.context() as m:
+        m.setattr(indexing, "_SECTIONS_KEPT", 0)  # every section is solved
+        _suite_sections(seed)
+    assert len(indexing._SECTIONS) == 0
+    cold = got[:]
+    seen = _solves(monkeypatch)
+    for filled in (False, True):
+        del got[:], seen[:]
+        _suite_sections(seed)
+        assert got == cold
+        # the first warm pass solves each distinct section once; the
+        # second, on new objects, finds every one of them
+        assert (seen == []) == filled
