@@ -11,25 +11,20 @@ lift's and its parity double's (Savin-Sternin, Elliptic operators in even
 subspaces, 1999); over the circle it is one, the lift's (see
 dimension_functional).
 
-Structure.  Every realization is mode-local: a basis column of lowest
-mode m lives on the modes m .. m + band.  Full, trivial, zero, Hardy and
-two-face subspaces and complements of coordinates have band 0 (one mode
-per column); frame realizations such as the Mobius line's have band 1;
-the stock constructors (unitary conjugates, punctures, complements,
-direct sums, and so antipodal images) widen their parents' bands by a few
-modes; and a bare basis (the gap realizer, spectral_subspace, an SVD
-realization) has band 2N, every column at lowest mode 0.  With rows and
+Structure.  Every realization is mode-local (see
+subspaces.SubspaceRealization): a basis column of lowest mode m lives on
+the modes m .. m + band, and a bare basis has band 2N.  With rows and
 columns sorted by lowest mode, the section T keeps the block band of the
 quantized matrix A: T[i, j] vanishes when those modes differ by more
 than the symbol degree plus the wider band.  Two coordinate subspaces
-give a slice of A; other pairs are assembled from the sides' columns
-grouped by lowest mode, one batched product per mode offset (see
-_local_section); with a side of band 2N the section is the whole
-compression B2* A B1, formed as one dense product.  A side of band 0
-counts its bulk by column mode, a wider one in ambient coordinates.  A symbol of degree 0 between two sides of band
-0 (a parity double that is the identity, say) makes T block diagonal by
-mode, and no section is built: see below.  This module builds no
-realization: all of them, antipodal images' too, come from subspaces.
+give a slice of A; other pairs are assembled from the sides' mode groups,
+one batched product per mode offset, or one per side when a side has
+band 2N (see _local_section).  A side of band 0 counts its bulk by
+column mode, a wider one in ambient coordinates from its groups (see
+_local_bulk); no dense mode-local basis is formed.  A symbol of degree 0
+between two sides of band 0 (a parity double that is the identity, say)
+makes T block diagonal by mode, and no section is built: see below.
+This module builds no realization; all of them come from subspaces.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
 cols_k - rank_k kernel and rows_k - rank_k cokernel directions, and both
@@ -54,13 +49,14 @@ is _RANK_TOL * smax.
 
 Memo.  A section's integer is a function of what the kernel reads: each
 symbol term's order and face coefficient tables, N, and each side's
-selection, or else its basis, modes and band.  _SECTIONS keeps it by the
-sha256 of those bytes (the symbol's and each realization's digest is
-cached on the read-only object), so an equal section of objects built
-apart is read, not solved: no quantize, assembly, solve or bulk count.
-It keeps at most _SECTIONS_KEPT (4096) entries, one digest and one int
-each, and drops the oldest first; a call that raises stores nothing.
-The empty-side and block-diagonal counts come first and are not kept.
+selection, or else its band and mode groups (order, modes, positions and
+stack).  _SECTIONS keeps it by the sha256 of those bytes (the symbol's
+and each realization's digest is cached on the read-only object), so an
+equal section of objects built apart is read, not solved: no quantize,
+assembly, solve or bulk count.  It keeps at most _SECTIONS_KEPT (4096)
+entries, one digest and one int each, and drops the oldest first; a call
+that raises stores nothing.  The empty-side and block-diagonal counts
+come first and are not kept.
 
 Hand-off.  The banded solve only brackets smax (a power-iteration lower
 bound, the Gershgorin upper bound of T*T), so its cut is a bracket.  It
@@ -101,10 +97,8 @@ class SubspaceOperator:
     its bulk-filtered index by N (`_indices`, filled by analytic_index)
     and its parity double (`_double`, built by build_parity_double), which
     it does not: that invariance is what the stability checks test.  An
-    equal operator built apart fills its own `_indices`, but from the
-    sections kept by value in _SECTIONS (the sha256 of N, the symbol and
-    both realizations; at most 4096, oldest dropped first), so a kept
-    section is not solved again."""
+    equal operator built apart fills its own `_indices` from the sections
+    kept by value in _SECTIONS (see "Memo" above), solving none again."""
 
     def __init__(self, symbol, source, target, name=""):
         self.symbol = symbol if isinstance(symbol, FullSymbol) \
@@ -365,31 +359,35 @@ def _banded_near_null(T, row_modes, col_modes, d):
     return ker, coker[0]
 
 
+def _times(M, real):
+    """M B for a side's sorted columns B, from its groups' windows."""
+    g = real._by_mode
+    out = np.zeros((M.shape[0], real.rank + 1), dtype=complex)
+    out[:, g.pos] = (M[:, g.windows].transpose(1, 0, 2)
+                     @ g.stack).transpose(1, 0, 2)
+    return out[:, :-1]  # the last column takes the padding
+
+
 def _local_section(A, src, tgt, d):
     """B2* A B1 for mode-local realizations, rows and columns in their
-    sorted order (see SubspaceRealization._by_mode).  The columns of lowest
-    mode m reach the modes m .. m + b1 and A takes those to the rows of
-    modes m - d .. m + b1 + d, so one gather of A and one batched product
-    give A B1 on that window for every source mode.  A target column of
-    lowest mode m + k meets it for offsets k in -d - b2 .. b1 + d, and the
-    pairs at one offset share their rows, so the section takes one batched
-    product per offset the two sides' modes can meet.  A side of band 2N
-    meets every mode of the other, so there B2* A B1 is one dense
-    product."""
-    if max(src.band, tgt.band) >= 2 * src.N:  # a bare side: one product
-        o1, o2 = src._by_mode.order, tgt._by_mode.order
-        AB = A[:, src.select[o1]] if src.select is not None \
-            else A @ src.basis[:, o1]
-        return AB[tgt.select[o2]] if tgt.select is not None \
-            else tgt.basis[:, o2].conj().T @ AB
+    sorted order, from each side's mode groups (see _ModeGroups).  The
+    columns of lowest mode m reach the modes m .. m + b1 and A takes those
+    to the rows of modes m - d .. m + b1 + d, so one gather of A and one
+    batched product give A B1 on that window for every source mode.  A
+    target column of lowest mode m + k meets it for offsets k in
+    -d - b2 .. b1 + d, and the pairs at one offset share their rows, so
+    the section takes one batched product per offset the two sides' modes
+    can meet.  A side of band 2N meets every mode of the other: there it
+    is one product per side (see _times)."""
+    if max(src.band, tgt.band) >= 2 * src.N:  # a bare side: (A B1)* B2
+        return _times(_times(A, src).conj().T, tgt).conj().T
     s, t = src._by_mode, tgt._by_mode
     r2, b1, b2 = t.fiber, src.band, tgt.band
     # a window row past the edge reads an edge row; no target column
     # reaches it, so it is never read
     rows = np.clip((s.modes[:, None] - d) * r2
                    + np.arange((b1 + 2 * d + 1) * r2), 0, A.shape[0] - 1)
-    cols = s.modes[:, None] * s.fiber + np.arange((b1 + 1) * s.fiber)
-    AB = A[rows[:, :, None], cols[:, None, :]] @ s.stack
+    AB = A[rows[:, :, None], s.windows[:, None, :]] @ s.stack
     adj = t.stack.conj().transpose(0, 2, 1)
     # the target group of lowest mode m + k for each source mode m and
     # offset k, -1 for none (the table's two end entries: past the window)
@@ -411,22 +409,27 @@ def _local_section(A, src, tgt, d):
     return T[:-1].reshape(n2, n1)
 
 
-def _local_bulk(real, N, fiber):
+def _local_bulk(real, N):
     """The bulk count of a mode-local side, as a function of near-null
-    vectors in its sorted column coordinates (None: all its columns).  A
+    vectors V in its sorted column coordinates (None: all its columns).  A
     column on one mode is in the bulk or not, so at band 0 the columns are
-    counted; a column that reaches several modes is counted in ambient
-    coordinates."""
-    order = real._by_mode.order
+    counted; wider ones in ambient coordinates, B V summed from each
+    group's stack times its rows of V on the group's window."""
+    g = real._by_mode
     if real.band == 0:
-        inner = np.abs(real.modes[order] - N) <= N // 2
+        inner = np.abs(real.modes[g.order] - N) <= N // 2
         return lambda V: int(inner.sum()) if V is None \
             else _bulk_count(V, inner)
-    inner = mode_labels(N, fiber) <= N // 2
+    inner = mode_labels(N, g.fiber) <= N // 2
+    step = real.band + 1  # groups this many apart have disjoint windows
 
     def count(V):
-        B = real.basis[:, order]  # a sorted copy, not kept through the solve
-        return _bulk_count(B if V is None else B @ V, inner)
+        V = np.eye(real.rank) if V is None else V  # the other side is empty
+        P = g.stack @ np.append(V, np.zeros((1, V.shape[1])), axis=0)[g.pos]
+        BV = np.zeros((inner.size, V.shape[1]), dtype=complex)
+        for j in range(min(step, len(P))):
+            BV[g.windows[j::step]] += P[j::step]
+        return _bulk_count(BV, inner)
 
     return count
 
@@ -448,8 +451,7 @@ def _filtered_index_once(op, N):
     if src.rank == 0 or tgt.rank == 0 or d == src.band == tgt.band == 0:
         # an empty side, or a section that is block diagonal by mode: a
         # mode's rank enters its kernel and its cokernel count alike
-        return _local_bulk(src, N, op.source.fiber)(None) \
-            - _local_bulk(tgt, N, op.target.fiber)(None)
+        return _local_bulk(src, N)(None) - _local_bulk(tgt, N)(None)
     key = _sha256(N, op.symbol._digest, src._digest, tgt._digest)
     hit = _SECTIONS.get(key)
     if hit is not None:
@@ -457,8 +459,7 @@ def _filtered_index_once(op, N):
     # with rows and columns sorted by mode the section keeps the band of A
     # (a permutation changes neither the index nor the bulk counts); a
     # coordinate pair is a slice of A
-    count1 = _local_bulk(src, N, op.source.fiber)
-    count2 = _local_bulk(tgt, N, op.target.fiber)
+    count1, count2 = _local_bulk(src, N), _local_bulk(tgt, N)
     A = quantize(op.symbol, N).matrix
     o1, o2 = src._by_mode.order, tgt._by_mode.order
     if src.select is not None and tgt.select is not None:

@@ -16,6 +16,7 @@ of the element and of its normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -149,11 +150,8 @@ def n_fold(L, n):
     return _chain_direct_sum([L] * n)
 
 
-def _chain_direct_sum(spaces):
-    out = spaces[0]
-    for s in spaces[1:]:
-        out = out.direct_sum(s)
-    return out
+def _chain_direct_sum(spaces):  # ((L1 + L2) + L3) + ...
+    return reduce(lambda a, b: a.direct_sum(b), spaces)
 
 
 class EllZnElement:
@@ -307,18 +305,10 @@ def normal_form(el, N=None):
     m = len(el.target_bases)
     sizes = [n * b.fiber for b in el.target_bases] + [n] \
         + [n * c.fiber for c in comps]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    order = []
-    for i in range(m):
-        order.extend([i, m + 1 + i])
-    order.append(m)
-    F = int(starts[-1])
-    perm = np.zeros((F, F))
-    row = 0
-    for blk in order:
-        w = sizes[blk]
-        perm[row:row + w, starts[blk]:starts[blk] + w] = np.eye(w)
-        row += w
+    starts = np.cumsum([0] + sizes)
+    order = [b for i in range(m) for b in (i, m + 1 + i)] + [m]
+    perm = np.eye(starts[-1])[np.concatenate(
+        [np.arange(starts[b], starts[b + 1]) for b in order])]
 
     faces = {}
     for sign in (+1, -1):

@@ -7,17 +7,19 @@ a subspace (or an indexing.SubspaceOperator) computes is kept on it,
 append-only and idempotent; a call that raises keeps nothing.
 Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
-verdict, its index per N and its parity double.  Below these per-object
-records one memo is shared by value: indexing._SECTIONS keeps the
-integer of every index section solved in the process, keyed by the sha256
-of N, the symbol (each term's order and face coefficient tables) and both
-realizations (a selection, or a basis with its modes and band), each
-digest cached on the read-only FullSymbol or SubspaceRealization; it
-holds at most 4096 entries and drops the oldest first.  So equal
-sections of objects built apart are solved once.  Concurrent calls are
-safe: dict.setdefault is atomic, so every caller gets the one stored
-value.  A face's frame is the one its constructor recorded.  Each
-stock constructor records an exact frame pair (F, F-perp) of each face,
+verdict, its index per N and its parity double.  A realization keeps a
+selection or its mode groups, never a dense basis that is mostly zeros
+(see SubspaceRealization).  One memo is shared by value:
+indexing._SECTIONS keeps the integer of every index section solved in
+the process (at most 4096, the oldest dropped first) by the sha256 of N
+and of the digests, each cached on its read-only object, of the symbol
+(each term's order and face coefficient tables) and both realizations
+(the selection, or the band and the mode groups: all the kernel reads),
+so equal sections of objects built apart are solved once.  dict.setdefault
+is atomic, so concurrent callers all get the one stored value.
+
+A face's frame is the one its constructor recorded.  Each stock
+constructor records an exact frame pair (F, F-perp) of each face,
 F F* = p and F-perp F-perp* = 1 - p, on the symbol it builds
 (SubspaceSymbol._frames): a base constructor from constant columns or
 the Mobius line's s and t, which also realize the subspace and its
@@ -32,12 +34,6 @@ generators, which build their symbols on it, keep their frames.  Each
 stock constructor also records how to build alpha* of its subspace, the
 pullback under xi -> -xi, from its parts' alpha* images (see
 antipodal_subspace), so no other module builds a realization.
-
-Every realization is mode-local (see SubspaceRealization), and the stock
-constructors keep a narrow band narrow (see PdoSubspace and
-orthocomplement).  The gap realizer, spectral_subspace and the SVD
-fallbacks of conjugate_subspace and orthocomplement give bare bases, the
-band-2N case.
 """
 from __future__ import annotations
 
@@ -153,28 +149,25 @@ def _readonly(a):
 
 
 class SubspaceRealization:
-    """Exact finite projection at one truncation, stored via an orthonormal
-    basis of its range.
+    """Exact finite projection at one truncation: an orthonormal basis of
+    its range, kept as a selection or as its mode groups.
 
     Every realization is mode-local: it records the lowest mode (0 .. 2N)
     of each basis column in `modes` and one `band` for all of them, and a
-    column of lowest mode m reaches the modes m .. m + band.  The index
-    kernel then keeps the band of the quantized symbol.  Coordinate and
-    two-face realizations have band 0 (each column on one mode); the
-    shifts F e^{ikx} of a trigonometric frame F have band deg F, 1 for the
-    Mobius line; a conjugate by a loop W widens its parent's band by W's
-    spread.  A bare basis, given with no band (the gap realizer,
-    spectral_subspace, an SVD), is the widest case: every column at lowest
-    mode 0 with band 2N, whatever `modes` says.  A lowest mode is clipped
-    to 0 .. 2N - band (a band widened by a join or a direct sum, a column
-    a conjugation moves below mode 0), so m .. m + band stays in the
-    window and still covers the column.
-    A coordinate subspace, whose basis columns are ambient coordinate
-    vectors, is stored as `select`: those coordinates, in column order.
-    Its basis eye(dim)[:, select] is built only when asked for; the index
-    kernel reads `select` (a slice of the quantized matrix, or the mode
-    groups of _by_mode) and never builds it.
-    """
+    column of lowest mode m reaches the modes m .. m + band.  Coordinate
+    and two-face realizations have band 0; the shifts F e^{ikx} of a
+    frame F have band deg F; a conjugate by a loop W widens its parent's
+    band by W's spread.  A bare basis, given with no band (the gap
+    realizer, spectral_subspace, an SVD), has band 2N, every column at
+    lowest mode 0.  A lowest mode is clipped to 0 .. 2N - band (a band
+    widened by a join or a direct sum, a column a conjugation moves below
+    mode 0), so m .. m + band stays in the window and covers the column.
+    Kept: `modes`, `band`, the ambient dimension and either `select`, the
+    coordinates a coordinate subspace's columns pick, in column order, or
+    the mode groups `_by_mode` (see _ModeGroups): each column's entries on
+    its band + 1 modes, a bare basis as one group.  A basis given dense is
+    grouped and dropped; `basis` (dim x rank) is rebuilt on each read.
+    The index kernel reads only the selection and the groups."""
 
     def __init__(self, N, basis=None, warnings=(), select=None, dim=None,
                  modes=None, band=None):
@@ -185,73 +178,59 @@ class SubspaceRealization:
             self.select = _readonly(np.asarray(select, dtype=np.intp))
             self._dim = dim
             modes, band = self.select // (dim // (2 * N + 1)), 0
+        elif isinstance(basis, _ModeGroups):  # grouped by its constructor
+            self._by_mode, self._dim = basis, (2 * N + 1) * basis.fiber
         else:
-            self.basis = _readonly(np.asarray(basis, dtype=complex))
+            basis = np.asarray(basis, dtype=complex)
+            self._dim = basis.shape[0]
             if band is None:  # a bare basis: a column may reach every mode
-                modes, band = np.zeros(self.basis.shape[1]), 2 * N
+                modes, band = np.zeros(basis.shape[1]), 2 * N
         self.band = band
         self.modes = _readonly(np.clip(np.asarray(modes, dtype=np.intp),
                                        0, 2 * N - band))
+        if isinstance(basis, np.ndarray):  # each column on its band + 1 modes
+            fiber = self._dim // (2 * N + 1)
+            rows = self.modes[:, None] * fiber + np.arange((band + 1) * fiber)
+            self._by_mode = _groups(self.modes, fiber,
+                                    basis[rows, np.arange(self.rank)[:, None]])
 
-    @cached_property
+    @property
     def basis(self):
-        # reached only for a coordinate subspace (set in __init__ otherwise)
-        B = np.zeros((self._dim, self.select.size), dtype=complex)
-        B[self.select, np.arange(self.select.size)] = 1.0
-        return _readonly(B)
+        g = self._by_mode
+        B = np.zeros((self._dim, self.rank + 1), dtype=complex)
+        column = np.append(g.order, self.rank)[g.pos]  # the padding: rank
+        B[g.windows[:, :, None], column[:, None, :]] = g.stack
+        return _readonly(B[:, :-1])
 
     @property
     def rank(self):
-        return self.basis.shape[1] if self.select is None else self.select.size
+        return self.modes.size
 
     @cached_property
     def _digest(self):
-        """sha256 of all that the index kernel reads here: a coordinate
-        subspace's ambient dimension and selection, else the basis, the
-        lowest modes and the band (see indexing._SECTIONS)."""
+        """sha256 of all that the index kernel reads here: the ambient
+        dimension and selection, else the band and the mode groups' order,
+        modes, positions and stack (see indexing._SECTIONS)."""
         if self.select is not None:
             return _sha256(0, self._dim, self.select)
-        return _sha256(1, self.band, self.basis, self.modes)
+        g = self._by_mode
+        return _sha256(1, self.band, g.order, g.modes, g.pos, g.stack)
 
     @cached_property
-    def _by_mode(self):
-        """The columns grouped by lowest mode (see _ModeGroups); a
-        selection's groups are read from `select`, its basis not built."""
-        n = self.rank
-        dim = self._dim if self.select is not None else self.basis.shape[0]
-        fiber = dim // (2 * self.N + 1)
-        # columns by mode; a selection by ambient coordinate, which orders
-        # its modes too
-        order = np.argsort(self.modes if self.select is None else self.select,
-                           kind="stable")
-        sorted_modes = self.modes[order]
-        # a group starts where the sorted mode steps (not np.unique, whose
-        # first call imports numpy.ma)
-        new = np.ones(n, dtype=bool)
-        new[1:] = sorted_modes[1:] != sorted_modes[:-1]
-        starts = np.flatnonzero(new)
-        group = np.cumsum(new) - 1
-        slot = np.arange(n) - starts[group]
-        pos = np.full((starts.size, slot.max(initial=-1) + 1), n)
-        pos[group, slot] = np.arange(n)
-        modes = sorted_modes[starts]
-        height = (self.band + 1) * fiber
-        stack = np.zeros((starts.size, height, pos.shape[1]), dtype=complex)
-        if self.select is not None:
-            stack[group, self.select[order] % fiber, slot] = 1.0
-        else:
-            rows = modes[group, None] * fiber + np.arange(height)
-            stack[group, :, slot] = self.basis[rows, order[:, None]]
-        return _ModeGroups(*map(_readonly, (order, modes, pos, stack)), fiber)
+    def _by_mode(self):  # a selection's, sorted by coordinate (see __init__)
+        fiber = self._dim // (2 * self.N + 1)
+        return _groups(self.modes, fiber, np.eye(fiber)[self.select % fiber],
+                       np.argsort(self.select, kind="stable"))
 
 
 @dataclass(frozen=True)
 class _ModeGroups:
     """A realization's columns grouped by lowest mode, read-only.  `order`
-    sorts the columns; group g holds the columns of lowest mode modes[g],
-    at the sorted positions pos[g] (padded with the rank), and
-    stack[g] = their entries on the modes modes[g] .. modes[g] + band,
-    zero in the padding: shape (groups, (band + 1) * fiber, most columns)."""
+    sorts the columns (by mode; a selection by coordinate); group g holds
+    the columns of lowest mode modes[g] at the sorted positions pos[g]
+    (padded with the rank), and stack[g], their entries on the rows
+    `windows[g]` of the modes modes[g] .. modes[g] + band, zero in the
+    padding: (groups, (band + 1) * fiber, most columns).  That is all."""
 
     order: np.ndarray
     modes: np.ndarray
@@ -259,14 +238,60 @@ class _ModeGroups:
     stack: np.ndarray
     fiber: int
 
+    windows = property(lambda g: g.modes[:, None] * g.fiber
+                       + np.arange(g.stack.shape[1]))
 
-def _join(N, parts, warnings=()):
-    """One realization from realizations of the same window whose columns
-    are mutually orthonormal."""
-    return SubspaceRealization(
-        N, np.concatenate([p.basis for p in parts], axis=1), warnings,
-        modes=np.concatenate([p.modes for p in parts]),
-        band=max(p.band for p in parts))
+
+def _groups(modes, fiber, cols, order=None):
+    """The _ModeGroups of columns of lowest modes `modes` and entries
+    cols[j] from mode modes[j] on; `order` sorts them (default: by mode)."""
+    n = modes.size
+    if order is None:
+        order = np.argsort(modes, kind="stable")
+    sorted_modes = modes[order]
+    # a group starts where the sorted mode steps (not np.unique, whose
+    # first call imports numpy.ma)
+    new = np.ones(n, dtype=bool)
+    new[1:] = sorted_modes[1:] != sorted_modes[:-1]
+    starts = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    slot = np.arange(n) - starts[group]
+    pos = np.full((starts.size, slot.max(initial=-1) + 1), n)
+    pos[group, slot] = np.arange(n)
+    stack = np.zeros((starts.size, cols.shape[1], pos.shape[1]),
+                     dtype=complex)
+    stack[group, :, slot] = cols[order]
+    return _ModeGroups(*map(_readonly, (order, sorted_modes[starts], pos,
+                                        stack)), fiber)
+
+
+def _columns(real):
+    """real's columns, each one's entries from its lowest mode on."""
+    g = real._by_mode
+    gi, slot = np.nonzero(g.pos < real.rank)
+    out = np.empty((real.rank, g.stack.shape[1]), dtype=complex)
+    out[g.order[g.pos[gi, slot]]] = g.stack[gi, :, slot]
+    return out
+
+
+def _local(N, parts, fiber, warnings=()):
+    """One realization from mutually orthonormal parts of one fiber (each a
+    realization or (modes, band, cols), cols as in _columns), widened to
+    the widest band: a clipped lowest mode moves its entries up as much."""
+    parts = [p if isinstance(p, tuple) else (p.modes, p.band, _columns(p))
+             for p in parts]
+    band = max(b for _, b, _ in parts)
+
+    def widened(modes, cols):
+        low = np.clip(modes, 0, 2 * N - band)
+        out = np.zeros((low.size, (band + 1) * fiber), dtype=complex)
+        out[np.arange(low.size)[:, None],
+            (modes - low)[:, None] * fiber + np.arange(cols.shape[1])] = cols
+        return low, out
+
+    low, cols = map(np.concatenate, zip(*(widened(m, c) for m, _, c in parts)))
+    return SubspaceRealization(N, _groups(low, fiber, cols), warnings,
+                               modes=low, band=band)
 
 
 class PdoSubspace:
@@ -333,8 +358,8 @@ class PdoSubspace:
 
 
 def _sum_realization(a, b, N, f1, f2):
-    """The realization of a direct sum from its summands' (None if one
-    is None): coordinates when both are, else the embedded columns."""
+    """A direct sum's realization from its summands' (None if one is
+    None): coordinates when both are, else their columns in the sum's."""
     if a is None or b is None:
         return None
     warnings = a.warnings + b.warnings
@@ -345,22 +370,11 @@ def _sum_realization(a, b, N, f1, f2):
             b.select // f2 * (f1 + f2) + f1 + b.select % f2])
         return SubspaceRealization(N, warnings=warnings, select=sel,
                                    dim=(2 * N + 1) * (f1 + f2))
-    B = np.concatenate([
-        _embed_basis(a.basis, N, f1, f1 + f2, 0),
-        _embed_basis(b.basis, N, f2, f1 + f2, f1)], axis=1)
-    return SubspaceRealization(N, B, warnings,
-                               modes=np.concatenate([a.modes, b.modes]),
-                               band=max(a.band, b.band))
-
-
-def _embed_basis(B, N, fiber, total, offset):
-    # re-index columns of a sub-fiber basis into a larger fiber, mode-major
-    modes = 2 * N + 1
-    q = B.shape[1]
-    out = np.zeros((modes * total, q), dtype=complex)
-    out.reshape(modes, total, q)[:, offset:offset + fiber, :] = \
-        B.reshape(modes, fiber, q)
-    return out
+    parts = [(r.modes, r.band, np.pad(
+        _columns(r).reshape(r.rank, r.band + 1, f),
+        ((0, 0), (0, 0), (at, f1 + f2 - at - f))).reshape(r.rank, -1))
+        for r, f, at in ((a, f1, 0), (b, f2, f1))]
+    return _local(N, parts, f1 + f2, warnings)
 
 
 def _gap_realization(symbol, N):
@@ -472,34 +486,31 @@ def orthocomplement(L):
 
 def _completed(N, real, part, fiber):
     """real's complement: the recorded columns `part` and the vectors both
-    miss, which lie at the window edges.  An edge block reaches band + 1
-    modes past the outermost column; the vectors on it orthogonal to all
-    columns are the left singular vectors of their rows there past the
-    rank, one small SVD per edge.  None when the edges do not hold every
-    missing dimension (a window too small for the recipe's band)."""
+    miss, at the window edges.  An edge block reaches band + 1 modes past
+    the outermost column; the vectors on it orthogonal to all columns are
+    the left singular vectors of their rows there past the rank, one small
+    SVD per edge of the dense bases.  None when the edges do not hold
+    every missing dimension (a window too small for the recipe's band)."""
     dim = (2 * N + 1) * fiber
     missing = dim - real.rank - part.rank
     if missing == 0:
-        return _join(N, [part], real.warnings)
+        return _local(N, [part], fiber, real.warnings)
     band = max(real.band, part.band)
     B = np.concatenate([real.basis, part.basis], axis=1)
     modes = np.concatenate([real.modes, part.modes])
     w_lo = min(N, modes.min() + band + 1)
     w_hi = min(N, max(2 * N - modes.max() - band, 0) + band + 1)
-    edges = []
+    parts = [part]
     for low, w, meets in ((0, w_lo, modes < w_lo),
                           (2 * N + 1 - w_hi, w_hi,
                            modes + band >= 2 * N + 1 - w_hi)):
         rows = slice(low * fiber, (low + w) * fiber)
         u, s, _ = np.linalg.svd(B[rows][:, meets])
         u = u[:, int((s > _RANK_TOL).sum()):]
-        E = np.zeros((dim, u.shape[1]), dtype=complex)
-        E[rows] = u
-        edges.append(SubspaceRealization(
-            N, E, modes=np.full(u.shape[1], low), band=w - 1))
-    if sum(e.rank for e in edges) != missing:
+        parts.append((np.full(u.shape[1], low), w - 1, u.T))  # see _local
+    if sum(len(c) for *_, c in parts[1:]) != missing:
         return None
-    return _join(N, [part, *edges], real.warnings)
+    return _local(N, parts, fiber, real.warnings)
 
 
 def _check_projection_matrix(P):
@@ -666,8 +677,8 @@ def _shifts(plus, minus, cut, N):
     +-i/2), or a selection when both frames are coordinate columns."""
     if abs(cut) > N:
         raise ValueError("shift outside the truncation window")
-    r, n = plus.shape[0], 2 * N + 1
-    blocks, modes, sel, band = [], [], [], 0
+    r = plus.shape[0]
+    parts, sel = [], []
     for F, first, stop in ((minus, -N, cut), (plus, cut, N + 1)):
         if F.shape[1] == 0:
             continue
@@ -678,17 +689,15 @@ def _shifts(plus, minus, cut, N):
         m = np.arange(max(first, -N - lo), min(stop, N + 1 - hi)) + lo + N
         idx = _coordinates(T[0]) if len(T) == 1 else None
         sel.append(None if idx is None else (m[:, None] * r + idx).ravel())
-        B = np.zeros((n, r, m.size, F.shape[1]), dtype=complex)
-        for j, c in enumerate(T):  # coefficient lo + j on mode m + j
-            B[m + j, :, np.arange(m.size)] = c
-        blocks.append(B.reshape(n * r, -1))
-        modes.append(np.repeat(m, F.shape[1]))
-        band = max(band, hi - lo)
+        # frame column c of every shift: coefficient lo + j on mode m + j
+        cols = T.transpose(2, 0, 1).reshape(F.shape[1], -1)
+        parts.append((np.repeat(m, F.shape[1]), hi - lo,
+                      np.tile(cols, (m.size, 1))))
     if all(x is not None for x in sel):
         return SubspaceRealization(
-            N, select=np.concatenate([np.zeros(0, np.intp), *sel]), dim=n * r)
-    return SubspaceRealization(N, np.concatenate(blocks, axis=1),
-                               modes=np.concatenate(modes), band=band)
+            N, select=np.concatenate([np.zeros(0, np.intp), *sel]),
+            dim=(2 * N + 1) * r)
+    return _local(N, parts, r)
 
 
 def _const(B):
@@ -784,11 +793,10 @@ def _conjugated(W, real, N):
     """quantize(W) applied to the columns of a realization whose own image
     under W fits the window, for a unitary loop W with first and last
     nonzero Fourier coefficients k0 and k1: a column of lowest mode m and
-    band b goes to lowest mode m + k0 and band b + k1 - k0 (clipped to the
-    window, see SubspaceRealization).  The kept columns are orthonormal,
-    as W*W = I; a column W shifts past an edge is dropped.  None when none
-    is kept (an empty realization) or the band would pass 2N (a bare basis
-    under a W of nonzero spread)."""
+    band b goes to lowest mode m + k0 and band b + k1 - k0, orthonormal as
+    W*W = I; a column W shifts past an edge is dropped.  It reads the
+    basis and hands the dense image to SubspaceRealization, which groups
+    it.  None when no column is kept or the band would pass 2N."""
     table = W.coeff_table()
     nz = np.flatnonzero(table.reshape(len(table), -1).any(axis=1)) - W.degree
     band = real.band + nz[-1] - nz[0]
@@ -950,7 +958,8 @@ def puncture(L, mode=0, coord=0):
 
     def perp(N):
         part = parent(N)
-        return None if part is None else _join(N, [part, punctured(N)[1]])
+        return None if part is None else \
+            _local(N, [part, punctured(N)[1]], fiber)
 
     out = PdoSubspace(L.symbol, lambda N: punctured(N)[0],
                       name=f"{L.name}-e({mode},{coord})")

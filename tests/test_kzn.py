@@ -184,6 +184,34 @@ def test_the_mod_n_theorem_holds_on_antipodal_elements():
                     (seed, name)
 
 
+@pytest.mark.parametrize("n", MODULI)
+def test_every_residue_is_the_index_of_a_shift(n):
+    # the mod-n group is hit: diag(z^r, 1, ..., 1) has index -r mod n, so
+    # over r = 0 .. n-1 the theorem's two sides take every residue
+    got = set()
+    for r in range(n):
+        el = shift_element(n, r)
+        index = mod_n_analytic_index(el)
+        assert index == direct_image_s1(difference_construction_zn(el)), r
+        got.add(index)
+    assert got == set(range(n))
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_the_mod_n_index_of_a_direct_sum_adds(n):
+    # two framed elements on n-fold sums, summed: the sum's n-fold sums of
+    # bases are grouped from their summands' groups, and its index is the
+    # sum of the residues, as the theorem's symbol side says
+    suite = modn_element_suite(1914, n, count=6)
+    (_, a), (_, b) = suite[2], suite[5]
+    el = EllZnElement(n, a.operator.direct_sum(b.operator),
+                      a.source_bases + b.source_bases,
+                      a.target_bases + b.target_bases)
+    want = (mod_n_analytic_index(a) + mod_n_analytic_index(b)) % n
+    assert mod_n_analytic_index(el) == want
+    assert direct_image_s1(difference_construction_zn(el)) == want
+
+
 def test_direct_image_is_linear():
     a, b = KClassZn(5, 0, 2), KClassZn(5, 0, 4)
     assert direct_image_s1(a + b) == \

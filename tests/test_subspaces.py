@@ -23,7 +23,8 @@ from etaforge.subspaces import (ParityError, PdoSubspace, RealizationGapError,
                                 trivial_subspace, two_face_subspace,
                                 zero_subspace)
 from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
-                             haar_unitary, phase_diag_loop, rng_for)
+                             haar_unitary, modn_element_suite,
+                             phase_diag_loop, rng_for)
 from etaforge.symbols import (CircleSymbol, _range_basis, identity_symbol,
                               quantize)
 
@@ -103,12 +104,24 @@ def test_coordinate_subspaces_record_their_selection():
         assert real.select is not None
         assert np.array_equal(real.basis,
                               np.eye(L.fiber * (2 * N + 1))[:, real.select])
+
+    def embed(B, fiber, total, offset):
+        # the summand's columns re-indexed into the sum's fiber, mode-major
+        out = np.zeros((2 * N + 1, total, B.shape[1]), dtype=complex)
+        out[:, offset:offset + fiber] = B.reshape(2 * N + 1, fiber, -1)
+        return out.reshape(-1, B.shape[1])
+
+    # a direct sum's basis is its summands' bases embedded, whether it is
+    # a selection or mode groups
     a, b = hardy_subspace(1), trivial_subspace(2, 1)
-    s = a.direct_sum(b)
-    dense = np.concatenate([
-        subspaces._embed_basis(a.basis(N), N, 1, 3, 0),
-        subspaces._embed_basis(b.basis(N), N, 2, 3, 1)], axis=1)
-    assert np.array_equal(s.basis(N), dense) and s.rank(N) == 4 + 9
+    for x, y, want in ((a, b, True), (a, mobius_subspace(), False)):
+        s = x.direct_sum(y)
+        dense = np.concatenate([embed(x.basis(N), x.fiber, s.fiber, 0),
+                                embed(y.basis(N), y.fiber, s.fiber, x.fiber)],
+                               axis=1)
+        assert np.array_equal(s.basis(N), dense)
+        assert (s.realize(N).select is not None) == want
+    assert a.direct_sum(b).rank(N) == 4 + 9
     assert mobius_subspace().direct_sum(full_subspace(1)).realize(N).select \
         is None
     # the complement of coordinates is the complementary coordinates
@@ -827,6 +840,54 @@ def test_local_conjugation_keeps_the_quantization_rules():
     assert B.shape[1] == svd.rank(8) == 32 and Bc.shape[1] == 2
 
 
+def _realizations_made(monkeypatch, build, N=48):
+    # every realization made while build()'s subspaces are realized at N
+    made = []
+    init = subspaces.SubspaceRealization.__init__
+
+    def recorded(self, *args, **kw):
+        init(self, *args, **kw)
+        made.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(subspaces.SubspaceRealization, "__init__", recorded)
+        for L in build():
+            L.realize(N)
+    return made
+
+
+def _modn_and_suite_subspaces():
+    out = []
+    for n in (2, 3, 4, 8):
+        for _, el in modn_element_suite(1914, n, 3):
+            out += [el.operator.source, el.operator.target]
+    for _, L in even_subspace_suite(1914):
+        out += [L, orthocomplement(L)]
+    return out
+
+
+def test_mode_local_realizations_keep_no_dense_basis(monkeypatch):
+    # a mode-local realization keeps its mode groups, not its dim x rank
+    # basis; the basis built from them is orthonormal, and equal
+    # realizations built apart share a digest
+    first = _realizations_made(monkeypatch, _modn_and_suite_subspaces)
+    again = _realizations_made(monkeypatch, _modn_and_suite_subspaces)
+    assert len(first) == len(again)
+    local = [(a, b) for a, b in zip(first, again)
+             if a.select is None and a.band < 2 * a.N and a.rank]
+    assert len(local) > 15
+    # n-fold sums among them: the suites' bases have fibers up to 4
+    assert max(a._by_mode.fiber for a, _ in local) >= 6
+    for a, b in local:
+        dim = a._dim
+        assert not [k for k, v in vars(a).items()
+                    if isinstance(v, np.ndarray) and v.size == dim * a.rank]
+        B = a.basis
+        assert B.shape == (dim, a.rank)
+        assert np.abs(B.conj().T @ B - np.eye(a.rank)).max() <= 1e-12
+        assert a is not b and a._digest == b._digest
+
+
 def test_a_subspace_and_its_complement_free_their_realizations():
     # no reference cycle between a subspace, its recorded complement and
     # their realizations: plain reference counting frees them
@@ -836,9 +897,8 @@ def test_a_subspace_and_its_complement_free_their_realizations():
         for i in range(6):
             L = even_subspace_suite(1914)[i][1]
             C = orthocomplement(L)
-            refs = [weakref.ref(X.realize(N).basis)
-                    for X in (L, C) for N in (8, 16)]
-            refs += [weakref.ref(C.realize(8))]
+            refs = [weakref.ref(r) for X in (L, C) for N in (8, 16)
+                    for r in (X.realize(N), X.realize(N)._by_mode.stack)]
             del L, C
             assert all(r() is None for r in refs), i
     finally:
