@@ -8,8 +8,9 @@ append-only and idempotent; a call that raises keeps nothing.
 Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
 verdict, its index per N and its parity double.  A realization keeps a
-selection or its mode groups, never a dense basis that is mostly zeros
-(see SubspaceRealization).  One memo is shared by value:
+selection or the mode groups _local builds from column sets, never a
+dense basis that is mostly zeros (see SubspaceRealization).  One memo is
+shared by value:
 indexing._SECTIONS keeps the integer of every index section solved in
 the process (at most 4096, the oldest dropped first) by the sha256 of N
 and of the digests, each cached on its read-only object, of the symbol
@@ -152,24 +153,21 @@ class SubspaceRealization:
     """Exact finite projection at one truncation: an orthonormal basis of
     its range, kept as a selection or as its mode groups.
 
-    Every realization is mode-local: it records the lowest mode (0 .. 2N)
-    of each basis column in `modes` and one `band` for all of them, and a
-    column of lowest mode m reaches the modes m .. m + band.  Coordinate
-    and two-face realizations have band 0; the shifts F e^{ikx} of a
-    frame F have band deg F; a conjugate by a loop W widens its parent's
-    band by W's spread.  A bare basis, given with no band (the gap
-    realizer, spectral_subspace, an SVD), has band 2N, every column at
-    lowest mode 0.  A lowest mode is clipped to 0 .. 2N - band (a band
-    widened by a join or a direct sum, a column a conjugation moves below
-    mode 0), so m .. m + band stays in the window and covers the column.
+    Every realization is mode-local: it records the lowest mode (0 .. 2N -
+    band) of each basis column in `modes` and one `band` for all of them,
+    and a column of lowest mode m lies on the modes m .. m + band.
+    Coordinate and two-face realizations have band 0; the shifts F e^{ikx}
+    of a frame F have band deg F; a conjugate by a loop W widens its
+    parent's band by W's spread; a bare basis has band 2N (see _bare).
     Kept: `modes`, `band`, the ambient dimension and either `select`, the
     coordinates a coordinate subspace's columns pick, in column order, or
-    the mode groups `_by_mode` (see _ModeGroups): each column's entries on
-    its band + 1 modes, a bare basis as one group.  A basis given dense is
-    grouped and dropped; `basis` (dim x rank) is rebuilt on each read.
-    The index kernel reads only the selection and the groups."""
+    the mode groups `_by_mode` (see _ModeGroups) that _local, the one
+    builder of every other realization, makes from column sets.  `basis`
+    (dim x rank) is rebuilt on each read.  The index kernel reads only the
+    selection and the groups, a realizer only its parent's columns, save
+    the SVD fallbacks of orthocomplement and conjugate_subspace."""
 
-    def __init__(self, N, basis=None, warnings=(), select=None, dim=None,
+    def __init__(self, N, groups=None, warnings=(), select=None, dim=None,
                  modes=None, band=None):
         self.N = N
         self.warnings = warnings
@@ -178,29 +176,16 @@ class SubspaceRealization:
             self.select = _readonly(np.asarray(select, dtype=np.intp))
             self._dim = dim
             modes, band = self.select // (dim // (2 * N + 1)), 0
-        elif isinstance(basis, _ModeGroups):  # grouped by its constructor
-            self._by_mode, self._dim = basis, (2 * N + 1) * basis.fiber
-        else:
-            basis = np.asarray(basis, dtype=complex)
-            self._dim = basis.shape[0]
-            if band is None:  # a bare basis: a column may reach every mode
-                modes, band = np.zeros(basis.shape[1]), 2 * N
+        else:  # grouped by _local
+            self._by_mode, self._dim = groups, (2 * N + 1) * groups.fiber
         self.band = band
-        self.modes = _readonly(np.clip(np.asarray(modes, dtype=np.intp),
-                                       0, 2 * N - band))
-        if isinstance(basis, np.ndarray):  # each column on its band + 1 modes
-            fiber = self._dim // (2 * N + 1)
-            rows = self.modes[:, None] * fiber + np.arange((band + 1) * fiber)
-            self._by_mode = _groups(self.modes, fiber,
-                                    basis[rows, np.arange(self.rank)[:, None]])
+        self.modes = _readonly(np.asarray(modes, dtype=np.intp))
 
     @property
     def basis(self):
-        g = self._by_mode
-        B = np.zeros((self._dim, self.rank + 1), dtype=complex)
-        column = np.append(g.order, self.rank)[g.pos]  # the padding: rank
-        B[g.windows[:, :, None], column[:, None, :]] = g.stack
-        return _readonly(B[:, :-1])
+        n = 2 * self.N + 1
+        return _readonly(_placed(self.modes, _columns(self), 0, n,
+                                 self._dim // n).T)
 
     @property
     def rank(self):
@@ -274,24 +259,39 @@ def _columns(real):
     return out
 
 
+def _placed(modes, cols, low, width, fiber):
+    """cols (as in _columns, from the lowest modes `modes` on) on the width
+    modes from mode low on, one row each; an entry off them is dropped."""
+    at = (modes - low)[:, None] * fiber + np.arange(cols.shape[1])
+    out = np.zeros((modes.size, width * fiber + 1), dtype=complex)
+    out[np.arange(modes.size)[:, None],
+        np.where((at >= 0) & (at < width * fiber), at, width * fiber)] = cols
+    return out[:, :-1]
+
+
 def _local(N, parts, fiber, warnings=()):
     """One realization from mutually orthonormal parts of one fiber (each a
-    realization or (modes, band, cols), cols as in _columns), widened to
-    the widest band: a clipped lowest mode moves its entries up as much."""
+    realization or (modes, band, cols), cols as in _columns, zero off the
+    window), widened to the widest band: a lowest mode clipped into
+    0 .. 2N - band either way moves its entries as much."""
     parts = [p if isinstance(p, tuple) else (p.modes, p.band, _columns(p))
              for p in parts]
     band = max(b for _, b, _ in parts)
 
     def widened(modes, cols):
         low = np.clip(modes, 0, 2 * N - band)
-        out = np.zeros((low.size, (band + 1) * fiber), dtype=complex)
-        out[np.arange(low.size)[:, None],
-            (modes - low)[:, None] * fiber + np.arange(cols.shape[1])] = cols
-        return low, out
+        return low, _placed(modes, cols, low, band + 1, fiber)
 
     low, cols = map(np.concatenate, zip(*(widened(m, c) for m, _, c in parts)))
     return SubspaceRealization(N, _groups(low, fiber, cols), warnings,
                                modes=low, band=band)
+
+
+def _bare(N, U, warnings):
+    """The realization of a bare basis U, whose columns may reach every
+    mode: band 2N, every lowest mode 0."""
+    return _local(N, [(np.zeros(U.shape[1], np.intp), 2 * N, U.T)],
+                  U.shape[0] // (2 * N + 1), warnings)
 
 
 class PdoSubspace:
@@ -377,10 +377,14 @@ def _sum_realization(a, b, N, f1, f2):
     return _local(N, parts, f1 + f2, warnings)
 
 
-def _gap_realization(symbol, N):
+def _symmetrized(symbol, N):
+    """The symmetrized quantization (A + A*) / 2, A = quantize(symbol, N)."""
     A = quantize(symbol, N).matrix
-    Q = (A + A.conj().T) / 2
-    w, U = np.linalg.eigh(Q)
+    return (A + A.conj().T) / 2
+
+
+def _gap_realization(symbol, N):
+    w, U = np.linalg.eigh(_symmetrized(symbol, N))
     ties = np.abs(w - 0.5) <= 1e-6
     inside = (w >= 0.25) & (w <= 0.75) & ~ties
     if inside.any():
@@ -391,7 +395,7 @@ def _gap_realization(symbol, N):
     if ties.any():
         warnings = (f"{int(ties.sum())} eigenvalues at the gap center 1/2 "
                     f"assigned to the complement side",)
-    return SubspaceRealization(N, U[:, w > 0.75], warnings)
+    return _bare(N, U[:, w > 0.75], warnings)
 
 
 def spectral_subspace(A):
@@ -427,16 +431,14 @@ def spectral_subspace(A):
                          validate=False)
 
     def realizer(N):
-        M = quantize(A.symbol, N).matrix
-        Q = (M + M.conj().T) / 2
-        w, U = np.linalg.eigh(Q)
+        w, U = np.linalg.eigh(_symmetrized(A.symbol, N))
         scale = max(float(np.abs(w).max()), 1.0)
         near = (np.abs(w) <= _ZERO_BAND * scale) & (w != 0)
         warnings = ()
         if near.any():
             warnings = (f"{int(near.sum())} eigenvalues within "
                         f"{_ZERO_BAND:g} of 0 kept on their sign side",)
-        return SubspaceRealization(N, U[:, w >= 0], warnings)
+        return _bare(N, U[:, w >= 0], warnings)
 
     return PdoSubspace(sym, realizer, name="spectral")
 
@@ -476,7 +478,7 @@ def orthocomplement(L):
         if done is not None:
             return done
         u = np.linalg.svd(base.basis)[0]  # an empty basis gives eye(dim)
-        return SubspaceRealization(N, u[:, base.rank:], base.warnings)
+        return _bare(N, u[:, base.rank:], base.warnings)
 
     out = PdoSubspace(sym, realizer, name=f"{L.name}^perp" if L.name else "")
     out._perp = L.realize  # the complement's complement is L
@@ -488,15 +490,14 @@ def _completed(N, real, part, fiber):
     """real's complement: the recorded columns `part` and the vectors both
     miss, at the window edges.  An edge block reaches band + 1 modes past
     the outermost column; the vectors on it orthogonal to all columns are
-    the left singular vectors of their rows there past the rank, one small
-    SVD per edge of the dense bases.  None when the edges do not hold
+    the left singular vectors past the rank of the columns meeting it, on
+    its rows, one small SVD per edge.  None when the edges do not hold
     every missing dimension (a window too small for the recipe's band)."""
     dim = (2 * N + 1) * fiber
     missing = dim - real.rank - part.rank
     if missing == 0:
         return _local(N, [part], fiber, real.warnings)
     band = max(real.band, part.band)
-    B = np.concatenate([real.basis, part.basis], axis=1)
     modes = np.concatenate([real.modes, part.modes])
     w_lo = min(N, modes.min() + band + 1)
     w_hi = min(N, max(2 * N - modes.max() - band, 0) + band + 1)
@@ -504,8 +505,9 @@ def _completed(N, real, part, fiber):
     for low, w, meets in ((0, w_lo, modes < w_lo),
                           (2 * N + 1 - w_hi, w_hi,
                            modes + band >= 2 * N + 1 - w_hi)):
-        rows = slice(low * fiber, (low + w) * fiber)
-        u, s, _ = np.linalg.svd(B[rows][:, meets])
+        block = np.concatenate([_placed(r.modes, _columns(r), low, w, fiber)
+                                for r in (real, part)])
+        u, s, _ = np.linalg.svd(block[meets].T)
         u = u[:, int((s > _RANK_TOL).sum()):]
         parts.append((np.full(u.shape[1], low), w - 1, u.T))  # see _local
     if sum(len(c) for *_, c in parts[1:]) != missing:
@@ -794,29 +796,29 @@ def _conjugated(W, real, N):
     under W fits the window, for a unitary loop W with first and last
     nonzero Fourier coefficients k0 and k1: a column of lowest mode m and
     band b goes to lowest mode m + k0 and band b + k1 - k0, orthonormal as
-    W*W = I; a column W shifts past an edge is dropped.  It reads the
-    basis and hands the dense image to SubspaceRealization, which groups
-    it.  None when no column is kept or the band would pass 2N."""
+    W*W = I.  Its entries (see _columns) are convolved with W's table, and
+    a column some W_k shifts past an edge is dropped.  None when the band
+    would pass 2N or no column of a nonempty realization is kept."""
     table = W.coeff_table()
     nz = np.flatnonzero(table.reshape(len(table), -1).any(axis=1)) - W.degree
     band = real.band + nz[-1] - nz[0]
-    n, q = 2 * N + 1, real.rank
     if band > 2 * N:
         return None
-    B = real.basis.reshape(n, W.shape[1], q)
-    out = np.zeros((n, W.shape[0], q), dtype=complex)
+    q, b = real.rank, real.band
+    cols = _columns(real).reshape(q, b + 1, W.shape[1])
+    out = np.zeros((q, band + 1, W.shape[0]), dtype=complex)
+    mode = real.modes[:, None] + np.arange(b + 1)  # of each entry
     spill = np.zeros(q, dtype=bool)
-    for k in nz:  # mode i feeds mode i + k through W_k
-        lo, hi = max(-k, 0), n - max(k, 0)  # the modes that stay inside
-        Wk = table[k + W.degree]
-        out[lo + k:hi + k] += np.einsum("rf,mfq->mrq", Wk, B[lo:hi])
-        past = np.concatenate([B[:lo], B[hi:]])
-        spill |= np.einsum("rf,mfq->mrq", Wk, past).any(axis=(0, 1))
-    if spill.all():
+    for k in nz:  # entry i feeds entry i + k - k0 through W_k
+        image = np.einsum("rf,qif->qir", table[k + W.degree], cols)
+        out[:, k - nz[0]:k - nz[0] + b + 1] += image
+        past = (mode + k < 0) | (mode + k > 2 * N)
+        spill |= (image.any(axis=2) & past).any(axis=1)
+    if q and spill.all():
         return None
-    return SubspaceRealization(N, out.reshape(-1, q)[:, ~spill],
-                               _dropped(real.warnings, int(spill.sum())),
-                               modes=real.modes[~spill] + nz[0], band=band)
+    return _local(N, [(real.modes[~spill] + nz[0], band,
+                       out[~spill].reshape(-1, (band + 1) * W.shape[0]))],
+                  W.shape[0], _dropped(real.warnings, int(spill.sum())))
 
 
 def _dropped(warnings, lost):
@@ -832,8 +834,9 @@ def conjugate_subspace(L, W, name=""):
     coefficient table, tested once, here) keeps the columns of L's
     realization whose own image fits the window (see _conjugated), and
     the complement is recorded as W applied to L's; else, or when no
-    column fits (an empty realization, a bare basis), the realization is
-    the exact orthogonal projection onto W_N (Im P_N), from an SVD.
+    column of a nonempty realization fits or the band would pass 2N (a
+    bare basis under a loop of nonzero spread), the realization is the
+    exact orthogonal projection onto W_N (Im P_N), from an SVD.
     Either way N <= 2 deg W raises ValueError, as quantize(W, N) does.  A
     unitary W also records the frames (W F, W F-perp) of L's recorded
     ones on the symbol, whatever their degree."""
@@ -888,8 +891,7 @@ def conjugate_subspace(L, W, name=""):
         keep = int((s > _RANK_TOL * s.max(initial=0)).sum())
         if keep == 0 < q:
             raise ArithmeticError("conjugation collapsed the subspace")
-        return SubspaceRealization(N, u[:, :keep],
-                                   _dropped(base.warnings, q - keep))
+        return _bare(N, u[:, :keep], _dropped(base.warnings, q - keep))
 
     out = PdoSubspace(sym, realizer, name=sym.name)
     perp = L._perp
@@ -905,7 +907,7 @@ def _punctured(base, N, idx, fiber):
     one-column realization.  A selection drops idx.  Else only the columns
     C that meet idx change: v = C a, a = conj(C[idx]) / |C[idx]|, so C Q,
     for Q an orthonormal basis of the complement of a, is orthonormal, and
-    its columns reach the modes C's reach."""
+    its columns reach the modes C's reach, the only ones Q mixes."""
     warnings = base.warnings + (f"punctured at mode {idx // fiber - N}",)
     far = ValueError("puncture direction nearly orthogonal to the "
                      "subspace; pick another (mode, coord)")
@@ -916,24 +918,22 @@ def _punctured(base, N, idx, fiber):
         return (SubspaceRealization(N, warnings=warnings, dim=dim,
                                     select=base.select[base.select != idx]),
                 SubspaceRealization(N, dim=dim, select=[idx]))
-    B = base.basis
-    row = B[idx]
+    cols = _columns(base)
+    row = _placed(base.modes, cols, idx // fiber, 1, fiber)[:, idx % fiber]
     nv = np.linalg.norm(row)
     if nv < 0.1:
         raise far
     J = np.flatnonzero(row)
     Q = np.linalg.qr(np.conj(row[J])[:, None] / nv, mode="complete")[0]
-    C = B[:, J] @ Q  # column 0 is v, up to a phase
-    rest = np.ones(base.rank, dtype=bool)
-    rest[J] = False
-    kept = np.concatenate([B[:, rest], C[:, 1:]], axis=1)
     lo = base.modes[J].min()
     width = base.modes[J].max() + base.band - lo
-    real = SubspaceRealization(
-        N, kept, warnings,
-        modes=np.concatenate([base.modes[rest], np.full(J.size - 1, lo)]),
-        band=max(base.band, width))
-    return real, SubspaceRealization(N, C[:, :1], modes=[lo], band=width)
+    # C on its modes lo .. lo + width; column 0 is v, up to a phase
+    C = (_placed(base.modes[J], cols[J], lo, width + 1, fiber).T @ Q).T
+    rest = row == 0
+    return (_local(N, [(base.modes[rest], base.band, cols[rest]),
+                       (np.full(J.size - 1, lo), width, C[1:])],
+                   fiber, warnings),
+            _local(N, [(np.array([lo]), width, C[:1])], fiber))
 
 
 def puncture(L, mode=0, coord=0):
@@ -1014,8 +1014,7 @@ def dump_subspace_csv(L, truncations, path):
         writer = csv.writer(fh)
         writer.writerow(["N", "index", "eigenvalue_Q", "rank_PN"])
         for N in truncations:
-            A = quantize(L.symbol, N).matrix
-            w = np.linalg.eigvalsh((A + A.conj().T) / 2)
+            w = np.linalg.eigvalsh(_symmetrized(L.symbol, N))
             rank = L.rank(N)
             for i, val in enumerate(w):
                 writer.writerow([N, i, repr(float(val)), rank])

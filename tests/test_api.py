@@ -111,3 +111,20 @@ def test_only_subspaces_reads_the_frame_record():
                for node in ast.walk(ast.parse(p.read_text()))
                if isinstance(node, ast.Attribute) and node.attr == "_frames"}
     assert readers == {"subspaces.py"}
+
+
+def test_only_local_builds_a_realization_from_columns():
+    # the storage format of a realization is decided in one place: outside
+    # subspaces._local a SubspaceRealization is built from a selection
+    bad = []
+    for p in PACKAGE.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        inside = {id(n) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "_local"
+                  for n in ast.walk(f)}
+        bad += [f"{p.name}:{node.lineno}" for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", ""))
+                == "SubspaceRealization" and id(node) not in inside
+                and "select" not in {k.arg for k in node.keywords}]
+    assert bad == []

@@ -66,11 +66,36 @@ def test_a_bare_basis_is_the_band_2n_realization():
     N = 5
     rng = rng_for(3, "bare")
     B = np.linalg.qr(rng.standard_normal((2 * (2 * N + 1), 3)))[0]
-    for real in (subspaces.SubspaceRealization(N, B),
-                 subspaces.SubspaceRealization(N, B[:, :0]),
+    for real in (subspaces._bare(N, B, ()), subspaces._bare(N, B[:, :0], ()),
                  PdoSubspace(mobius_symbol()).realize(N)):
         assert real.band == 2 * N and real.select is None
         assert real.modes.tolist() == [0] * real.rank
+
+
+def test_local_moves_column_sets_into_the_window():
+    # a column set may start below mode 0 (a conjugate's image) or past
+    # 2N - band (a narrow column widened by a join), zero outside the
+    # window: _local moves each into the window, and the result equals,
+    # byte for byte, the same columns given from inside it
+    N, f, band = 4, 2, 3
+    rng = rng_for(7, "clip")
+    v = rng.standard_normal((3, 2 * f)) + 1j * rng.standard_normal((3, 2 * f))
+    a, b, c = v / np.linalg.norm(v, axis=1, keepdims=True)
+    z = np.zeros(2 * f)
+    # a on the modes 0, 1; b on 2N - 1, 2N; c on 3, 4 (band 1)
+    outside = [(np.array([-2, 2 * N - 1]), band,
+                np.stack([np.concatenate([z, a]), np.concatenate([b, z])])),
+               (np.array([3]), 1, c[None])]
+    inside = [(np.array([0, 2 * N - band]), band,
+               np.stack([np.concatenate([a, z]), np.concatenate([z, b])])),
+              (np.array([3]), 1, c[None])]
+    got, want = (subspaces._local(N, parts, f) for parts in (outside, inside))
+    assert got.modes.tolist() == [0, 2 * N - band, 3] and got.band == band
+    assert got.modes.tobytes() == want.modes.tobytes()
+    assert got._digest == want._digest
+    assert got.basis.tobytes() == want.basis.tobytes()
+    assert np.array_equal(got.basis[:2 * f, 0], a)
+    assert np.array_equal(got.basis[-2 * f:, 1], b)
 
 
 def test_full_and_zero():
@@ -207,23 +232,16 @@ def _modewise(N, Bp, Bm, cut=0):
                for m, n in enumerate(range(-N, N + 1))]
         return subspaces.SubspaceRealization(N, select=np.concatenate(sel),
                                              dim=r * len(blocks))
-    counts = [b.shape[1] for b in blocks]
-    c = np.cumsum([0] + counts)
-    out = np.zeros((r * len(blocks), c[-1]), dtype=complex)
-    for m, b in enumerate(blocks):
-        out[m * r:(m + 1) * r, c[m]:c[m + 1]] = b
-    return subspaces.SubspaceRealization(
-        N, out, band=0, modes=np.repeat(np.arange(len(blocks)), counts))
+    modes = np.repeat(np.arange(len(blocks)), [b.shape[1] for b in blocks])
+    return subspaces._local(N, [(modes, 0, np.concatenate(blocks, axis=1).T)],
+                            r)
 
 
 def _frame_shifts(frame, N):
     # the band-1 line-frame builder the shift realizer replaced, kept as
     # its reference: column k holds f_0 on mode k and f_1 on mode k + 1
-    B = np.zeros((2 * N + 1, 2, 2 * N), dtype=complex)
-    m = np.arange(2 * N)
-    B[m, :, m], B[m + 1, :, m] = frame
-    return subspaces.SubspaceRealization(N, B.reshape(-1, 2 * N), modes=m,
-                                         band=1)
+    cols = np.tile(np.concatenate(frame), (2 * N, 1))
+    return subspaces._local(N, [(np.arange(2 * N), 1, cols)], 2)
 
 
 @pytest.mark.parametrize("N", [6, 8, 16, 24, 48])
@@ -576,10 +594,10 @@ def _mode_reflection(real, N, fiber):
         return subspaces.SubspaceRealization(
             N, select=(2 * N - sel // fiber) * fiber + sel % fiber,
             dim=(2 * N + 1) * fiber)
-    q = real.rank
-    return subspaces.SubspaceRealization(
-        N, real.basis.reshape(2 * N + 1, fiber, q)[::-1].reshape(-1, q),
-        modes=2 * N - real.modes - real.band, band=real.band)
+    q, b = real.rank, real.band
+    cols = subspaces._columns(real).reshape(q, b + 1, fiber)[:, ::-1]
+    return subspaces._local(N, [(2 * N - real.modes - b, b,
+                                 cols.reshape(q, -1))], fiber)
 
 
 def _sorted_columns(real):
@@ -758,8 +776,9 @@ def _densified(L):
     # the same subspace with its realization as a bare basis (band 2N):
     # what a constructor of it takes is the SVD path, but for puncture
     return PdoSubspace(
-        L.symbol, lambda N: subspaces.SubspaceRealization(
-            N, L.basis(N), L.realize(N).warnings), name=L.name)
+        L.symbol, lambda N: subspaces._bare(N, L.basis(N),
+                                            L.realize(N).warnings),
+        name=L.name)
 
 
 @pytest.mark.parametrize("seed", [1914, 2718, 5])
@@ -825,12 +844,15 @@ def test_local_conjugation_keeps_the_quantization_rules():
     with pytest.raises(ValueError, match="truncation too small"):
         L.realize(6)
     assert L.realize(7).band < 2 * 7
-    # no column of an empty realization fits: an empty parent, and the
-    # empty complement a conjugate of the full space records, take the SVD
+    # an empty realization conjugates to an empty mode-local one: an empty
+    # parent, and the empty complement a conjugate of the full space
+    # records, which the window edges then complete
     W = phase_diag_loop((1, -1))
     assert conjugate_subspace(zero_subspace(2), W).realize(8).rank == 0
     L = conjugate_subspace(full_subspace(2), W)
-    B, Bc = L.basis(8), orthocomplement(L).basis(8)
+    B, perp = L.basis(8), orthocomplement(L).realize(8)
+    Bc = perp.basis
+    assert perp.band < 2 * 8 and perp.rank == 2
     assert np.abs(B.conj().T @ Bc).max() <= 1e-12
     # each column whose own image fits is kept: W moves coordinate 0 up a
     # mode and coordinate 1 down, so only one column leaves at each edge,
@@ -841,19 +863,26 @@ def test_local_conjugation_keeps_the_quantization_rules():
 
 
 def _realizations_made(monkeypatch, build, N=48):
-    # every realization made while build()'s subspaces are realized at N
-    made = []
+    # every realization made while build() makes its subspaces and they
+    # are realized at N, and the number of dense bases read meanwhile
+    made, reads = [], []
     init = subspaces.SubspaceRealization.__init__
+    basis = subspaces.SubspaceRealization.basis.fget
 
     def recorded(self, *args, **kw):
         init(self, *args, **kw)
         made.append(self)
 
+    def read(self):
+        reads.append(self)
+        return basis(self)
+
     with monkeypatch.context() as m:
         m.setattr(subspaces.SubspaceRealization, "__init__", recorded)
+        m.setattr(subspaces.SubspaceRealization, "basis", property(read))
         for L in build():
             L.realize(N)
-    return made
+    return made, len(reads)
 
 
 def _modn_and_suite_subspaces():
@@ -866,12 +895,33 @@ def _modn_and_suite_subspaces():
     return out
 
 
+def _punctures_and_conjugates():
+    # a puncture of each suite subspace, found by realizing it at every
+    # window, and unitary conjugates of selections and of the Mobius line
+    # with their complements
+    out = [puncture(L, *_puncture_at_every_window(L))
+           for _, L in even_subspace_suite(1914)]
+    H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    for L in (trivial_subspace(2, 1), full_subspace(2), zero_subspace(2),
+              two_face_subspace(np.eye(2), np.diag([1, 0])),
+              mobius_subspace()):
+        for W in (constant_trig(H), phase_diag_loop((1, -1)),
+                  phase_diag_loop((3, -2), H, H)):
+            C = conjugate_subspace(L, W)
+            out += [C, orthocomplement(C)]
+    return out
+
+
 def test_mode_local_realizations_keep_no_dense_basis(monkeypatch):
     # a mode-local realization keeps its mode groups, not its dim x rank
-    # basis; the basis built from them is orthonormal, and equal
-    # realizations built apart share a digest
-    first = _realizations_made(monkeypatch, _modn_and_suite_subspaces)
-    again = _realizations_made(monkeypatch, _modn_and_suite_subspaces)
+    # basis, and no realizer reads one; the basis built from them is
+    # orthonormal, and equal realizations built apart share a digest
+    def build():
+        return _modn_and_suite_subspaces() + _punctures_and_conjugates()
+
+    first, reads = _realizations_made(monkeypatch, build)
+    assert reads == 0
+    again, _ = _realizations_made(monkeypatch, build)
     assert len(first) == len(again)
     local = [(a, b) for a, b in zip(first, again)
              if a.select is None and a.band < 2 * a.N and a.rank]
