@@ -16,14 +16,20 @@ subspaces.SubspaceRealization): a basis column of lowest mode m lives on
 the modes m .. m + band, and a bare basis has band 2N.  With rows and
 columns sorted by lowest mode, the section T keeps the block band of the
 quantized matrix A: T[i, j] vanishes when those modes differ by more
-than the symbol degree plus the wider band.  Two coordinate subspaces
-give a slice of A; other pairs are assembled from the sides' mode groups,
-one batched product per mode offset, or one per side when a side has
-band 2N (see _local_section).  A side of band 0 counts its bulk by
-column mode, a wider one in ambient coordinates from its groups (see
-_local_bulk); no dense mode-local basis is formed.  A symbol of degree 0
-between two sides of band 0 (a parity double that is the identity, say)
-makes T block diagonal by mode, and no section is built: see below.
+than the symbol degree plus the wider band.  A itself is kept as its
+block band Q, the blocks within the symbol degree of the diagonal (see
+symbols._band), and every section is read from Q.  Two coordinate
+subspaces give a slice of A, whose panels the banded solve cuts from Q
+one mode window at a time (see _Coordinates); other pairs are assembled
+from the sides' mode groups and Q's windows, one batched product per
+mode offset (see _local_section).  Only the dense route lays out a dense
+matrix: a coordinate section that goes to the dense SVD, and A for a
+side of band 2N, which is one product per side.  A side of band 0
+counts its bulk by column mode, a wider one in ambient coordinates from
+its groups (see _local_bulk); no dense mode-local basis is formed.  A
+symbol of degree 0 between two sides of band 0 (a parity double that is
+the identity, say) makes T block diagonal by mode, and no section is
+built: see below.
 This module builds no realization; all of them come from subspaces.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
@@ -52,7 +58,7 @@ symbol term's order and face coefficient tables, N, and each side's
 selection, or else its band and mode groups (order, modes, positions and
 stack).  _SECTIONS keeps it by the sha256 of those bytes (the symbol's
 and each realization's digest is cached on the read-only object), so an
-equal section of objects built apart is read, not solved: no quantize,
+equal section of objects built apart is read, not solved: no band,
 assembly, solve or bulk count.  It keeps at most _SECTIONS_KEPT (4096)
 entries, one digest and one int each, and drops the oldest first; a call
 that raises stores nothing.  The empty-side and block-diagonal counts
@@ -77,10 +83,11 @@ import numpy as np
 from .core import _RANK_TOL, EllipticityViolation, _sha256, fit_trig_poly
 from .dyadic import DyadicRational
 from .subspaces import (_SCALES, ParityError, UnstableIndexError,
-                        antipodal_subspace, full_subspace, lift_symbol)
-from .symbols import (CircleSymbol, FullSymbol, _range_basis, _symbols_agree,
-                      antipodal_pullback, ellipticity_check, mode_labels,
-                      quantize)
+                        _truncation, antipodal_subspace, full_subspace,
+                        lift_symbol)
+from .symbols import (CircleSymbol, FullSymbol, _band, _layout, _range_basis,
+                      _symbols_agree, antipodal_pullback, ellipticity_check,
+                      mode_labels)
 
 __all__ = [
     "SubspaceOperator",
@@ -368,26 +375,71 @@ def _times(M, real):
     return out[:, :-1]  # the last column takes the padding
 
 
-def _local_section(A, src, tgt, d):
+class _Coordinates:
+    """The section A[ix_(c2, c1)] between two coordinate sides, in sorted
+    coordinates (so modes ascend), read from the band Q of A (see
+    symbols._band).  A slice [rows, cols] lays out A on only the modes
+    those rows and columns reach and keeps their coordinates; np.asarray
+    lays out the whole section.  A itself is never laid out."""
+
+    def __init__(self, Q, c2, c1):
+        self.Q, self.c2, self.c1 = Q, c2, c1
+        self.shape = (c2.size, c1.size)
+
+    def __getitem__(self, rows_cols):
+        c2, c1 = self.c2[rows_cols[0]], self.c1[rows_cols[1]]
+        if c2.size == 0 or c1.size == 0:
+            return np.zeros((c2.size, c1.size), dtype=complex)
+        r2, r1 = self.Q.shape[2:]
+        dst = range(c2[0] // r2, c2[-1] // r2 + 1)
+        src = range(c1[0] // r1, c1[-1] // r1 + 1)
+        block = _layout(self.Q, dst, src)
+        # sorted distinct coordinates, as many as their modes hold: all
+        if c2.size < block.shape[0]:
+            block = block[c2 - dst.start * r2]
+        if c1.size < block.shape[1]:
+            block = block[:, c1 - src.start * r1]
+        return block
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:, :]
+
+
+def _windows(Q, g, band):
+    """A on the window of each group of g, a side of this band: the rows
+    of modes m - d .. m + band + d and the columns of modes m .. m + band,
+    for lowest mode m.  Column j (mode m + j) holds Q's band of mode m + j
+    from row j on; a row past the mode window is zero."""
+    d = (Q.shape[1] - 1) // 2
+    rows, cols = Q.shape[2:]
+    win = np.zeros((g.modes.size, band + 2 * d + 1, rows, band + 1, cols),
+                   dtype=complex)
+    for j in range(band + 1):
+        win[:, j:j + 2 * d + 1, :, j] = Q[g.modes + j]
+    return win.reshape(g.modes.size, (band + 2 * d + 1) * rows, -1)
+
+
+def _local_section(Q, src, tgt):
     """B2* A B1 for mode-local realizations, rows and columns in their
-    sorted order, from each side's mode groups (see _ModeGroups).  The
-    columns of lowest mode m reach the modes m .. m + b1 and A takes those
-    to the rows of modes m - d .. m + b1 + d, so one gather of A and one
-    batched product give A B1 on that window for every source mode.  A
-    target column of lowest mode m + k meets it for offsets k in
-    -d - b2 .. b1 + d, and the pairs at one offset share their rows, so
-    the section takes one batched product per offset the two sides' modes
-    can meet.  A side of band 2N meets every mode of the other: there it
-    is one product per side (see _times)."""
+    sorted order, from each side's mode groups (see _ModeGroups) and the
+    band Q of A (see symbols._band), of half-width d.  The columns of
+    lowest mode m reach the modes m .. m + b1 and A takes those to the
+    rows of modes m - d .. m + b1 + d, so one gather of Q (see _windows)
+    and one batched product give A B1 on that window for every source
+    mode; no target column reaches a row past the mode window.  A target
+    column of lowest mode m + k meets it for offsets k in -d - b2 ..
+    b1 + d, and the pairs at one offset share their rows, so the section
+    takes one batched product per offset the two sides' modes can meet.
+    A side of band 2N meets every mode of the other: there A is laid out,
+    and the section is one product per side (see _times)."""
     if max(src.band, tgt.band) >= 2 * src.N:  # a bare side: (A B1)* B2
+        modes = range(2 * src.N + 1)
+        A = _layout(Q, modes, modes)
         return _times(_times(A, src).conj().T, tgt).conj().T
     s, t = src._by_mode, tgt._by_mode
     r2, b1, b2 = t.fiber, src.band, tgt.band
-    # a window row past the edge reads an edge row; no target column
-    # reaches it, so it is never read
-    rows = np.clip((s.modes[:, None] - d) * r2
-                   + np.arange((b1 + 2 * d + 1) * r2), 0, A.shape[0] - 1)
-    AB = A[rows[:, :, None], s.windows[:, None, :]] @ s.stack
+    d = (Q.shape[1] - 1) // 2
+    AB = _windows(Q, s, b1) @ s.stack
     adj = t.stack.conj().transpose(0, 2, 1)
     # the target group of lowest mode m + k for each source mode m and
     # offset k, -1 for none (the table's two end entries: past the window)
@@ -458,19 +510,18 @@ def _filtered_index_once(op, N):
         return hit
     # with rows and columns sorted by mode the section keeps the band of A
     # (a permutation changes neither the index nor the bulk counts); a
-    # coordinate pair is a slice of A
+    # coordinate pair is a slice of A, read from Q as the solve asks
     count1, count2 = _local_bulk(src, N), _local_bulk(tgt, N)
-    A = quantize(op.symbol, N).matrix
+    Q = _band(op.symbol, N)
     o1, o2 = src._by_mode.order, tgt._by_mode.order
     if src.select is not None and tgt.select is not None:
-        c1, c2 = src.select[o1], tgt.select[o2]
-        # sorted distinct coordinates, all of them: the identity
-        T = A if (c2.size, c1.size) == A.shape else A[np.ix_(c2, c1)]
+        T = _Coordinates(Q, tgt.select[o2], src.select[o1])
     else:
-        T = _local_section(A, src, tgt, d)
+        T = _local_section(Q, src, tgt)
     near = _banded_near_null(T, tgt.modes[o2], src.modes[o1],
                              d + max(src.band, tgt.band))
-    ker, coker = near if near is not None else _dense_near_null(T)
+    # only the dense SVD lays out a coordinate section
+    ker, coker = near if near is not None else _dense_near_null(np.asarray(T))
     index = _SECTIONS.setdefault(key, count1(ker) - count2(coker))
     while len(_SECTIONS) > _SECTIONS_KEPT:
         _SECTIONS.popitem(last=False)
@@ -482,8 +533,9 @@ def analytic_index(op, N=16, scales=_SCALES):
 
     Raises EllipticityViolation if the symbol is not invertible between
     the subspace bundles, UnstableIndexError if the three truncation
-    scales disagree.
+    scales disagree, ValueError if N is not an integer >= 1.
     """
+    N = _truncation(N)
     if not op.is_elliptic():
         raise EllipticityViolation(
             "symbol does not restrict to an isomorphism of the subspaces")
@@ -595,6 +647,7 @@ def dimension_functional(L, N=16, lift_order=0):
     in L's memo, next to its realizations; a call that raises keeps
     nothing.
     """
+    N = _truncation(N)
     key = (N, lift_order)
     hit = L._dims.get(key)
     if hit is not None:
@@ -637,6 +690,7 @@ def index_formula_report(op, example_id, N=16):
     "residual" ind D - (1/2) ind double(D) - d(L1) + d(L2) is an exact
     dyadic rational that the defect formula asserts is zero.  N must fit
     op and its parity double (see _fitting_truncation)."""
+    N = _truncation(N)
     ind_d = analytic_index(op, N=N)
     dbl = build_parity_double(op)
     ind_dbl = analytic_index(dbl, N=N)

@@ -24,7 +24,7 @@ from .core import (TrigPolyMatrix, constant_trig, fit_trig_poly,
                    trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
 from .indexing import SubspaceOperator, _fitting_n, analytic_index
-from .subspaces import (ParityError, _frame, antipodal_subspace,
+from .subspaces import (ParityError, _frame, _truncation, antipodal_subspace,
                         full_subspace, lift_symbol, orthocomplement,
                         zero_subspace)
 from .symbols import (CircleSymbol, _symbols_agree, antipodal_pullback,
@@ -236,7 +236,7 @@ def mod_n_analytic_index(el, N=12):
     quantizes the operator's terms and its source and target symbols."""
     op = el.operator
     symbols = (*op.symbol.terms, op.source.symbol, op.target.symbol)
-    N = _fitting_n(N, max(s.degree for s in symbols))
+    N = _fitting_n(_truncation(N), max(s.degree for s in symbols))
     return analytic_index(op, N=N) % el.n
 
 

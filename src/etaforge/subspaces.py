@@ -97,6 +97,15 @@ class UnstableIndexError(RuntimeError):
     """An index failed to agree across the three truncation scales."""
 
 
+def _truncation(N):
+    """N as a truncation: an int or numpy integer >= 1, not a bool.
+    Anything else raises ValueError, checked where a truncation enters."""
+    if isinstance(N, (bool, np.bool_)) \
+            or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"truncation N must be an integer >= 1, not {N!r}")
+    return int(N)
+
+
 class SubspaceSymbol(CircleSymbol):
     """Projection-valued order-zero symbol p; the symbol L = Im p of a
     subspace."""
@@ -324,7 +333,7 @@ class PdoSubspace:
         return self.symbol.rank
 
     def realize(self, N):
-        N = int(N)
+        N = _truncation(N)
         hit = self._cache.get(N)
         if hit is not None:
             return hit
@@ -447,6 +456,7 @@ def relative_index(L1, L2, N=16):
     """ind(P2 : Im P1 -> Im P2) for subspaces with the same symbol: the rank
     difference of the realized projections, accepted when it agrees at
     every truncation scale."""
+    N = _truncation(N)
     if not _symbols_agree(L1.symbol, L2.symbol):
         raise ValueError("relative index needs subspaces with equal symbols")
     vals = [L1.rank(N * s) - L2.rank(N * s) for s in _SCALES]

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import (_RANK_TOL, TrigPolyMatrix, _sample_count, _sha256,
                    constant_trig, trig_blockdiag)
@@ -172,25 +173,27 @@ def _column_weight(order, n):
     return float(abs(n)) ** order
 
 
-def quantize(symbol, N):
-    """Quantize a (full) symbol to the block matrix on modes [-N, N].
+def _band(symbol, N):
+    """The quantization of a (full) symbol on modes [-N, N] as its block
+    band Q, of shape (2N + 1, 2D + 1, rows, cols) with D the largest term
+    degree: Q[n_src, k + D] is the block that source mode n_src (counted
+    from -N) sends to mode n_src + k, zero where that mode falls outside
+    the window.
 
-    Mode n' feeds mode n = n' + k through the k-th Fourier coefficient of
-    the face picked by sign(n'), weighted by |n'|^{order}; the n' = 0
-    column uses the + face.  Each (term, face, coefficient) is one strided
-    scatter onto a block diagonal.  A block receives at most one
-    coefficient per term and the terms are added in order, so every entry
-    is summed in the order of a block-by-block loop; zero coefficients and
-    zero weights are skipped, so no signed zero flips.
+    Mode n' feeds mode n' + k through the k-th Fourier coefficient of the
+    face picked by sign(n'), weighted by |n'|^{order}; the n' = 0 column
+    uses the + face.  Each (term, face, coefficient) is one scatter onto a
+    band column.  A block receives at most one coefficient per term and
+    the terms are added in order, so every entry is summed in the order of
+    a block-by-block loop; zero coefficients and zero weights are skipped,
+    so no signed zero flips.  Raises ValueError when N <= 2D.
     """
     full = symbol if isinstance(symbol, FullSymbol) else FullSymbol.of(symbol)
     lead = full.principal
-    if N <= 2 * max(t.degree for t in full.terms):
+    D = max(t.degree for t in full.terms)
+    if N <= 2 * D:
         raise ValueError("truncation too small for the symbol degree")
-    rows, cols = lead.rows, lead.rank
-    modes = 2 * N + 1
-    A = np.zeros((rows * modes, cols * modes), dtype=complex)
-    blocks = A.reshape(modes, rows, modes, cols)  # [n_dst, :, n_src, :]
+    Q = np.zeros((2 * N + 1, 2 * D + 1, lead.rows, lead.rank), dtype=complex)
     for term in full.terms:
         for sign, n_src in ((+1, np.arange(0, N + 1)), (-1, np.arange(-N, 0))):
             w = np.array([_column_weight(term.order, n) for n in n_src])
@@ -200,10 +203,40 @@ def quantize(symbol, N):
             for i in np.flatnonzero(table.reshape(len(table), -1).any(axis=1)):
                 k = i - face.degree
                 fits = np.abs(n_src + k) <= N
-                src = n_src[fits] + N
-                blocks[src + k, :, src, :] += w[fits, None, None] * table[i]
-    return TruncatedOperator(N=N, matrix=A, order=full.order, fiber_in=cols,
-                             fiber_out=rows, symbol=full)
+                Q[n_src[fits] + N, k + D] += w[fits, None, None] * table[i]
+    return Q
+
+
+def _layout(Q, dst, src):
+    """The dense block of the quantized matrix on the destination modes
+    `dst` and the source modes `src` (ranges, counted from -N), laid out
+    from its band Q (see _band): every block is copied, none is summed.
+    The buffer reaches D modes past `src` either way, so source mode s's
+    band lands on one strided diagonal, rows s - D .. s + D."""
+    D = (Q.shape[1] - 1) // 2
+    rows, cols = Q.shape[2:]
+    lo = min(dst.start, src.start - D)
+    out = np.zeros((max(dst.stop, src.stop + D) - lo, rows, len(src), cols),
+                   dtype=complex)
+    st = out.strides
+    diagonals = as_strided(out[src.start - D - lo:],
+                           (len(src), 2 * D + 1, rows, cols),
+                           (st[0] + st[2], st[0], st[1], st[3]))
+    diagonals[...] = Q[src.start:src.stop]
+    return out[dst.start - lo:dst.stop - lo].reshape(len(dst) * rows,
+                                                     len(src) * cols)
+
+
+def quantize(symbol, N):
+    """Quantize a (full) symbol to the block matrix on modes [-N, N]: the
+    dense layout of its block band (see _band), byte for byte.  Raises
+    ValueError when N is at most twice the symbol degree."""
+    full = symbol if isinstance(symbol, FullSymbol) else FullSymbol.of(symbol)
+    lead = full.principal
+    modes = range(2 * N + 1)
+    return TruncatedOperator(N=N, matrix=_layout(_band(full, N), modes, modes),
+                             order=full.order, fiber_in=lead.rank,
+                             fiber_out=lead.rows, symbol=full)
 
 
 def antipodal_pullback(s):

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from etaforge.dyadic import DyadicRational
 from etaforge.indexing import (SubspaceOperator, analytic_index,
                                antipodal_subspace, build_parity_double,
                                dimension_functional, index_formula_report)
-from etaforge.kzn import mod_n_analytic_index, n_fold
+from etaforge.kzn import mod_n_analytic_index, n_fold, normal_form
 from etaforge.subspaces import (ParityError, PdoSubspace, SubspaceSymbol,
                                 UnstableIndexError, conjugate_subspace,
                                 full_subspace, hardy_subspace, lift_symbol,
@@ -34,8 +35,8 @@ from etaforge.suites import (even_invertible_symbol, even_subspace_suite,
                              haar_unitary, index_formula_suite,
                              modn_element_suite, perturbation_terms,
                              phase_diag_loop, rng_for, toeplitz_operator)
-from etaforge.symbols import (CircleSymbol, identity_symbol, mode_labels,
-                              quantize)
+from etaforge.symbols import (CircleSymbol, _band, identity_symbol,
+                              mode_labels, quantize)
 
 
 @pytest.mark.parametrize("k", range(-3, 4))
@@ -651,12 +652,13 @@ def _banded_cases():
 
 
 def _banded_sections(monkeypatch):
-    # records each section the banded solve is given, with its answer
+    # records the dense layout of each section the banded solve is given,
+    # with its answer
     seen = []
     banded = indexing._banded_near_null
 
     def recorded(T, *args):
-        seen.append((T, banded(T, *args)))
+        seen.append((np.asarray(T), banded(T, *args)))
         return seen[-1][1]
 
     monkeypatch.setattr(indexing, "_banded_near_null", recorded)
@@ -665,6 +667,108 @@ def _banded_sections(monkeypatch):
 
 def _projector(V):
     return V @ V.conj().T
+
+
+def _normal_form_section():
+    # the fiber-12 normal form of a framed mod-4 element: two coordinate
+    # sides of 584 columns at N = 36, solved banded
+    return normal_form(modn_element_suite(7, 4, count=3)[0][1]).operator, 36
+
+
+def _panel_cases():
+    return {**_banded_cases(), "normal_form_fiber12": _normal_form_section()}
+
+
+def _cut_panels(op, N, monkeypatch):
+    # each banded Gram matrix the kernel builds, with the section it read
+    seen = []
+    init = indexing._BandedGram.__init__
+
+    def recorded(self, M, *args):
+        init(self, M, *args)
+        seen.append((M, self))
+
+    monkeypatch.setattr(indexing._BandedGram, "__init__", recorded)
+    indexing._filtered_index_once(op, N)
+    return seen
+
+
+def _gathered_section(op, N, M, monkeypatch):
+    # the section gathered from the dense quantization: A[ix_(c2, c1)]
+    # between two coordinate sides, else _local_section with its windows
+    # gathered from A (a row past the mode window reads an edge row)
+    A = quantize(op.symbol, N).matrix
+    if isinstance(M, indexing._Coordinates):
+        return A[np.ix_(M.c2, M.c1)]
+
+    def from_dense(Q, g, band):
+        d, rows = (Q.shape[1] - 1) // 2, Q.shape[2]
+        at = np.clip((g.modes[:, None] - d) * rows
+                     + np.arange((band + 2 * d + 1) * rows), 0, len(A) - 1)
+        return A[at[:, :, None], g.windows[:, None, :]]
+
+    with monkeypatch.context() as m:
+        m.setattr(indexing, "_windows", from_dense)
+        return indexing._local_section(_band(op.symbol, N),
+                                       op.source.realize(N),
+                                       op.target.realize(N))
+
+
+@pytest.mark.parametrize("case", sorted(_panel_cases()))
+def test_every_panel_is_the_dense_slice(case, monkeypatch):
+    # the panels cut from the band are those of the section gathered from
+    # A, byte for byte
+    op, N = _panel_cases()[case]
+    seen = _cut_panels(op, N, monkeypatch)
+    assert seen
+    for M, G in seen:
+        T = _gathered_section(op, N, M, monkeypatch)
+        assert M.shape == T.shape
+        for r, c, P in zip(G.rows, G.cols, G.panels):
+            assert P.tobytes() == T[r, c].tobytes()
+
+
+def _dense_layout(*args):
+    raise AssertionError("the banded route laid out a dense matrix")
+
+
+@pytest.mark.parametrize("case", ["hardy_into_hardy_below", "unsorted_n_fold",
+                                  "two_face_n_fold", "mobius_n_fold"])
+def test_the_banded_route_lays_out_no_dense_matrix(case, monkeypatch):
+    # neither A nor a coordinate section is laid out: each block is a
+    # panel's mode window, under half the modes either way
+    op, N = _banded_cases()[case]
+    want = _oracle_index(op, N, monkeypatch)
+    laid = []
+    layout = indexing._layout
+
+    def recorded(Q, dst, src):
+        laid.append(max(len(dst), len(src)))
+        return layout(Q, dst, src)
+
+    monkeypatch.setattr(indexing, "quantize", _dense_layout, raising=False)
+    monkeypatch.setattr(indexing, "_dense_near_null", _dense_layout)
+    monkeypatch.setattr(indexing._Coordinates, "__array__", _dense_layout)
+    monkeypatch.setattr(indexing, "_layout", recorded)
+    assert indexing._filtered_index_once(op, N) == want
+    assert all(2 * n < 2 * N + 1 for n in laid)
+
+
+def test_a_normal_form_section_peaks_below_its_dense_quantization(
+        monkeypatch):
+    # the kernel's traced peak on a coordinate section stays below the
+    # size of the dense quantization it no longer lays out (11.7 MiB here)
+    op, N = _normal_form_section()
+    dense = quantize(op.symbol, N).matrix.nbytes
+    op.source.realize(N), op.target.realize(N)  # realized before tracing
+    monkeypatch.setattr(indexing, "_SECTIONS", type(indexing._SECTIONS)())
+    tracemalloc.start()
+    try:
+        indexing._filtered_index_once(op, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense > 11.7 * 2**20 > peak
 
 
 @pytest.mark.parametrize("case", sorted(_banded_cases()))
@@ -778,7 +882,7 @@ def test_local_section_is_the_dense_compression():
     o = np.argsort(real.modes, kind="stable")
     B, m = real.basis[:, o], real.modes[o]
     A = quantize(op.symbol, N).matrix
-    T = indexing._local_section(A, real, real, op.symbol.principal.degree)
+    T = indexing._local_section(_band(op.symbol, N), real, real)
     np.testing.assert_allclose(T, B.conj().T @ A @ B, rtol=0, atol=1e-13)
 
 
@@ -807,8 +911,8 @@ def test_local_section_of_a_band_one_basis_is_the_dense_compression(case):
     B2, m2, r2, b2 = _sorted_side(op.target, N)
     assert max(b1, b2) == 1
     A = quantize(op.symbol, N).matrix
-    T = indexing._local_section(A, op.source.realize(N), op.target.realize(N),
-                                op.symbol.principal.degree)
+    T = indexing._local_section(_band(op.symbol, N), op.source.realize(N),
+                                op.target.realize(N))
     np.testing.assert_allclose(T, B2.conj().T @ A @ B1, rtol=0, atol=1e-13)
 
 
@@ -874,7 +978,7 @@ def test_the_banded_solve_is_given_the_frame_band(monkeypatch):
     banded = indexing._banded_near_null
 
     def recorded(T, row_modes, col_modes, d):
-        seen.append((T, row_modes, col_modes, d))
+        seen.append((np.asarray(T), row_modes, col_modes, d))
         return banded(T, row_modes, col_modes, d)
 
     monkeypatch.setattr(indexing, "_banded_near_null", recorded)
@@ -1009,7 +1113,7 @@ def test_block_diagonal_sections_are_counted_per_mode(case, monkeypatch):
     want = _unfiltered_dense_index(op, 16)
     monkeypatch.setattr(indexing, "_banded_near_null", _no_solver)
     monkeypatch.setattr(indexing, "_dense_near_null", _no_solver)
-    monkeypatch.setattr(indexing, "quantize", _no_solver)
+    monkeypatch.setattr(indexing, "_band", _no_solver)
     assert indexing._filtered_index_once(op, 16) == want
     if case == "hardy_shifts":  # modes -3 .. 1 are the cokernel
         assert want == -5
@@ -1115,8 +1219,7 @@ def test_the_grouped_section_is_the_dense_compression(case):
     op, N = _section_cases()[case]
     src, tgt = op.source.realize(N), op.target.realize(N)
     A = quantize(op.symbol, N).matrix
-    T = indexing._local_section(A, src, tgt,
-                                max(t.degree for t in op.symbol.terms))
+    T = indexing._local_section(_band(op.symbol, N), src, tgt)
     want = _sorted_dense(tgt).conj().T @ A @ _sorted_dense(src)
     np.testing.assert_allclose(T, want, rtol=0, atol=1e-13)
 
@@ -1425,3 +1528,33 @@ def test_cold_and_warm_memos_give_equal_integers(seed, monkeypatch):
         # the first warm pass solves each distinct section once; the
         # second, on new objects, finds every one of them
         assert (seen == []) == filled
+
+
+_TRUNCATION_ENTRIES = {
+    "realize": lambda N: hardy_subspace().realize(N),
+    "relative_index": lambda N: relative_index(hardy_subspace(),
+                                               hardy_subspace(3), N=N),
+    "analytic_index": lambda N: analytic_index(toeplitz_operator(2), N=N),
+    "dimension_functional": lambda N: dimension_functional(mobius_subspace(),
+                                                           N=N),
+    "index_formula_report": lambda N: index_formula_report(
+        toeplitz_operator(2), "toeplitz", N=N),
+    "mod_n_analytic_index": lambda N: mod_n_analytic_index(
+        modn_element_suite(1914, 2, count=1)[0][1], N=N),
+}
+
+
+@pytest.mark.parametrize("N", [7.9, 16.5, 16.0, True, np.True_, 0, -4, "16"])
+@pytest.mark.parametrize("entry", sorted(_TRUNCATION_ENTRIES))
+def test_a_truncation_enters_as_a_positive_integer(entry, N):
+    # a float, a bool or a count below 1 is refused where it enters: it
+    # was truncated (7.9 realized N = 7, 16.5 the scales 16, 33 and 49)
+    # or crashed in a format string
+    with pytest.raises(ValueError, match="truncation N"):
+        _TRUNCATION_ENTRIES[entry](N)
+
+
+def test_a_numpy_integer_truncation_is_the_int():
+    L = hardy_subspace()
+    assert L.realize(np.int64(8)) is L.realize(8)
+    assert analytic_index(toeplitz_operator(2), N=np.int32(16)) == -2

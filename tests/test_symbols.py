@@ -1,13 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etaforge.core import TrigPolyMatrix, constant_trig
 from etaforge.subspaces import mobius_symbol
-from etaforge.symbols import (CircleSymbol, FullSymbol, _range_basis,
-                              antipodal_pullback, classify_parity, dump_symbol,
-                              ellipticity_check, identity_symbol, load_symbol,
-                              mode_labels, quantize)
+from etaforge.symbols import (CircleSymbol, FullSymbol, _band, _layout,
+                              _range_basis, antipodal_pullback,
+                              classify_parity, dump_symbol, ellipticity_check,
+                              identity_symbol, load_symbol, mode_labels,
+                              quantize)
 
 
 def test_constant_face_promotion():
@@ -142,17 +145,49 @@ def _random_face(rng, rows, cols, degree, sparse=False):
     return TrigPolyMatrix(c)
 
 
-@pytest.mark.parametrize("rows,cols,orders,N", [
+_BLOCKWISE_CASES = pytest.mark.parametrize("rows,cols,orders,N", [
     (1, 1, (0,), 5), (2, 2, (0, -1), 9), (3, 2, (1, 0, -1), 8),
     (2, 4, (-1, -2), 7), (3, 3, (2, 1), 11)])
-def test_quantize_matches_the_blockwise_loop(rows, cols, orders, N):
+
+
+def _blockwise_symbol(rows, cols, orders, N):
     rng = np.random.default_rng(rows * 100 + cols * 10 + N)
-    terms = [CircleSymbol(m, _random_face(rng, rows, cols, 2, sparse=i == 1),
-                          _random_face(rng, rows, cols, 1 + i % 2))
-             for i, m in enumerate(orders)]
-    full = FullSymbol.of(*terms)
+    return FullSymbol.of(*(
+        CircleSymbol(m, _random_face(rng, rows, cols, 2, sparse=i == 1),
+                     _random_face(rng, rows, cols, 1 + i % 2))
+        for i, m in enumerate(orders)))
+
+
+@_BLOCKWISE_CASES
+def test_quantize_matches_the_blockwise_loop(rows, cols, orders, N):
+    full = _blockwise_symbol(rows, cols, orders, N)
     got = quantize(full, N).matrix
     assert got.tobytes() == _quantize_blockwise(full, N).tobytes()
+
+
+@_BLOCKWISE_CASES
+def test_the_band_is_the_quantization(rows, cols, orders, N):
+    # Q[n, k + D] is the block that mode n sends to mode n + k, zero past
+    # the window; quantize and every window are its dense layout
+    full = _blockwise_symbol(rows, cols, orders, N)
+    Q = _band(full, N)
+    modes, D = 2 * N + 1, max(t.degree for t in full.terms)
+    assert Q.shape == (modes, 2 * D + 1, rows, cols)
+    blocks = _quantize_blockwise(full, N).reshape(modes, rows, modes, cols)
+    for n, k in itertools.product(range(modes), range(-D, D + 1)):
+        want = blocks[n + k, :, n] if 0 <= n + k < modes \
+            else np.zeros_like(Q[n, 0])
+        assert Q[n, k + D].tobytes() == want.tobytes()
+    whole = range(modes)
+    assert quantize(full, N).matrix.tobytes() \
+        == _layout(Q, whole, whole).tobytes()
+    A = quantize(full, N).matrix
+    for dst, src in ((range(0, 3), range(1, 4)), (range(2, modes), whole),
+                     (range(modes - 4, modes), range(modes - 2, modes)),
+                     (range(0, 2), range(modes - 2, modes))):
+        want = A[dst.start * rows:dst.stop * rows,
+                 src.start * cols:src.stop * cols]
+        assert _layout(Q, dst, src).tobytes() == want.tobytes()
 
 
 def test_quantize_rejects_small_truncation():
@@ -160,6 +195,8 @@ def test_quantize_rejects_small_truncation():
                      TrigPolyMatrix({3: np.eye(1)}))
     with pytest.raises(ValueError):
         quantize(s, 5)
+    with pytest.raises(ValueError):
+        _band(s, 6)
 
 
 def test_hermitian_quantization():
