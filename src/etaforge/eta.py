@@ -12,11 +12,18 @@ with equal eigenvalues in input order (lexsort is stable).  That order is
 the heat trace's summation order, so it fixes the bits of every numeric
 eta.  Python (eigenvalue, multiplicity) pairs are built only on request,
 by SpectrumModel.eigenvalues() and the CSV writer.
+
+Each per-level array is held once: a lattice model is built from q alone
+(never from the point array t3_spectrum gathers), and the heat ladder
+runs in place in one scratch array.  In-place ufuncs compute the same
+elementwise products and exponentials, and np.sum sees the same values
+in the same contiguous layout and length, so every bit is unchanged.
 """
 from __future__ import annotations
 
 import csv
 import json
+import numbers
 
 import numpy as np
 
@@ -84,8 +91,10 @@ class SpectrumModel:
     (int64).  Their order is part of the contract, because it is the heat
     trace's summation order: ascending (|lambda|, lambda), ties kept in
     input order.  Eigenvalues must be finite and nonzero (zero modes
-    belong in kernel_dim), multiplicities positive integers and
-    kernel_dim a nonnegative integer; anything else raises ValueError.
+    belong in kernel_dim), multiplicities positive integers that fit
+    int64 and kernel_dim a nonnegative integer; a progression's cutoff
+    is an integer >= 0 and a lattice cutoff a finite real >= 8.  Anything
+    else raises ValueError.
     """
 
     def __init__(self, kind, lam, mult, kernel_dim, params):
@@ -99,13 +108,16 @@ class SpectrumModel:
             raise ValueError("eigenvalues must be finite")
         if (lam == 0.0).any():
             raise ValueError("zero modes belong in kernel_dim, not the list")
-        # an empty list arrives as float64, so only nonempty input is typed
-        if mult.size and (mult.dtype.kind not in "iu" or (mult <= 0).any()):
-            raise ValueError("multiplicities must be positive integers")
+        # an empty list arrives as float64, so only nonempty input is
+        # typed; a uint64 beyond int64 would wrap negative in the cast
+        if mult.size and (mult.dtype.kind not in "iu" or (mult <= 0).any()
+                          or mult.max() > np.iinfo(np.int64).max):
+            raise ValueError("multiplicities must be positive integers "
+                             "that fit int64")
         if not isinstance(kernel_dim, (int, np.integer)) or kernel_dim < 0:
             raise ValueError("kernel_dim must be a nonnegative integer")
         order = np.lexsort((lam, np.abs(lam)))
-        lam, mult = lam[order], mult[order].astype(np.int64)
+        lam, mult = lam[order], mult[order].astype(np.int64, copy=False)
         lam.setflags(write=False)
         mult.setflags(write=False)
         self.kind, self.lam, self.mult = kind, lam, mult
@@ -114,6 +126,11 @@ class SpectrumModel:
 
     @classmethod
     def arithmetic_progression(cls, theta, mult=1, cutoff=2000):
+        # a fractional cutoff would shift every level off n + theta
+        if isinstance(cutoff, (bool, np.bool_)) \
+                or not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
+            raise ValueError(f"progression cutoff must be an integer >= 0, "
+                             f"not {cutoff!r}")
         theta = float(theta)
         lam = np.arange(-cutoff, cutoff + 1) + theta
         zero = lam == 0.0
@@ -124,13 +141,14 @@ class SpectrumModel:
 
     @classmethod
     def lattice3_quadratic(cls, theta=(0.0, 0.0, 0.0), cutoff=10):
-        if cutoff < 8:
+        if _radius(cutoff) < 8:
             raise ValueError("lattice cutoff below 8 starves the tail")
         theta = tuple(float(t) for t in theta)
-        _, q = _lattice3(theta, cutoff)
-        pos = q[q > 0.0]
-        return cls("Lattice3Quadratic", np.concatenate([pos, -pos]),
-                   np.repeat([1, 2], pos.size), 3 * int((q == 0.0).sum()),
+        q = _lattice3(theta, cutoff)[2]
+        kernel_dim, q = 3 * int((q == 0.0).sum()), q[q > 0.0]
+        q = np.concatenate([q, -q])  # rebinding frees the positive half
+        return cls("Lattice3Quadratic", q,
+                   np.repeat(np.int8([1, 2]), q.size // 2), kernel_dim,
                    {"theta": theta, "cutoff": cutoff})
 
     @classmethod
@@ -163,18 +181,29 @@ class SpectrumModel:
                 f"kernel_dim={self.kernel_dim})")
 
 
+def _radius(R):
+    """R as a lattice radius: a finite real >= 0, not a bool.  Anything
+    else raises ValueError, checked where a radius enters."""
+    if isinstance(R, bool) or not isinstance(R, numbers.Real) \
+            or not 0 <= R < np.inf:
+        raise ValueError(f"lattice radius must be a finite real >= 0, "
+                         f"not {R!r}")
+    return R
+
+
 def _lattice3(theta, R):
-    """The k in Z^3 with q = |k + theta|^2 <= R^2, in lexicographic order
-    of k, and their q."""
+    """The grid g = -b..b, the mask over g^3 of the k in Z^3 with
+    q = |k + theta|^2 <= R^2, and their q in the lexicographic order of
+    g[np.argwhere(mask)]."""
     if not np.isfinite(theta).all():
         raise ValueError("twist components must be finite")
-    b = int(np.ceil(R + max(abs(t) for t in theta) + 1))
+    b = int(np.ceil(_radius(R) + max(abs(t) for t in theta) + 1))
     g = np.arange(-b, b + 1)
     x, y, z = ((g + t) * (g + t) for t in theta)
     # summed in the order (x + y) + z of a three-term row sum
     q = (x[:, None, None] + y[None, :, None]) + z[None, None, :]
     inside = q <= R * R
-    return g[np.argwhere(inside)], q[inside]
+    return g, inside, q[inside]
 
 
 def eta_closed_form(model):
@@ -226,6 +255,12 @@ def eta_numeric(model):
     narrow to leave seven octaves of headroom; consecutive triples are
     extrapolated and the flattest adjacent pair of extrapolants is the
     plateau.
+
+    Each h(t) is formed in place in one scratch array e: the product
+    -t * lambda^2, its exp and the weighting by sign(lambda) * mult are
+    written into e with out=, and np.sum reads e.  These are the values
+    the temporaries of w * exp(-t * lambda^2) held, in the same order and
+    length, so the pairwise sum and its bits are unchanged.
     """
     lam = model.lam
     if not lam.size:
@@ -242,7 +277,7 @@ def eta_numeric(model):
         ts.append(ts[-1] * 2.0)
     if len(ts) < 8:
         ts = list(np.geomspace(t0, tmax, 8))
-    w = np.sign(lam) * model.mult.astype(np.float64)
+    w = np.copysign(model.mult, lam)  # = sign(lambda) * mult, exactly
     lam2 = lam ** 2
     e = np.zeros_like(lam2)
     hs = []
@@ -251,9 +286,9 @@ def eta_numeric(model):
         # are a suffix; they skip the exp but stay in the sum, because
         # np.sum's pairwise blocking depends on the length
         k = np.searchsorted(lam2, _EXP_ZERO / t, side="right")
-        np.exp(-t * lam2[:k], out=e[:k])
+        np.exp(np.multiply(lam2[:k], -t, out=e[:k]), out=e[:k])
         e[k:] = 0.0
-        hs.append(float(np.sum(w * e)))
+        hs.append(float(np.sum(np.multiply(e, w, out=e))))
     ladder = _EXPONENT_LADDER[model.kind]
     ext = _extrapolate3(ts, hs, ladder)
     if len(ext) < 2:

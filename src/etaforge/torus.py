@@ -6,8 +6,8 @@ and -|k+theta|^2 with multiplicity 2 per lattice point, plus a
 3-dimensional kernel exactly when the twist is trivial.
 
 t3_spectrum enumerates the lattice as arrays, never as per-point tuples:
-the modes k come out of eta._lattice3 in lexicographic order, and a
-stable sort on q = |k+theta|^2 leaves FormSpectrum.points and .values
+the modes k come out of eta._lattice3's mask in lexicographic order, and
+a stable sort on q = |k+theta|^2 leaves FormSpectrum.points and .values
 ordered by (q, k).
 """
 from __future__ import annotations
@@ -85,9 +85,9 @@ def symbol_projection(xi):
 def t3_spectrum(twist=None, R=1.5):
     """Enumerate the symbol spectrum over modes with |k + theta| <= R."""
     twist = TwistCharacter.trivial() if twist is None else twist
-    K, q = _lattice3(twist.components, R)
+    g, inside, q = _lattice3(twist.components, R)
     zero = q == 0.0
-    K, q = K[~zero], q[~zero]
+    K, q = g[np.argwhere(inside)][~zero], q[~zero]
     # K comes in lexicographic order, so a stable sort on q orders by (q, k)
     order = np.argsort(q, kind="stable")
     return FormSpectrum(R=float(R), points=K[order], values=q[order],

@@ -3,6 +3,7 @@ plus the heat extrapolation and the dimension functional."""
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,17 +84,40 @@ def test_lattice_multiplicity_split():
     lambda: SpectrumModel("Bogus", [1.0], [1], 0, {}),
     lambda: SpectrumModel("ExplicitList", [1.0, 2.0], [1], 0, {}),
     lambda: SpectrumModel("ExplicitList", [[1.0]], [[1]], 0, {}),
+    lambda: SpectrumModel("ExplicitList", [1.0, -2.0],
+                          np.array([2 ** 63, 1], dtype=np.uint64), 0, {}),
+    lambda: SpectrumModel.explicit_list([(1.0, 2 ** 63)]),
+    lambda: SpectrumModel.arithmetic_progression(0.3, cutoff=2.5),
+    lambda: SpectrumModel.arithmetic_progression(0.3, cutoff=3.0),
+    lambda: SpectrumModel.arithmetic_progression(0.3, cutoff=True),
+    lambda: SpectrumModel.arithmetic_progression(0.3, cutoff=-3),
 ], ids=["inf", "-inf", "nan", "mult-1.7", "mult-float", "mult-neg",
         "mult-0", "mult-bool", "triple", "kernel-neg", "kernel-1.5",
         "kernel-float", "eig-inf", "eig-nan", "ap-mult-1.7", "ap-mult-neg",
         "ap-theta-nan", "lattice-inf", "lattice-nan", "kind",
-        "short-mult", "2d"])
+        "short-mult", "2d", "mult-2**63", "mult-2**63-pairs",
+        "ap-cutoff-2.5", "ap-cutoff-float", "ap-cutoff-bool",
+        "ap-cutoff-neg"])
 def test_spectrum_input_rejected_at_construction(build):
     # each of these used to build a model: inf hung eta_numeric (t0 = 0
     # never doubles), nan failed late with a misleading message, 1.7 was
-    # truncated to 1 and -3 gave eta = -3
+    # truncated to 1 and -3 gave eta = -3; a uint64 2**63 was stored as
+    # -2**63 (eta -9.2e18); cutoff 2.5 built the levels of theta = 0.8
+    # under params theta = 0.3 (eta -0.554 against the closed form 0.4),
+    # True counted as 1 and -3 gave an empty model with eta 0.0
     with pytest.raises(ValueError):
         build()
+
+
+def test_integer_cutoffs_and_multiplicities_at_their_limits_are_kept():
+    for cutoff in (np.int64(3), np.int8(3)):
+        m = SpectrumModel.arithmetic_progression(0.3, cutoff=cutoff)
+        _assert_same_model(m, *_tuple_ap(0.3, 1, 3))
+    assert SpectrumModel.arithmetic_progression(0.3, cutoff=0).lam.size == 1
+    big = np.iinfo(np.int64).max
+    m = SpectrumModel("ExplicitList", [1.0, -2.0],
+                      np.array([big, 1], dtype=np.uint64), 0, {})
+    assert m.mult.dtype == np.int64 and m.mult.tolist() == [big, 1]
 
 
 def test_ap_integer_theta_has_kernel():
@@ -451,6 +475,28 @@ def test_ap_model_is_the_tuple_model(theta, mult, cutoff):
 def test_lattice_model_is_the_tuple_model(theta, R):
     _assert_same_model(SpectrumModel.lattice3_quadratic(theta, cutoff=R),
                        *_tuple_lattice(theta, R))
+
+
+def test_the_lattice_eta_path_holds_each_level_array_once():
+    # R=40 has 536k levels, 4.1 MiB per array; the model keeps lam and
+    # mult (8.2 MiB).  Keeping the point array, an int64 repeat and a
+    # second mult copy through the build reads 34.8 MiB, and a fresh
+    # product per t in eta_numeric 24.5; held once, 17.4 and 20.5
+    theta = (1.0 / 3.0, 0.0, 0.0)
+    want = _tuple_eta_numeric(*_tuple_lattice(theta, 40),
+                              "Lattice3Quadratic")
+    tracemalloc.start()
+    try:
+        m = SpectrumModel.lattice3_quadratic(theta, cutoff=40)
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        r = eta_numeric(m)
+        heat = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.lam.size == 536_168
+    assert max(build, heat) < 22 * 2**20
+    assert (r.value.hex(), r.error_estimate.hex()) == want
 
 
 def test_explicit_ties_keep_input_order_and_match_the_tuple_model():

@@ -101,6 +101,35 @@ def test_spectrum_model_closed_form_follows_the_twist(theta, eta):
     assert got.kernel_dim == t3_spectrum(twist, R=8).kernel_dim
 
 
+@pytest.mark.parametrize("R", [-1.0, float("nan"), float("inf"), True,
+                               np.True_, "1.5", 1.5 + 0j],
+                         ids=["neg", "nan", "inf", "bool", "np-bool", "str",
+                              "complex"])
+def test_a_lattice_radius_is_checked_where_it_enters(R):
+    # -1.0 used to return no points and kernel_dim 3 (the zero mode passed
+    # q <= R*R), nan and inf failed deep in int(ceil(...))
+    with pytest.raises(ValueError, match="radius"):
+        t3_spectrum(R=R)
+
+
+@pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), True])
+def test_a_lattice_model_cutoff_is_checked_as_a_radius(cutoff):
+    # nan used to slip past the cutoff < 8 floor
+    with pytest.raises(ValueError, match="radius"):
+        SpectrumModel.lattice3_quadratic(cutoff=cutoff)
+
+
+def test_integer_and_numpy_radii_enumerate_as_floats():
+    ref = t3_spectrum(R=9.0)
+    for R in (9, np.int64(9), np.float64(9.0)):
+        sp = t3_spectrum(R=R)
+        assert np.array_equal(sp.points, ref.points)
+        assert np.array_equal(sp.values.view(np.int64),
+                              ref.values.view(np.int64))
+    assert t3_spectrum(R=0).kernel_dim == 3
+    assert len(t3_spectrum(R=0.0).points) == 0
+
+
 def test_gilkey_eta_untwisted():
     g = gilkey_eta()
     assert g.value == 4
