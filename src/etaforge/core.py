@@ -36,6 +36,20 @@ class TrigFitError(ValueError):
 _RANK_TOL = 1e-8
 
 
+def _integer(value, name, lo=None, hi=None):
+    """value as an int: an int or numpy integer, not a bool, in [lo, hi]
+    (None: unbounded).  Anything else raises ValueError, checked where
+    the integer enters."""
+    if isinstance(value, (bool, np.bool_)) \
+            or not isinstance(value, (int, np.integer)) \
+            or lo is not None and value < lo \
+            or hi is not None and value > hi:
+        bounds = f" in [{lo}, {hi}]" if hi is not None else \
+            f" >= {lo}" if lo is not None else ""
+        raise ValueError(f"{name} must be an integer{bounds}, not {value!r}")
+    return int(value)
+
+
 def _sha256(*parts):
     """sha256 of a sequence of digests (bytes), arrays (with dtype and
     shape) and ints: a key by value.  Two sequences of one layout share a

@@ -27,6 +27,7 @@ import numbers
 
 import numpy as np
 
+from .core import _integer
 # d(L) lives in indexing; eta.dimension_functional stays importable
 from .indexing import dimension_functional  # noqa: F401
 
@@ -127,10 +128,7 @@ class SpectrumModel:
     @classmethod
     def arithmetic_progression(cls, theta, mult=1, cutoff=2000):
         # a fractional cutoff would shift every level off n + theta
-        if isinstance(cutoff, (bool, np.bool_)) \
-                or not isinstance(cutoff, (int, np.integer)) or cutoff < 0:
-            raise ValueError(f"progression cutoff must be an integer >= 0, "
-                             f"not {cutoff!r}")
+        _integer(cutoff, "progression cutoff", 0)
         theta = float(theta)
         lam = np.arange(-cutoff, cutoff + 1) + theta
         zero = lam == 0.0

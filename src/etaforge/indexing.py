@@ -22,14 +22,13 @@ symbols._band), and every section is read from Q.  Two coordinate
 subspaces give a slice of A, whose panels the banded solve cuts from Q
 one mode window at a time (see _Coordinates); other pairs are assembled
 from the sides' mode groups and Q's windows, one batched product per
-mode offset (see _local_section).  Only the dense route lays out a dense
-matrix: a coordinate section that goes to the dense SVD, and A for a
-side of band 2N, which is one product per side.  A side of band 0
-counts its bulk by column mode, a wider one in ambient coordinates from
-its groups (see _local_bulk); no dense mode-local basis is formed.  A
-symbol of degree 0 between two sides of band 0 (a parity double that is
-the identity, say) makes T block diagonal by mode, and no section is
-built: see below.
+mode offset (see _local_section), a bare side (band 2N) as one group.
+Only the dense route lays out a dense matrix: a coordinate section that
+goes to the dense SVD.  A side of band 0 counts its bulk by column mode,
+a wider one in ambient coordinates from its groups (see _local_bulk); no
+dense mode-local basis is formed.  A symbol of degree 0 between two
+sides of band 0 (a parity double that is the identity, say) makes T
+block diagonal by mode, and no section is built: see below.
 This module builds no realization; all of them come from subspaces.
 
 Near-null vectors.  A block-diagonal T needs none.  Mode k has
@@ -59,10 +58,11 @@ selection, or else its band and mode groups (order, modes, positions and
 stack).  _SECTIONS keeps it by the sha256 of those bytes (the symbol's
 and each realization's digest is cached on the read-only object), so an
 equal section of objects built apart is read, not solved: no band,
-assembly, solve or bulk count.  It keeps at most _SECTIONS_KEPT (4096)
-entries, one digest and one int each, and drops the oldest first; a call
-that raises stores nothing.  The empty-side and block-diagonal counts
-come first and are not kept.
+assembly, solve or bulk count.  It is the one index memo: analytic_index
+asks for every scale on each call.  It keeps at most _SECTIONS_KEPT
+(4096) entries, one digest and one int each, and drops the oldest
+first; a call that raises stores nothing.  The empty-side and
+block-diagonal counts come first and are not kept.
 
 Hand-off.  The banded solve only brackets smax (a power-iteration lower
 bound, the Gershgorin upper bound of T*T), so its cut is a bracket.  It
@@ -80,7 +80,8 @@ from collections import OrderedDict
 
 import numpy as np
 
-from .core import _RANK_TOL, EllipticityViolation, _sha256, fit_trig_poly
+from .core import (_RANK_TOL, EllipticityViolation, _integer, _sha256,
+                   fit_trig_poly)
 from .dyadic import DyadicRational
 from .subspaces import (_SCALES, ParityError, UnstableIndexError,
                         _truncation, antipodal_subspace, full_subspace,
@@ -101,11 +102,10 @@ __all__ = [
 class SubspaceOperator:
     """An operator D : L1 -> L2 given by a symbol and two subspaces.  It
     keeps its is_elliptic() verdict, which with_lower_order passes on, and
-    its bulk-filtered index by N (`_indices`, filled by analytic_index)
-    and its parity double (`_double`, built by build_parity_double), which
-    it does not: that invariance is what the stability checks test.  An
-    equal operator built apart fills its own `_indices` from the sections
-    kept by value in _SECTIONS (see "Memo" above), solving none again."""
+    its parity double (`_double`, built by build_parity_double), which it
+    does not.  It keeps no index: each section's integer is kept by value
+    in _SECTIONS (see "Memo" above), which a repeated call or an equal
+    operator built apart reads without solving again."""
 
     def __init__(self, symbol, source, target, name=""):
         self.symbol = symbol if isinstance(symbol, FullSymbol) \
@@ -117,7 +117,6 @@ class SubspaceOperator:
         self.target = target
         self.name = name
         self._elliptic = None
-        self._indices = {}
         self._double = None
 
     @property
@@ -212,8 +211,8 @@ class _BandedGram:
     apart are then orthogonal, so in column blocks spanning at least 2d
     modes G is block tridiagonal.  It is built block by block inside the
     band, never as a dense product, and factored by a block Cholesky that
-    serves both sides of M: MM* is never formed.  Each panel's adjoint is
-    formed once and serves M* and the Gram blocks.  `cols` are the column
+    serves both sides of M: MM* is never formed.  Each block is kept once;
+    an adjoint is formed where a product needs it.  `cols` are the column
     blocks (see _column_blocks)."""
 
     def __init__(self, M, row_modes, col_modes, d, cols):
@@ -224,12 +223,12 @@ class _BandedGram:
                            np.searchsorted(row_modes, col_modes[c.stop - 1] + d,
                                            "right")) for c in self.cols]
         self.panels = [M[r, c] for r, c in zip(self.rows, self.cols)]
-        self.adj = [P.conj().T for P in self.panels]  # each panel's adjoint
-        self.diag = [H @ P for H, P in zip(self.adj, self.panels)]
+        self.diag = [P.conj().T @ P for P in self.panels]
         # G[J, J-1]: block J's columns meet block J-1's rows from row
         # rows[J].start on, where they are panel J's leading rows
-        self.low = [H[:, :max(r.stop - s.start, 0)] @ P[s.start - r.start:]
-                    for H, s, r, P in zip(self.adj[1:], self.rows[1:],
+        self.low = [H.conj().T[:, :max(r.stop - s.start, 0)]
+                    @ P[s.start - r.start:]
+                    for H, s, r, P in zip(self.panels[1:], self.rows[1:],
                                           self.rows, self.panels)]
 
     def matvec(self, X):
@@ -240,7 +239,8 @@ class _BandedGram:
 
     def rmatvec(self, Y):
         """M* Y, block by block."""
-        return np.concatenate([H @ Y[r] for r, H in zip(self.rows, self.adj)])
+        return np.concatenate([P.conj().T @ Y[r]
+                               for r, P in zip(self.rows, self.panels)])
 
     def upper_bound(self):
         """Gershgorin bound on the largest eigenvalue of G."""
@@ -260,28 +260,28 @@ class _BandedGram:
 
     def factor(self, mu):
         """Block Cholesky G + mu^2 I = L L*: the inverted diagonal blocks
-        C^-1 of L and its subdiagonal blocks S, each kept with its adjoint.
-        Raises LinAlgError when a pivot block is not positive definite."""
+        C^-1 of L and its subdiagonal blocks S, each kept once.  Raises
+        LinAlgError when a pivot block is not positive definite."""
         self.inv, self.sub = [], []
         for J, D in enumerate(self.diag):
             D = D + mu * mu * np.eye(len(D))
             if J:
-                S = self.low[J - 1] @ self.inv[J - 1][1]
+                S = self.low[J - 1] @ self.inv[J - 1].conj().T
                 D = D - S @ S.conj().T
-                self.sub.append((S, S.conj().T))
-            C = np.linalg.inv(np.linalg.cholesky(D))
-            self.inv.append((C, C.conj().T))
+                self.sub.append(S)
+            self.inv.append(np.linalg.inv(np.linalg.cholesky(D)))
 
     def solve(self, B):
         """(G + mu^2 I)^-1 B: forward, then backward block substitution."""
         y = []
         for J, c in enumerate(self.cols):
-            r = B[c] - self.sub[J - 1][0] @ y[-1] if J else B[c]
-            y.append(self.inv[J][0] @ r)
+            r = B[c] - self.sub[J - 1] @ y[-1] if J else B[c]
+            y.append(self.inv[J] @ r)
         x = [None] * len(y)
         for J in reversed(range(len(y))):
-            r = y[J] - self.sub[J][1] @ x[J + 1] if J + 1 < len(y) else y[J]
-            x[J] = self.inv[J][1] @ r
+            r = y[J] - self.sub[J].conj().T @ x[J + 1] if J + 1 < len(y) \
+                else y[J]
+            x[J] = self.inv[J].conj().T @ r
         return np.concatenate(x)
 
     def near_null(self, n, step, ritz, mu, cut_lo, cut_hi, need=0):
@@ -366,15 +366,6 @@ def _banded_near_null(T, row_modes, col_modes, d):
     return ker, coker[0]
 
 
-def _times(M, real):
-    """M B for a side's sorted columns B, from its groups' windows."""
-    g = real._by_mode
-    out = np.zeros((M.shape[0], real.rank + 1), dtype=complex)
-    out[:, g.pos] = (M[:, g.windows].transpose(1, 0, 2)
-                     @ g.stack).transpose(1, 0, 2)
-    return out[:, :-1]  # the last column takes the padding
-
-
 class _Coordinates:
     """The section A[ix_(c2, c1)] between two coordinate sides, in sorted
     coordinates (so modes ascend), read from the band Q of A (see
@@ -430,12 +421,8 @@ def _local_section(Q, src, tgt):
     column of lowest mode m + k meets it for offsets k in -d - b2 ..
     b1 + d, and the pairs at one offset share their rows, so the section
     takes one batched product per offset the two sides' modes can meet.
-    A side of band 2N meets every mode of the other: there A is laid out,
-    and the section is one product per side (see _times)."""
-    if max(src.band, tgt.band) >= 2 * src.N:  # a bare side: (A B1)* B2
-        modes = range(2 * src.N + 1)
-        A = _layout(Q, modes, modes)
-        return _times(_times(A, src).conj().T, tgt).conj().T
+    A bare side (band 2N, every lowest mode 0) is one group, and is built
+    the same way."""
     s, t = src._by_mode, tgt._by_mode
     r2, b1, b2 = t.fiber, src.band, tgt.band
     d = (Q.shape[1] - 1) // 2
@@ -539,10 +526,7 @@ def analytic_index(op, N=16, scales=_SCALES):
     if not op.is_elliptic():
         raise EllipticityViolation(
             "symbol does not restrict to an isomorphism of the subspaces")
-    kept = op._indices
-    vals = [kept[n] if n in kept else
-            kept.setdefault(n, _filtered_index_once(op, n))
-            for n in (N * s for s in scales)]
+    vals = [_filtered_index_once(op, N * s) for s in scales]
     if len(set(vals)) != 1:
         raise UnstableIndexError(f"analytic index did not stabilize: {vals}")
     return vals[0]
@@ -641,13 +625,14 @@ def dimension_functional(L, N=16, lift_order=0):
     Defined for even subspaces whose symbol records a frame (see
     subspaces.lift_symbol); the result must not depend on the lift, which
     is verified against a twisted second lift.  lift_order forces k
-    artificial doublings.
+    artificial doublings; it is an integer >= 0 (else ValueError).
 
     Computed once per (N, lift_order) on each subspace: the value is kept
     in L's memo, next to its realizations; a call that raises keeps
     nothing.
     """
     N = _truncation(N)
+    lift_order = _integer(lift_order, "lift_order", 0)
     key = (N, lift_order)
     hit = L._dims.get(key)
     if hit is not None:

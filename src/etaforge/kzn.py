@@ -20,7 +20,7 @@ from functools import reduce
 
 import numpy as np
 
-from .core import (TrigPolyMatrix, constant_trig, fit_trig_poly,
+from .core import (TrigPolyMatrix, _integer, constant_trig, fit_trig_poly,
                    trig_blockdiag, winding_number)
 from .dyadic import DyadicRational
 from .indexing import SubspaceOperator, _fitting_n, analytic_index
@@ -53,16 +53,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KClassZn:
-    """Element of Z (+) Z/n; the torsion representative is kept in [0, n)."""
+    """Element of Z (+) Z/n; the torsion representative is kept in [0, n).
+    Each part is an integer, n >= 1 (else ValueError)."""
 
     n: int
     free_part: int
     torsion_part: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "torsion_part", self.torsion_part % self.n)
+        n = _integer(self.n, "modulus n", 1)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "free_part",
+                           _integer(self.free_part, "free part"))
+        object.__setattr__(self, "torsion_part",
+                           _integer(self.torsion_part, "torsion part") % n)
 
     def _match(self, other):
         if not isinstance(other, KClassZn) or other.n != self.n:
@@ -126,10 +130,11 @@ def gamma_trivialization(n, steps=10):
 
     Every sample has determinant winding exactly n; the path certifies
     that n copies of the Bott line bundle assemble into the single
-    n-times-twisted one.  Returned as steps+1 uniformly spaced samples.
+    n-times-twisted one.  Returned as steps+1 uniformly spaced samples;
+    n and steps are integers >= 1 (else ValueError).
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _integer(n, "modulus n", 1)
+    steps = _integer(steps, "steps", 1)
     if n == 1:
         loop = TrigPolyMatrix({1: np.eye(1, dtype=complex)})
         return [loop] * (steps + 1)
@@ -158,13 +163,12 @@ class EllZnElement:
     """Elliptic operator between n-fold sums of base subspaces.
 
     operator.source must be the summand-wise n-fold sum of source_bases
-    (checked at the symbol level), and likewise for the target.
+    (checked at the symbol level), and likewise for the target.  n is an
+    integer >= 1 (else ValueError).
     """
 
     def __init__(self, n, operator, source_bases, target_bases):
-        if n < 1:
-            raise ValueError("modulus must be positive")
-        self.n = int(n)
+        self.n = _integer(n, "modulus n", 1)
         self.operator = operator
         self.source_bases = tuple(source_bases)
         self.target_bases = tuple(target_bases)
@@ -183,7 +187,10 @@ class EllZnElement:
 
 
 def shift_element(n, power=1):
-    """The generator: diag(z^power, 1, ..., 1) against the identity face."""
+    """The generator: diag(z^power, 1, ..., 1) against the identity face.
+    n >= 1 and power are integers (else ValueError)."""
+    n = _integer(n, "modulus n", 1)
+    power = _integer(power, "power")
     e00 = np.zeros((n, n), dtype=complex)
     e00[0, 0] = 1.0
     rest = np.eye(n, dtype=complex) - e00

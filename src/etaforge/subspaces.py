@@ -7,17 +7,17 @@ a subspace (or an indexing.SubspaceOperator) computes is kept on it,
 append-only and idempotent; a call that raises keeps nothing.
 Realizations are cached per N, d(L) per (N, lift_order) in a memo that
 indexing.dimension_functional fills, and an operator keeps its ellipticity
-verdict, its index per N and its parity double.  A realization keeps a
-selection or the mode groups _local builds from column sets, never a
-dense basis that is mostly zeros (see SubspaceRealization).  One memo is
-shared by value:
-indexing._SECTIONS keeps the integer of every index section solved in
-the process (at most 4096, the oldest dropped first) by the sha256 of N
-and of the digests, each cached on its read-only object, of the symbol
-(each term's order and face coefficient tables) and both realizations
-(the selection, or the band and the mode groups: all the kernel reads),
-so equal sections of objects built apart are solved once.  dict.setdefault
-is atomic, so concurrent callers all get the one stored value.
+verdict and its parity double.  A realization keeps a selection or the
+mode groups _local builds from column sets, never a dense basis that is
+mostly zeros (see SubspaceRealization).  One memo is shared by value,
+and it is the only one that keeps indices: indexing._SECTIONS keeps the
+integer of every index section solved in the process (at most 4096, the
+oldest dropped first) by the sha256 of N and of the digests, each cached
+on its read-only object, of the symbol (each term's order and face
+coefficient tables) and both realizations (the selection, or the band
+and the mode groups: all the kernel reads), so equal sections of objects
+built apart are solved once.  dict.setdefault is atomic, so concurrent
+callers all get the one stored value.
 
 A face's frame is the one its constructor recorded.  Each stock
 constructor records an exact frame pair (F, F-perp) of each face,
@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .core import (_RANK_TOL, TrigPolyMatrix, _fft_fit, _sha256,
+from .core import (_RANK_TOL, TrigPolyMatrix, _fft_fit, _integer, _sha256,
                    constant_trig, fit_trig_poly, polar_unitary,
                    trig_blockdiag)
 from .symbols import (CircleSymbol, TruncatedOperator,
@@ -100,10 +100,7 @@ class UnstableIndexError(RuntimeError):
 def _truncation(N):
     """N as a truncation: an int or numpy integer >= 1, not a bool.
     Anything else raises ValueError, checked where a truncation enters."""
-    if isinstance(N, (bool, np.bool_)) \
-            or not isinstance(N, (int, np.integer)) or N < 1:
-        raise ValueError(f"truncation N must be an integer >= 1, not {N!r}")
-    return int(N)
+    return _integer(N, "truncation N", 1)
 
 
 class SubspaceSymbol(CircleSymbol):
@@ -733,8 +730,9 @@ def hardy_subspace(shift=0):
     """Modes n >= shift of the trivial line bundle (shift 0: Hardy space).
 
     Every shift has the same symbol, so relative_index applies across the
-    family.
+    family.  A shift that is not an integer raises ValueError.
     """
+    shift = _integer(shift, "hardy shift")
     one, none = _const(np.eye(1)), _const(np.zeros((1, 0)))
     sym = SubspaceSymbol(np.eye(1), np.zeros((1, 1)), name="hardy",
                          validate=False)._with_frames(
@@ -770,7 +768,10 @@ def mobius_subspace():
 
 
 def trivial_subspace(rank, q, name=""):
-    """Constant subspace spanned by the first q fiber coordinates."""
+    """Constant subspace spanned by the first q fiber coordinates; rank
+    and q are integers, 0 <= q <= rank (else ValueError)."""
+    rank = _integer(rank, "fiber rank", 0)
+    q = _integer(q, "subspace rank q", 0, rank)
     eye = np.eye(rank)
     E, perp = eye[:, :q], eye[:, q:]
     pair = (_const(E), _const(perp))
@@ -950,21 +951,19 @@ def puncture(L, mode=0, coord=0):
     """Same symbol, realization one dimension smaller: the direction of the
     (mode, coord) ambient basis vector is removed from the range (see
     _punctured), and the complement is recorded as L's plus that
-    direction.  A coord outside [0, fiber) raises ValueError here, a mode
-    outside [-N, N] at realization."""
+    direction.  A mode or coord that is not an integer, or a coord
+    outside [0, fiber), raises ValueError here, a mode outside [-N, N] at
+    realization.  The complement recipe builds the direction again."""
     fiber = L.fiber
+    mode = _integer(mode, "puncture mode")
+    coord = _integer(coord, "puncture coord")
     if not 0 <= coord < fiber:
         raise ValueError(f"coord {coord} outside the fiber [0, {fiber})")
-    split = {}  # N -> (realization, removed direction), for both recipes
 
     def punctured(N):
-        hit = split.get(N)
-        if hit is not None:
-            return hit
         if abs(mode) > N:
             raise ValueError(f"mode {mode} outside the truncation window")
-        return split.setdefault(N, _punctured(
-            L.realize(N), N, (mode + N) * fiber + coord, fiber))
+        return _punctured(L.realize(N), N, (mode + N) * fiber + coord, fiber)
 
     def perp(N):
         part = parent(N)

@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from .core import TrigPolyMatrix, constant_trig, trig_blockdiag
+from .core import TrigPolyMatrix, _integer, constant_trig, trig_blockdiag
 from .indexing import SubspaceOperator
 from .kzn import EllZnElement, n_fold
 from .subspaces import (conjugate_subspace, face_frames, full_subspace,
@@ -91,7 +91,10 @@ def toeplitz_operator(k):
 
 def even_subspace_suite(seed=1914, count=6):
     """Named even subspaces with varied texture: twisted line bundles,
-    constant splittings, conjugated planes, a punctured realization."""
+    constant splittings, conjugated planes, a punctured realization.  The
+    four fixed ones are always in: count is an integer >= 4 (else
+    ValueError)."""
+    count = _integer(count, "suite count", 4)
     out = [("mobius", mobius_subspace()),
            ("trivial_plane", trivial_subspace(3, 2))]
     rng = rng_for(seed, "even_suite")
@@ -181,7 +184,9 @@ def _random_base(rng, n):
 def modn_element_suite(seed, n, count=10):
     """Randomized mod-n elements: mostly full-space fiber-n symbols with
     independent face windings, plus frame-conjugated operators on n-fold
-    subspaces."""
+    subspaces.  n and count are integers >= 1 (else ValueError)."""
+    n = _integer(n, "modulus n", 1)
+    count = _integer(count, "suite count", 1)
     rng = rng_for(seed, f"modn{n}")
     out = []
     for i in range(count):
@@ -236,7 +241,11 @@ def perturbation_terms(rng, op, count, scale=0.25):
 
 
 def random_elliptic_elements(seed, count=20, moduli=(2, 3, 4, 8)):
-    """Flat list of (example_id, element) cycling through the moduli."""
+    """Flat list of (example_id, element) cycling through the moduli;
+    count is an integer >= 1 and moduli is not empty (else ValueError)."""
+    count = _integer(count, "suite count", 1)
+    if not len(moduli):
+        raise ValueError("random_elliptic_elements needs a modulus")
     out = []
     for i in range(count):
         n = moduli[i % len(moduli)]

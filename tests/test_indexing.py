@@ -103,15 +103,17 @@ def test_noninvertible_symbol_is_rejected(monkeypatch):
     op = SubspaceOperator(CircleSymbol(0, loop, loop),
                           full_subspace(1), full_subspace(1))
     calls = _counted(monkeypatch, "ellipticity_check")
+    seen = _solves(monkeypatch)
     assert not op.is_elliptic()
-    # the kept verdict refuses every call, and a perturbed copy's too
+    # the kept verdict refuses every call, and a perturbed copy's too,
+    # before any section is solved or kept
     for _ in range(2):
         with pytest.raises(EllipticityViolation):
             analytic_index(op, N=8)
     with pytest.raises(EllipticityViolation):
         analytic_index(op.with_lower_order(*perturbation_terms(
             rng_for(3, "perturb"), op, 1)), N=8)
-    assert len(calls) == 1 and op._indices == {}
+    assert len(calls) == 1 and seen == [] and not indexing._SECTIONS
 
 
 def test_symbol_shape_must_match_subspaces():
@@ -259,6 +261,18 @@ def test_d_memo_key_holds_n_and_lift_order(monkeypatch):
     # a fresh subspace with the same symbol shares nothing
     with pytest.raises(_Recomputed):
         dimension_functional(_punctured_plane())
+
+
+@pytest.mark.parametrize("lift_order", [-1, 1.5, True, np.True_, "1"])
+def test_a_lift_order_is_an_integer_at_least_zero(lift_order):
+    # -1 used to double d (DyadicRational(ind, -1) shifts left: -2 where
+    # d = -1), 1.5 and "1" raised TypeError from range, and True was 1;
+    # the check comes before the memo, where (16, True) finds (16, 1)
+    L = _punctured_plane()
+    assert dimension_functional(L, lift_order=1) == -1
+    assert dimension_functional(L, lift_order=np.int64(1)) == -1
+    with pytest.raises(ValueError, match="lift_order must be an integer"):
+        dimension_functional(L, lift_order=lift_order)
 
 
 @pytest.mark.parametrize("exc", [ArithmeticError, UnstableIndexError,
@@ -491,6 +505,22 @@ def _counted(monkeypatch, name):
     return calls
 
 
+def _scales_solved(monkeypatch):
+    # (N, whether a near-null solve ran) for every section the index asks
+    # for: a section kept in _SECTIONS is read, not solved
+    seen, calls = _solves(monkeypatch), []
+    once = indexing._filtered_index_once
+
+    def recorded(op, N):
+        before = len(seen)
+        index = once(op, N)
+        calls.append((N, len(seen) > before))
+        return index
+
+    monkeypatch.setattr(indexing, "_filtered_index_once", recorded)
+    return calls
+
+
 def _theorem_element():
     # a full-space element of the mod-2 suite: small, stable sections
     return modn_element_suite(1914, 2, count=2)[1][1]
@@ -518,12 +548,14 @@ def test_compose_and_direct_sum_check_their_own_symbol(monkeypatch):
 
 
 def test_theorem_and_ladder_share_the_n24_section(monkeypatch):
-    # the theorem runs N = 12, 24, 36 and the ladder's first rung 24, 48
+    # the theorem runs N = 12, 24, 36 and the ladder's first rung 24, 48;
+    # the ladder reads the N=24 section the theorem solved
     el = _theorem_element()
-    calls = _counted(monkeypatch, "_filtered_index_once")
+    calls = _scales_solved(monkeypatch)
     mod_n_analytic_index(el, N=12)
     analytic_index(el.operator, N=24, scales=(1, 2))
-    assert [N for _, N in calls] == [12, 24, 36, 48]
+    assert calls == [(12, True), (24, True), (36, True), (24, False),
+                     (48, True)]
 
 
 def test_a_perturbed_operator_inherits_no_indices(monkeypatch):
@@ -531,10 +563,11 @@ def test_a_perturbed_operator_inherits_no_indices(monkeypatch):
     assert analytic_index(op, N=24, scales=(1, 2)) == -2
     pert = op.with_lower_order(*perturbation_terms(rng_for(3, "perturb"),
                                                    op, 1))
-    assert pert._indices == {}
-    calls = _counted(monkeypatch, "_filtered_index_once")
+    calls = _scales_solved(monkeypatch)
+    # the perturbed sections are solved, not read from op's; op's are kept
     assert analytic_index(pert, N=24, scales=(1, 2)) == -2
-    assert [N for _, N in calls] == [24, 48]
+    assert analytic_index(op, N=24, scales=(1, 2)) == -2
+    assert calls == [(24, True), (48, True), (24, False), (48, False)]
 
 
 def test_disagreeing_scales_are_refused_on_every_call(monkeypatch):
@@ -543,10 +576,11 @@ def test_disagreeing_scales_are_refused_on_every_call(monkeypatch):
     pert = op.with_lower_order(*perturbation_terms(rng, op, 1, scale=1.0))
     with pytest.raises(UnstableIndexError):
         analytic_index(pert, N=8)
-    calls = _counted(monkeypatch, "_filtered_index_once")
+    calls = _scales_solved(monkeypatch)
     with pytest.raises(UnstableIndexError):
         analytic_index(pert, N=8)
-    assert calls == []  # the kept indices still disagree
+    # the kept integers are read, and still disagree
+    assert calls == [(8, False), (16, False), (24, False)]
 
 
 def test_an_index_that_raises_stores_nothing(monkeypatch):
@@ -561,10 +595,12 @@ def test_an_index_that_raises_stores_nothing(monkeypatch):
     monkeypatch.setattr(indexing, "_filtered_index_once", refused_at_32)
     with pytest.raises(ArithmeticError):
         analytic_index(op, N=16)
-    assert list(op._indices) == [16]
+    assert len(indexing._SECTIONS) == 1  # N=16's, solved before the raise
     monkeypatch.setattr(indexing, "_filtered_index_once", once)
+    calls = _scales_solved(monkeypatch)
     assert analytic_index(op, N=16) == -1
-    assert sorted(op._indices) == [16, 32, 48]
+    assert calls == [(16, False), (32, True), (48, True)]
+    assert len(indexing._SECTIONS) == 3
 
 
 def test_an_operator_keeps_its_parity_double_and_passes_none_on():
@@ -757,7 +793,9 @@ def test_the_banded_route_lays_out_no_dense_matrix(case, monkeypatch):
 def test_a_normal_form_section_peaks_below_its_dense_quantization(
         monkeypatch):
     # the kernel's traced peak on a coordinate section stays below the
-    # size of the dense quantization it no longer lays out (11.7 MiB here)
+    # size of the dense quantization it no longer lays out (11.7 MiB here),
+    # and below 5.5 MiB: the banded Gram keeps no adjoint copies (4.7 MiB
+    # here, 6.3 with them)
     op, N = _normal_form_section()
     dense = quantize(op.symbol, N).matrix.nbytes
     op.source.realize(N), op.target.realize(N)  # realized before tracing
@@ -769,6 +807,7 @@ def test_a_normal_form_section_peaks_below_its_dense_quantization(
     finally:
         tracemalloc.stop()
     assert dense > 11.7 * 2**20 > peak
+    assert peak < 5.5 * 2**20
 
 
 @pytest.mark.parametrize("case", sorted(_banded_cases()))

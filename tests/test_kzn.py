@@ -18,7 +18,8 @@ from etaforge.kzn import (EllZnElement, KClassZn, _pair_rotation,
                           winding_datum)
 from etaforge.subspaces import (full_subspace, mobius_subspace, puncture,
                                 trivial_subspace)
-from etaforge.suites import modn_element_suite
+from etaforge.suites import (even_subspace_suite, modn_element_suite,
+                             random_elliptic_elements)
 
 MODULI = (2, 3, 4, 8)
 
@@ -286,3 +287,38 @@ def test_inverse_row_decomposition_recovers_projection(make):
         p = L.symbol.face(sign)(xs)
         assert np.abs(q @ q - q).max() < 1e-10
         assert np.abs(q - p).max() < 1e-10
+
+
+def _element_with_modulus(n):
+    el = shift_element(2)
+    return EllZnElement(n, el.operator, el.source_bases, el.target_bases)
+
+
+_BAD_INTEGER_ARGUMENTS = {
+    "power_float": lambda: shift_element(2, 1.5),  # built power 1
+    "n_float": lambda: shift_element(2.5),  # raised TypeError
+    "steps_zero": lambda: gamma_trivialization(3, steps=0),  # ZeroDivision
+    "steps_negative": lambda: gamma_trivialization(3, steps=-1),  # was []
+    "element_n_float": lambda: _element_with_modulus(2.5),  # stored n = 2
+    "class_n_float": lambda: KClassZn(2.5, 1, 3),  # kept torsion 0.5
+    "class_free_float": lambda: KClassZn(3, 1.5, 2),
+    "even_suite_short": lambda: even_subspace_suite(1914, count=1),  # gave 4
+    "modn_suite_negative": lambda: modn_element_suite(1914, 2, count=-1),
+    "modn_suite_bool": lambda: modn_element_suite(1914, 2, count=True),
+    # raised ZeroDivisionError
+    "no_moduli": lambda: random_elliptic_elements(1914, moduli=()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INTEGER_ARGUMENTS))
+def test_the_integer_arguments_of_kzn_and_suites_are_checked(case):
+    with pytest.raises(ValueError):
+        _BAD_INTEGER_ARGUMENTS[case]()
+
+
+def test_numpy_integer_moduli_and_classes_are_ints():
+    c = KClassZn(np.int64(4), np.int64(2), np.int64(9))
+    assert (c.n, c.free_part, c.torsion_part) == (4, 2, 1)
+    assert all(type(v) is int for v in (c.n, c.free_part, c.torsion_part))
+    assert shift_element(np.int64(3), np.int64(2)).n == 3
+    assert len(gamma_trivialization(np.int64(2), steps=np.int64(1))) == 2

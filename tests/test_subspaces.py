@@ -676,6 +676,36 @@ def test_puncture_rejects_a_coord_outside_the_fiber(coord):
         puncture(trivial_subspace(2, 1), coord=coord)
 
 
+_BAD_INTEGER_ARGUMENTS = {
+    "q_negative": lambda: trivial_subspace(3, -1),  # was the 2-plane
+    "q_past_rank": lambda: trivial_subspace(3, 5),  # was the full space
+    "q_float": lambda: trivial_subspace(3, 1.5),  # raised TypeError
+    "q_bool": lambda: trivial_subspace(3, True),  # was q = 1
+    "shift_float": lambda: hardy_subspace(1.5),  # was shift 1
+    "shift_bool": lambda: hardy_subspace(True),
+    # mode 0.5 removed coordinate 9, (mode 0, coord 1), at N = 4
+    "mode_float": lambda: puncture(full_subspace(2), mode=0.5),
+    "mode_bool": lambda: puncture(full_subspace(2), mode=True),
+    # coord 1.5 was refused at realization as "nearly orthogonal"
+    "coord_float": lambda: puncture(full_subspace(2), coord=1.5),
+    "coord_bool": lambda: puncture(full_subspace(2), coord=np.True_),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INTEGER_ARGUMENTS))
+def test_the_integer_arguments_of_the_stock_constructors_are_checked(case):
+    with pytest.raises(ValueError, match="must be an integer"):
+        _BAD_INTEGER_ARGUMENTS[case]()
+
+
+def test_numpy_integer_constructor_arguments_build_as_ints():
+    assert trivial_subspace(np.int64(3), np.int64(2)).rank(4) == 18
+    assert hardy_subspace(np.int64(2)).rank(8) == hardy_subspace(2).rank(8)
+    L = puncture(full_subspace(2), mode=np.int64(1), coord=np.int64(1))
+    assert L.name == puncture(full_subspace(2), mode=1, coord=1).name
+    assert L.rank(4) == 17
+
+
 @pytest.mark.parametrize("shift", [-17, 17])
 def test_relative_index_rejects_a_shift_outside_the_window(shift):
     # -17 used to raise UnstableIndexError [-16, -17, -17] at N=16
